@@ -3,7 +3,7 @@
 Every estimator sees the same replication stream (common random numbers),
 so improvement percentages are comparable and reruns are bit-identical.
 
-Run:  python demos/06_risk_tables.py          (about a minute)
+Run:  python demos/06_risk_tables.py
 """
 
 import numpy as np

@@ -1,10 +1,11 @@
 """Command-line harness: estimate, risk-sim, audit, gibbs-diag, kernel-eval, repro.
 
 Exit codes: 0 success, 2 malformed input, 3 numerical failure,
-4 propriety/dominance condition violation.  Every subcommand accepts
---dry-run, which validates inputs and prints the resolved configuration
-without computing.  The environment variable NMSHRINK_OUTDIR supplies the
-default output directory for `repro`.
+4 propriety/dominance condition violation.  JSON output is strict: a
+non-finite number (a divergent kernel, say) is written as null.  Every
+subcommand accepts --dry-run, which validates inputs and prints the
+resolved configuration without computing.  The environment variable
+NMSHRINK_OUTDIR supplies the default output directory for `repro`.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -48,9 +50,8 @@ def _version_string() -> str:
         version = "unknown"
     q = quadrature_settings()
     return (
-        f"nmshrink {version} (quadrature: {q['nodes_per_panel']}-node "
-        f"Gauss-Legendre panels, {q['split_threshold_nats']:g}-nat split, "
-        f"node cap {q['node_cap']}, {q['substitution']})"
+        f"nmshrink {version} (quadrature: {q['rule']}, {q['substitution']}, "
+        f"node cap {q['node_cap']}, error tolerance {q['error_tol']:g})"
     )
 
 
@@ -71,6 +72,22 @@ def _g_from_doc(doc) -> GChoice:
     raise ValueError(f"unrecognized g specification: {doc!r}")
 
 
+def _finite_or_null(obj):
+    """The same document with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
+def _to_json(obj, **kwargs) -> str:
+    """Strict JSON text: non-finite numbers are written as null."""
+    return json.dumps(_finite_or_null(obj), allow_nan=False, indent=2, **kwargs)
+
+
 def _read_json(path: str | None):
     if path is None or path == "-":
         return json.load(sys.stdin)
@@ -87,7 +104,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _print_dry_run(config: dict) -> int:
-    print(json.dumps({"dry_run": True, "config": config}, indent=2, default=str))
+    print(_to_json({"dry_run": True, "config": config}, default=str))
     return EXIT_OK
 
 
@@ -306,7 +323,7 @@ def _cmd_audit(args) -> int:
         if args.dry_run:
             return _print_dry_run(config)
         rows = audit_mod.dominance_table()
-        text = json.dumps(rows, indent=2)
+        text = _to_json(rows)
         _write_text(args.out, text + "\n")
         if args.enforce and not all(
             row["EB0"] and row["EB"] and row["HB"] for row in rows
@@ -319,7 +336,7 @@ def _cmd_audit(args) -> int:
         config["scenario"] = doc
         return _print_dry_run(config)
     verdict = _audit_scenario(doc)
-    _write_text(args.out, json.dumps(verdict, indent=2) + "\n")
+    _write_text(args.out, _to_json(verdict) + "\n")
     failed = verdict.get("holds") is False or verdict.get("prior_proper") is False
     if args.enforce and failed:
         return EXIT_CONDITION
@@ -368,7 +385,7 @@ def _cmd_gibbs_diag(args) -> int:
             mcmc_delta_estimates(chain, "kl", nu) for nu in range(counts.n_columns)
         ],
     }
-    _write_text(args.out, json.dumps(report, indent=2) + "\n")
+    _write_text(args.out, _to_json(report) + "\n")
     return EXIT_OK
 
 
@@ -388,14 +405,17 @@ def _cmd_kernel_eval(args) -> int:
     g = _g_from_doc(doc.get("g"))
     xi0 = float(doc["xi0"])
     xi = np.asarray(doc["xi"], dtype=float)
-    log_den = log_kernel(alpha, beta, g, xi0, xi)
-    log_num = log_kernel(alpha + 1.0, beta, g, xi0, xi)
+    if xi.ndim != 1:
+        raise ValueError("xi must be a list of numbers")
+    log_den, log_num = log_kernel([alpha, alpha + 1.0], beta, g, xi0, xi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = np.exp(log_num - log_den)
     out = {
-        "log_K": log_den,
-        "log_K_alpha_plus_1": log_num,
-        "delta": float(np.exp(log_num - log_den)),
+        "log_K": float(log_den),
+        "log_K_alpha_plus_1": float(log_num),
+        "delta": float(delta),
     }
-    _write_text(args.out, json.dumps(out, indent=2) + "\n")
+    _write_text(args.out, _to_json(out) + "\n")
     return EXIT_OK
 
 
@@ -451,7 +471,7 @@ def _cmd_repro(args) -> int:
         "quadrature": quadrature_settings(),
     }
     with open(os.path.join(outdir, "manifest.json"), "w") as f:
-        json.dump(manifest, f, indent=2)
+        f.write(_to_json(manifest))
     print(f"wrote table1..table4 and manifest to {outdir}")
     return EXIT_OK
 

@@ -1,9 +1,10 @@
 """Point estimators of the probability matrix from negative multinomial counts.
 
-All estimators return a dense m x N float matrix.  Estimators in the
-squared-error family put exact zeros where the corresponding count is zero;
-posterior-mean estimators (for the Kullback-Leibler-type loss) are strictly
-positive everywhere.
+All estimators return a dense m x N float matrix, or a (..., m, N) stack
+for a stack of count matrices (each matrix estimated on its own, with the
+same bits as alone).  Estimators in the squared-error family put exact zeros
+where the corresponding count is zero; posterior-mean estimators (for the
+Kullback-Leibler-type loss) are strictly positive everywhere.
 """
 
 from __future__ import annotations
@@ -35,15 +36,16 @@ __all__ = [
     "hb_posterior_mean",
 ]
 
-# A shrinkage rule maps the grand total to a strictly positive amount.
+# A shrinkage rule maps the grand total (or an array of grand totals) to a
+# strictly positive amount.
 DeltaRule = Callable[[int], float]
 
 
 def _shrunk(x: CountMatrix, denominators: np.ndarray) -> np.ndarray:
-    """Entries x_ij / denominators[j], with zero counts mapped to exact zero."""
+    """Entries x_ij / denominators[..., j], with zero counts mapped to exact zero."""
     counts = x.x.astype(float)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(counts > 0, counts / denominators[None, :], 0.0)
+        out = np.where(counts > 0, counts / denominators[..., None, :], 0.0)
     return out
 
 
@@ -66,10 +68,10 @@ def shrink_general(x: CountMatrix, r: float, delta: DeltaRule) -> np.ndarray:
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    d = float(delta(x.grand_sum))
-    if not d > 0:
+    d = np.asarray(delta(x.grand_sum), dtype=float)
+    if not np.all(d > 0):
         raise ValueError(f"delta must be strictly positive, got {d}")
-    return _shrunk(x, r + x.col_sums.astype(float) - 1.0 + d)
+    return _shrunk(x, r + x.col_sums.astype(float) - 1.0 + d[..., None])
 
 
 def eb_delta_rule(m: int, n_columns: int, r: float) -> DeltaRule:
@@ -80,9 +82,10 @@ def eb_delta_rule(m: int, n_columns: int, r: float) -> DeltaRule:
     """
 
     def rule(z: int) -> float:
-        if z == 0:
-            return math.inf
-        return 1.0 + m + n_columns * m * r / z
+        z = np.asarray(z, dtype=float)
+        with np.errstate(divide="ignore"):
+            out = np.where(z == 0, math.inf, 1.0 + m + n_columns * m * r / z)
+        return float(out) if out.ndim == 0 else out
 
     return rule
 
@@ -113,16 +116,20 @@ def hb(
 
     Every column is shrunk by the same kernel ratio evaluated at the vector
     of column sums, so the output is equivariant under column permutations.
+    One kernel evaluation covers every matrix of a stack; an all-zero matrix
+    needs none and maps to the zero matrix.
     """
     if not hb_assumptions_hold(alpha, beta, g, r, x.m, x.n_columns):
         raise ConditionError(
             "hierarchical Bayes estimator requires r > m (or r = m with "
             "alpha large enough) and a finite tail integral"
         )
-    if x.grand_sum == 0:
-        return np.zeros_like(x.x, dtype=float)
-    d = delta_hb(alpha, beta, g, r, x.m, x.col_sums)
-    return _shrunk(x, r + x.col_sums.astype(float) - 1.0 + d)
+    z = x.col_sums
+    d = np.full(z.shape[:-1], math.inf)
+    nonzero = np.asarray(x.grand_sum) > 0
+    if nonzero.any():
+        d[nonzero] = delta_hb(alpha, beta, g, r, x.m, z[nonzero])
+    return _shrunk(x, r + z.astype(float) - 1.0 + d[..., None])
 
 
 def dirichlet_posterior_mean(
@@ -140,7 +147,7 @@ def dirichlet_posterior_mean(
     if not r + a0 > 0:
         raise ConditionError("posterior mean requires r + a0 > 0")
     denom = r + a0 + x.col_sums.astype(float) + a.sum()
-    return (x.x.astype(float) + a[:, None]) / denom[None, :]
+    return (x.x.astype(float) + a[:, None]) / denom[..., None, :]
 
 
 def hb_posterior_mean(x: CountMatrix, r: float, prior: PriorSpec) -> np.ndarray:
@@ -148,18 +155,22 @@ def hb_posterior_mean(x: CountMatrix, r: float, prior: PriorSpec) -> np.ndarray:
 
     Each column's Dirichlet denominator is enlarged by its own kernel ratio,
     so every entry is strictly smaller than the plain Dirichlet posterior
-    mean's.
+    mean's.  One kernel evaluation covers every column of every matrix.
     """
     if prior.m != x.m:
         raise ValueError("prior dimension does not match the count matrix")
     if not posterior_proper(prior, x.n_columns, r):
         raise ConditionError("hierarchical posterior is improper for these counts")
     z = x.col_sums
-    deltas = np.array(
-        [
-            delta_nu(prior.alpha, prior.beta, prior.g, r, prior.a0, prior.a_dot, z, nu)
-            for nu in range(x.n_columns)
-        ]
+    deltas = delta_nu(
+        prior.alpha,
+        prior.beta,
+        prior.g,
+        r,
+        prior.a0,
+        prior.a_dot,
+        z[..., None, :],
+        np.arange(x.n_columns),
     )
     denom = r + prior.a0 + z.astype(float) + prior.a_dot + deltas
-    return (x.x.astype(float) + prior.a[:, None]) / denom[None, :]
+    return (x.x.astype(float) + prior.a[:, None]) / denom[..., None, :]

@@ -151,15 +151,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class CountMatrix:
-    """An m x N matrix of nonnegative integer counts with cached sums."""
+    """An m x N matrix of nonnegative integer counts with cached sums.
+
+    A stack of matrices, shape (..., m, N), is held the same way: `col_sums`
+    then has shape (..., N) and `grand_sum` is an array of shape (...).
+    """
 
     x: np.ndarray
     col_sums: np.ndarray = field(init=False)
-    grand_sum: int = field(init=False)
+    grand_sum: int | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x)
-        if x.ndim != 2 or x.size == 0:
+        if x.ndim < 2 or x.size == 0:
             raise ValueError("counts must form a nonempty 2-d matrix")
         if not np.issubdtype(x.dtype, np.integer):
             rounded = np.rint(np.asarray(x, dtype=float))
@@ -170,17 +174,21 @@ class CountMatrix:
             x = x.astype(np.int64)
         if np.any(x < 0):
             raise ValueError("counts must be nonnegative")
+        col_sums = x.sum(axis=-2)
+        grand_sum = col_sums.sum(axis=-1)
         object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "col_sums", _readonly(x.sum(axis=0)))
-        object.__setattr__(self, "grand_sum", int(x.sum()))
+        object.__setattr__(self, "col_sums", _readonly(col_sums))
+        object.__setattr__(
+            self, "grand_sum", int(grand_sum) if x.ndim == 2 else _readonly(grand_sum)
+        )
 
     @property
     def m(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-2]
 
     @property
     def n_columns(self) -> int:
-        return self.x.shape[1]
+        return self.x.shape[-1]
 
 
 @dataclass(frozen=True)

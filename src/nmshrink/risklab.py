@@ -3,7 +3,9 @@
 Risk comparisons use common random numbers: every estimator sees the same
 replication stream of count matrices, keyed by (seed, replication index)
 through a counter-based generator, so results are bit-identical regardless
-of execution order or parallelism.
+of execution order or parallelism.  Replications are stacked into one
+(reps, m, N) CountMatrix, so each estimator and the loss run once per batch
+of replications.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from functools import partial
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import nbinom
+from scipy.special import betainc, gammaln
 
 from . import estimators as est
-from .kernel import GChoice
+from .kernel import ConditionError, GChoice, QuadratureError
 from .model import CountMatrix, ModelParams, ProbColumn, make_rng, nm_sample
 
 __all__ = [
@@ -39,6 +40,8 @@ __all__ = [
     "make_estimator",
 ]
 
+# An estimator maps counts (an m x N CountMatrix or a (..., m, N) stack) and
+# r to an estimate of the same shape.
 Estimator = Callable[[CountMatrix, float], np.ndarray]
 
 
@@ -66,34 +69,37 @@ class HudsonReport:
     passed: bool
 
 
-def loss_ss(d: np.ndarray, p: ModelParams, n: int) -> float:
+def _per_matrix(block: np.ndarray):
+    """Sum over each m x n matrix of a block: a float, or one per matrix."""
+    out = block.sum(axis=(-2, -1))
+    return float(out) if out.ndim == 0 else out
+
+
+def _estimate_blocks(d: np.ndarray, p: ModelParams, n: int):
+    d = np.asarray(d, dtype=float)
+    mat = p.matrix
+    if d.shape[-2:] != mat.shape:
+        raise ValueError("estimate and truth shapes differ")
+    if not 1 <= n <= p.n_columns:
+        raise ValueError("n out of range")
+    return d[..., :n], mat[:, :n]
+
+
+def loss_ss(d: np.ndarray, p: ModelParams, n: int):
     """Standardized squared error over the first n columns:
-    sum (d - p)^2 / p."""
-    d = np.asarray(d, dtype=float)
-    mat = p.matrix
-    if d.shape != mat.shape:
-        raise ValueError("estimate and truth shapes differ")
-    if not 1 <= n <= p.n_columns:
-        raise ValueError("n out of range")
-    block = (d[:, :n] - mat[:, :n]) ** 2 / mat[:, :n]
-    return float(block.sum())
+    sum (d - p)^2 / p.  A (..., m, N) stack of estimates gives one loss each."""
+    block_d, block_p = _estimate_blocks(d, p, n)
+    return _per_matrix((block_d - block_p) ** 2 / block_p)
 
 
-def loss_kl(d: np.ndarray, p: ModelParams, n: int) -> float:
+def loss_kl(d: np.ndarray, p: ModelParams, n: int):
     """Kullback-Leibler-type loss over the first n columns:
-    sum (d - p - p log(d/p)).  Requires strictly positive estimates there."""
-    d = np.asarray(d, dtype=float)
-    mat = p.matrix
-    if d.shape != mat.shape:
-        raise ValueError("estimate and truth shapes differ")
-    if not 1 <= n <= p.n_columns:
-        raise ValueError("n out of range")
-    block_d = d[:, :n]
-    block_p = mat[:, :n]
+    sum (d - p - p log(d/p)).  Requires strictly positive estimates there.
+    A (..., m, N) stack of estimates gives one loss each."""
+    block_d, block_p = _estimate_blocks(d, p, n)
     if np.any(block_d <= 0):
         raise ValueError("KL-type loss needs strictly positive estimates")
-    block = block_d - block_p - block_p * np.log(block_d / block_p)
-    return float(block.sum())
+    return _per_matrix(block_d - block_p - block_p * np.log(block_d / block_p))
 
 
 _LOSSES = {"ss": loss_ss, "kl": loss_kl}
@@ -120,18 +126,35 @@ def _replication_losses(
     seed: int,
     rep_indices: range,
 ) -> np.ndarray:
+    """Losses (reps, estimators) of one batch of replications; each estimator
+    and the loss run once on the stacked count matrices."""
     loss_fn = _LOSSES[loss]
+    x = CountMatrix(
+        np.stack([sample_counts(truth, make_rng(seed, rep)).x for rep in rep_indices])
+    )
     out = np.empty((len(rep_indices), len(named)))
-    for row, rep in enumerate(rep_indices):
-        x = sample_counts(truth, make_rng(seed, rep))
-        for col, (name, fn) in enumerate(named):
-            try:
-                out[row, col] = loss_fn(fn(x, truth.r), truth, n)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"estimator {name!r} failed on replication {rep}: {exc}"
-                ) from exc
+    for col, (name, fn) in enumerate(named):
+        try:
+            out[:, col] = loss_fn(fn(x, truth.r), truth, n)
+        except (ConditionError, QuadratureError):
+            raise
+        except Exception as exc:
+            raise _failed_replication(name, fn, x, truth, loss_fn, n, rep_indices) from exc
     return out
+
+
+def _failed_replication(name, fn, x, truth, loss_fn, n, rep_indices) -> RuntimeError:
+    """The error naming the first replication on which an estimator fails
+    alone, found by rerunning the batch one matrix at a time."""
+    for row, rep in enumerate(rep_indices):
+        try:
+            loss_fn(fn(CountMatrix(x.x[row]), truth.r), truth, n)
+        except Exception as exc:
+            return RuntimeError(f"estimator {name!r} failed on replication {rep}: {exc}")
+    return RuntimeError(
+        f"estimator {name!r} failed on a stack of replications but on none "
+        "alone; estimators must accept a (reps, m, N) stack of counts"
+    )
 
 
 def compare(
@@ -147,9 +170,12 @@ def compare(
     """Monte Carlo risks of several estimators on a shared replication stream.
 
     Each replication's count matrix is keyed by (seed, index), so all
-    estimators see identical data and reruns are bit-identical.  With
-    `jobs` > 1 replications are split across processes; the result does not
-    depend on jobs (estimator callables must then be picklable).
+    estimators see identical data and reruns are bit-identical.  Estimators
+    are called with the replications stacked as one (reps, m, N)
+    CountMatrix.  With `jobs` > 1 replications are split across processes;
+    the result does not depend on jobs (estimator callables must then be
+    picklable).  ConditionError and QuadratureError propagate as they are;
+    any other estimator failure raises RuntimeError naming the replication.
     """
     if reps < 2:
         raise ValueError("need at least 2 replications for a standard error")
@@ -373,6 +399,11 @@ def _h_values(h_kind: str, xi: np.ndarray, colsum: np.ndarray, r: float):
     raise ValueError(f"unknown h_kind {h_kind!r}")
 
 
+def _nbinom_sf(k: int, r: float, p0: float) -> float:
+    """P(X > k) for X negative binomial with size r and success probability p0."""
+    return float(betainc(k + 1.0, r, 1.0 - p0))
+
+
 def _enumeration_caps(truth: ModelParams, i: int, nu: int, tol: float) -> list[int]:
     """Per-column support caps with total truncation error below tol/10."""
     r = truth.r
@@ -383,9 +414,9 @@ def _enumeration_caps(truth: ModelParams, i: int, nu: int, tol: float) -> list[i
         bound = 0.0
         for k, col in enumerate(truth.columns):
             p0 = col.p0
-            sf = float(nbinom.sf(cap, r, p0))
+            sf = _nbinom_sf(cap, r, p0)
             mean = r * (1.0 - p0) / p0
-            tail_mean = mean * float(nbinom.sf(cap - 1, r + 1.0, p0))
+            tail_mean = mean * _nbinom_sf(cap - 1, r + 1.0, p0)
             # lhs tail: |h| <= h_bound and the 1/p factor
             bound += h_bound / p_inu * sf
             # rhs tail: (r + colsum_nu) grows linearly in the exceeded column

@@ -104,6 +104,38 @@ class TestKernelEval:
         src = write(tmp_path / "k.json", "{not json")
         assert main(["kernel-eval", "--in", src]) == 2
 
+    def test_divergent_kernel_writes_strict_json(self, tmp_path, capsys):
+        spec = {"alpha": 1, "beta": 0, "xi0": 1, "xi": [0.5]}
+        src = write(tmp_path / "k.json", json.dumps(spec))
+        assert main(["kernel-eval", "--in", src]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc == {"log_K": None, "log_K_alpha_plus_1": None, "delta": None}
+
+    def test_too_sharp_peak_exit_3(self, tmp_path, capsys):
+        spec = {"alpha": 1600, "beta": 1, "g": "g1", "xi0": 1, "xi": [10, 12, 9]}
+        assert main(["kernel-eval", "--in", write(tmp_path / "k.json", json.dumps(spec))]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_one_kernel_call_for_both_exponents(self, tmp_path, capsys, monkeypatch):
+        import nmshrink.cli as cli
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return log_kernel(*args, **kwargs)
+
+        from nmshrink.kernel import log_kernel
+
+        monkeypatch.setattr(cli, "log_kernel", counting)
+        spec = {"alpha": 6, "beta": 1, "g": "g1", "xi0": 1, "xi": [3, 2, 4]}
+        assert main(["kernel-eval", "--in", write(tmp_path / "k.json", json.dumps(spec))]) == 0
+        assert len(calls) == 1
+
 
 class TestAudit:
     def test_table1_pattern(self, capsys):
@@ -197,6 +229,32 @@ class TestRiskSim:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("estimator,risk,se,prial_vs_dir-pm")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_condition_violation_exit_4(self, tmp_path, capsys, jobs):
+        from nmshrink.model import ModelParams
+
+        truth = ModelParams.from_matrix(1.5, np.full((2, 3), 0.2))
+        src = write(tmp_path / "truth.json", truth.to_json())
+        code = main(
+            ["risk-sim", "--truth", src, "--reps", "6", "--estimators", "umvu,hb",
+             "--alpha", "6", "--jobs", jobs]
+        )
+        assert code == 4
+        assert "condition violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_numerical_failure_exit_3(self, tmp_path, capsys, jobs):
+        from nmshrink.model import ModelParams
+
+        truth = ModelParams.from_matrix(2.0, np.array([[0.5]]))
+        src = write(tmp_path / "truth.json", truth.to_json())
+        code = main(
+            ["risk-sim", "--truth", src, "--reps", "12", "--estimators", "umvu,hb",
+             "--alpha", "0.9999999", "--beta", "0", "--jobs", jobs]
+        )
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_scenario_and_truth_are_exclusive(self, capsys):
         assert main(["risk-sim", "--scenario", "i", "--truth", "x.json"]) == 2

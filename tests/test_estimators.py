@@ -257,3 +257,26 @@ class TestHbPosteriorMean:
         prior = PriorSpec(5.0, 1.0, G1, -3.0, np.array([0.5]))
         with pytest.raises(ConditionError):
             hb_posterior_mean(x, 1.0, prior)
+
+
+class TestStacks:
+    def test_stack_matches_each_matrix_bit_for_bit(self):
+        # Each matrix of a (reps, m, N) stack, including an all-zero one,
+        # gets exactly the estimate it gets alone.
+        rng = make_rng(3)
+        x = rng.integers(0, 6, size=(5, 3, 2))
+        x[2] = 0
+        stack = CountMatrix(x)
+        prior = PriorSpec(5.0, 1.0, G1, -1.0, np.full(3, 0.5))
+        for fn in (
+            umvu,
+            eb,
+            eb0,
+            lambda c, r: hb(c, r, 6.0, 1.0, G1),
+            lambda c, r: dirichlet_posterior_mean(c, r, prior.a0, prior.a),
+            lambda c, r: hb_posterior_mean(c, r, prior),
+        ):
+            out = fn(stack, 4.0)
+            assert out.shape == x.shape
+            for k in range(x.shape[0]):
+                assert np.array_equal(out[k], fn(CountMatrix(x[k]), 4.0))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from adaptive_kernel import adaptive_log_kernel, adaptive_ratio
 
 from nmshrink.kernel import (
     ConditionError,
@@ -99,31 +100,27 @@ class TestLogKernel:
         assert log_kernel(1.0, 1.0, G1, 0.0, np.array([2.0, 2.0])) == math.inf
         assert math.isfinite(log_kernel(1.0, 1.0, gk, 0.0, np.array([2.0, 2.0])))
 
-    def test_gamma_ratio_paths_agree(self):
-        cases = [
+    def test_matches_adaptive_oracle(self):
+        # The former rising-factorial/log-gamma agreement cases, now checked
+        # against the adaptive integrator (rising path where xi is integral).
+        for alpha, beta, xi0, xi in [
             (6.0, 1.0, 1.0, np.array([5.0, 9.0, 2.0])),
             (14.0, 1.0, 1.0, np.array([63.0, 55.0, 40.0])),
             (2.0, 0.0, 1.0, np.array([3.0, 4.0])),
             (6.0, 1.0, 0.0, np.array([8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0])),
-        ]
-        for alpha, beta, xi0, xi in cases:
-            a = log_kernel(alpha, beta, G1, xi0, xi, gamma_ratio="rising")
-            b = log_kernel(alpha, beta, G1, xi0, xi, gamma_ratio="lgamma")
-            assert a == pytest.approx(b, abs=1e-10)
+        ]:
+            want = adaptive_log_kernel(alpha, beta, G1, xi0, xi, gamma_ratio="rising")
+            assert log_kernel(alpha, beta, G1, xi0, xi) == pytest.approx(want, abs=1e-10)
 
-    def test_rising_path_requires_integers(self):
-        with pytest.raises(ValueError):
-            log_kernel(2.0, 1.0, G1, 1.0, np.array([1.5]), gamma_ratio="rising")
-
-    def test_doubling_stability(self):
+    def test_matches_refined_oracle(self):
+        # The adaptive integrator with every panel halved once more.
         for alpha, beta, xi0, xi in [
             (14.0, 1.0, 1.0, np.array([63.0, 55.0, 40.0])),
             (6.0, 1.0, 1.0, np.array([3.0, 2.0, 4.0, 1.0, 2.0, 3.0, 2.0])),
             (2.5, 0.7, 1.5, np.array([2.0, 3.0])),
         ]:
-            base = log_kernel(alpha, beta, G1, xi0, xi)
-            fine = log_kernel(alpha, beta, G1, xi0, xi, extra_refine=1)
-            assert abs(base - fine) < 1e-8
+            fine = adaptive_log_kernel(alpha, beta, G1, xi0, xi, extra_refine=1)
+            assert abs(log_kernel(alpha, beta, G1, xi0, xi) - fine) < 1e-10
 
     def test_near_divergence_raises_rather_than_lies(self):
         with pytest.raises(QuadratureError):
@@ -252,3 +249,110 @@ class TestPropriety:
         assert posterior_proper(prior, 3, 1.0)  # r + a0 = 0 and alpha > N
         weak = PriorSpec(2.0, 1.0, G1, -1.0, a)
         assert not posterior_proper(weak, 3, 1.0)
+
+
+def _regime(label, alpha, beta, g, xi0, rows):
+    return pytest.param(alpha, beta, g, xi0, np.asarray(rows, dtype=float), id=label)
+
+
+def _tables_regime(case: str, reps: int = 10):
+    """The HB kernels of one `repro tables` case at seed 42."""
+    from nmshrink.model import make_rng
+    from nmshrink.risklab import benchmark_scenarios, sample_counts
+
+    sc = benchmark_scenarios(case)[0]
+    r, m = sc.params.r, sc.params.m
+    z = np.array(
+        [sample_counts(sc.params, make_rng(42, k)).col_sums for k in range(reps)]
+    )
+    rows = z[z.sum(axis=1) > 0] + float(m)
+    return _regime(f"tables case {case}", sc.alpha_hb, 1.0, G1, r - m, rows)
+
+
+# Kernels across the count regimes the estimators meet, each row checked
+# against the adaptive integrator.
+ORACLE_REGIMES = [
+    _tables_regime("i"),
+    _tables_regime("ii"),
+    _tables_regime("iii"),
+    _regime("integer counts to 1e4", 14.0, 1.0, G1, 1.0,
+            [[17, 24, 31], [707, 1007, 1307], [4000, 4096, 4100], [7007, 10007, 13007]]),
+    _regime("slow balanced growth", 0.9, 1.0, G1, 1.0, [[101, 101], [10001, 10001]]),
+    _regime("non-integer xi", 5.0, 1.0, G1, 1.0, [[6.5, 4.5, 8.5], [3.25, 0.5, 11.75]]),
+    _regime("xi0 = 0", 7.5, 1.0, G1, 0.0,
+            [[8, 9, 10, 11, 12, 13, 14], [3, 2, 0, 5.5, 1, 1, 2]]),
+    _regime("beta = 0", 2.0, 0.0, G1, 1.0, [[3, 4], [2.5, 0.5]]),
+    _regime("beta = 0, slow tail", 6.5, 0.0, G1, 1.0, [[8], [9], [30]]),
+    _regime("komaki g", 3.0, 0.5, GChoice.komaki(1.0, 2.0), 2.0, [[1], [7]]),
+    _regime("komaki g, xi0 = 0", 14.0, 1.0, GChoice.komaki(0.5, 1.0), 0.0,
+            [[10, 12, 9], [2, 0, 40]]),
+]
+# Stated agreement with the adaptive integrator: relative, on K(alpha+1)/K(alpha).
+ORACLE_RTOL = 1e-10
+
+
+class TestOnePassEvaluator:
+    @pytest.mark.parametrize("alpha, beta, g, xi0, rows", ORACLE_REGIMES)
+    def test_batched_ratios_match_adaptive_oracle(self, alpha, beta, g, xi0, rows):
+        logk = log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows)
+        assert logk.shape == (rows.shape[0], 2)
+        for row, (den, num) in zip(rows, logk):
+            want_den = adaptive_log_kernel(alpha, beta, g, xi0, row)
+            assert den == pytest.approx(want_den, rel=ORACLE_RTOL, abs=ORACLE_RTOL)
+            want = adaptive_ratio(alpha, beta, g, xi0, row)
+            assert math.exp(num - den) == pytest.approx(want, rel=ORACLE_RTOL)
+
+    def test_row_is_bit_identical_alone_and_in_any_batch(self):
+        # beta = 0 mixes rows that stop at depth 6 with rows whose tails
+        # grow far deeper, and a row whose alpha + 1 kernel diverges.
+        rows = np.array([[40.0, 3.0], [2.5, 4.0], [1.0, 2.6], [9.0, 0.0], [3.0, 3.5]])
+        alphas = [3.0, 4.0]
+        alone = np.array([log_kernel(alphas, 0.0, G1, 1.0, row) for row in rows])
+        assert np.isinf(alone[2, 1]) and np.all(np.isfinite(alone[:, 0]))
+        for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [1, 1, 3]):
+            batch = log_kernel(alphas, 0.0, G1, 1.0, rows[order])
+            assert np.array_equal(batch, alone[order])
+        single = np.array([log_kernel(3.0, 0.0, G1, 1.0, row) for row in rows])
+        assert np.array_equal(single, alone[:, 0])
+        stack = log_kernel(alphas, 0.0, G1, 1.0, np.stack([rows, rows[::-1]]))
+        assert stack.shape == (2, 5, 2)
+        assert np.array_equal(stack[1], alone[::-1])
+
+    def test_alpha_plus_one_divergence_leaves_alpha_exact(self):
+        # beta = 0 and alpha < sum(xi) <= alpha + 1: K(alpha) is finite while
+        # K(alpha + 1) diverges; its tail must not leak into log K(alpha).
+        for alpha, xi in [(6.5, [7.0]), (2.2, [1.0, 2.0]), (6.0, [7.0])]:
+            den, num = log_kernel([alpha, alpha + 1.0], 0.0, G1, 1.0, np.array(xi))
+            assert num == math.inf
+            want = adaptive_log_kernel(alpha, 0.0, G1, 1.0, np.array(xi))
+            assert den == pytest.approx(want, rel=ORACLE_RTOL, abs=ORACLE_RTOL)
+            assert den == log_kernel(alpha, 0.0, G1, 1.0, np.array(xi))
+
+    def test_near_divergence_raises_in_a_batch(self):
+        rows = np.array([[3.0], [5.0]])
+        with pytest.raises(QuadratureError):
+            log_kernel(2.9999999, 0.0, G1, 1.0, rows)
+        with pytest.raises(QuadratureError):
+            log_kernel([1.9999999, 2.9999999], 0.0, G1, 1.0, np.array([3.0]))
+
+    def test_sharp_peak_raises_instead_of_a_wrong_value(self):
+        # Far beyond what one 64-node panel resolves: the error estimate fires.
+        with pytest.raises(QuadratureError, match="estimated relative error"):
+            log_kernel(20000.0, 1.0, G1, 1.0, np.array([10.0, 12.0, 9.0]))
+        # A peak the panels still resolve passes, and is right.
+        want = adaptive_log_kernel(400.0, 1.0, G1, 1.0, np.array([10.0, 12.0, 9.0]))
+        got = log_kernel(400.0, 1.0, G1, 1.0, np.array([10.0, 12.0, 9.0]))
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_delta_shapes_and_bits_follow_the_rows(self):
+        z = np.array([[3, 1, 5], [0, 2, 2], [7, 7, 1]])
+        stacked = delta_hb(6.0, 1.0, G1, 4.0, 3, z)
+        assert stacked.shape == (3,)
+        assert [delta_hb(6.0, 1.0, G1, 4.0, 3, row) for row in z] == stacked.tolist()
+        per_column = delta_nu(5.0, 1.0, G1, 4.0, 0.5, 2.5, z[:, None, :], np.arange(3))
+        assert per_column.shape == (3, 3)
+        for i, row in enumerate(z):
+            for nu in range(3):
+                assert per_column[i, nu] == delta_nu(5.0, 1.0, G1, 4.0, 0.5, 2.5, row, nu)
+        with pytest.raises(ValueError):
+            delta_nu(5.0, 1.0, G1, 4.0, 0.5, 2.5, z, np.array([0, 1, 3]))

@@ -86,6 +86,13 @@ class TestCountMatrix:
         np.testing.assert_array_equal(x.col_sums, [5, 5])
         assert x.grand_sum == 10
 
+    def test_stack_keeps_per_matrix_sums(self):
+        x = CountMatrix(np.array([[[3, 0], [2, 1], [0, 4]], [[0, 0], [0, 0], [0, 0]]]))
+        assert (x.m, x.n_columns) == (3, 2)
+        np.testing.assert_array_equal(x.col_sums, [[5, 5], [0, 0]])
+        np.testing.assert_array_equal(x.grand_sum, [10, 0])
+        assert CountMatrix(x.x[0]).grand_sum == 10
+
     def test_rejects_negative_and_fractional(self):
         with pytest.raises(ValueError):
             CountMatrix(np.array([[-1, 0]]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nmshrink.audit import jeffreys_prior
-from nmshrink.kernel import GChoice
+from nmshrink.kernel import ConditionError, GChoice, QuadratureError
 from nmshrink.model import CountMatrix, ModelParams, ProbColumn
 from nmshrink.risklab import (
     benchmark_scenarios,
@@ -55,6 +55,15 @@ class TestLosses:
                 (d[i, v] - 0.2) ** 2 / 0.2 for i in range(3) for v in range(n)
             )
             assert loss_ss(d, truth, n) == pytest.approx(manual, rel=1e-12)
+
+    def test_losses_broadcast_over_a_stack(self):
+        rng = np.random.default_rng(4)
+        truth = ModelParams.from_matrix(4.0, np.full((3, 4), 0.2))
+        d = rng.uniform(0.05, 0.4, size=(6, 3, 4))
+        for loss in (loss_ss, loss_kl):
+            for n in (1, 4):
+                each = [loss(d[k], truth, n) for k in range(6)]
+                assert loss(d, truth, n).tolist() == each
 
     def test_n_validation(self):
         truth = truth_1x1()
@@ -128,6 +137,17 @@ class TestRiskMc:
 
         with pytest.raises(RuntimeError, match=r"replication \d+"):
             compare({"bad": broken}, truth_1x1(), reps=60, seed=0)
+
+    def test_condition_and_quadrature_errors_keep_their_class(self):
+        bad_r = ModelParams.from_matrix(1.5, np.full((2, 2), 0.2))
+        fns = {"U": make_estimator("umvu"), "HB": make_estimator("hb", alpha=6.0)}
+        with pytest.raises(ConditionError):
+            compare(fns, bad_r, reps=6, seed=0)
+        # beta = 0 with alpha just below N m: K(alpha + 1) at a grand total
+        # of one is too close to divergence for the node budget.
+        near = {"HB": make_estimator("hb", alpha=0.9999999, beta=0.0)}
+        with pytest.raises(QuadratureError):
+            compare(near, truth_1x1(0.5, 2.0), reps=12, seed=0)
 
     def test_parallel_jobs_match_serial(self):
         truth = benchmark_scenarios("iii")[0].params
@@ -251,3 +271,15 @@ class TestCaseTable:
         for row in rows:
             for key in ("U", "EB0", "EB", "HB", "EB0_prial", "EB_prial", "HB_prial"):
                 assert key in row
+
+
+def test_negative_binomial_tail_matches_scipy_stats():
+    from scipy.stats import nbinom
+
+    from nmshrink.risklab import _nbinom_sf
+
+    for k in (0, 1, 5, 16, 100, 1000, 100_000):
+        for r in (0.5, 1.0, 2.5, 8.0, 30.0):
+            for p0 in (0.01, 0.2, 0.5, 0.9, 0.999):
+                want = float(nbinom.sf(k, r, p0))
+                assert _nbinom_sf(k, r, p0) == pytest.approx(want, rel=1e-12, abs=1e-300)
