@@ -1,8 +1,10 @@
 """Posterior simulation with the conjugate Gibbs sampler.
 
-The chain alternates a gamma draw for the latent scale t with independent
-Dirichlet draws for the probability columns, and its t-averages cross-check
-the deterministic kernel ratios.
+The chain runs on the latent scale t alone: each step draws the leftover
+masses p0 | t from their Beta laws and then t | p0 from its gamma law.  The
+probability columns are drawn exactly from their Dirichlet laws given t at
+the kept iterations.  The t-averages cross-check the deterministic kernel
+ratios.
 
 Run:  python demos/05_gibbs_diagnostics.py
 """

@@ -13,7 +13,15 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import GChoice, PriorSpec, prior_proper, small_t_finite, tail_finite
+from .kernel import (
+    GChoice,
+    PriorSpec,
+    hb_assumptions_hold,
+    posterior_proper,
+    prior_proper,
+    small_t_finite,
+    tail_finite,
+)
 from .model import GeneralizedDirichlet
 
 __all__ = [
@@ -21,6 +29,9 @@ __all__ = [
     "ShrinkageRuleReport",
     "check_prior_propriety",
     "check_shrinkage_conditions",
+    "eb_dominance_conditions",
+    "hb_dominance_conditions",
+    "kl_dominance_conditions",
     "check_eb_dominance",
     "check_hb_dominance",
     "check_kl_dominance",
@@ -75,10 +86,7 @@ def check_prior_propriety(prior: PriorSpec, n_columns: int) -> ProprietyReport:
     )
 
     def posterior_given_r(r: float) -> bool:
-        shifted = PriorSpec(
-            prior.alpha, prior.beta, prior.g, prior.a0 + float(r), prior.a
-        )
-        return prior_proper(shifted, n_columns)
+        return posterior_proper(prior, n_columns, r)
 
     return ProprietyReport(proper, posterior_given_r, "; ".join(parts))
 
@@ -117,12 +125,42 @@ def check_shrinkage_conditions(
     return ShrinkageRuleReport(True, None)
 
 
-def check_eb_dominance(m: int, r: float) -> bool:
-    """Empirical Bayes beats the unbiased estimator when m >= 7 and r >= 5/2.
+def eb_dominance_conditions(m: int, r: float) -> dict[str, bool]:
+    """Named conditions under which empirical Bayes beats the unbiased
+    estimator; they do not involve the number of columns being estimated."""
+    return {"m >= 7": m >= 7, "r >= 5/2": r >= 2.5}
 
-    The condition does not involve the number of columns being estimated.
+
+def check_eb_dominance(m: int, r: float) -> bool:
+    """Empirical Bayes beats the unbiased estimator when m >= 7 and r >= 5/2."""
+    return all(eb_dominance_conditions(m, r).values())
+
+
+def hb_dominance_conditions(
+    alpha: float,
+    beta: float,
+    g: GChoice,
+    r: float,
+    m: int,
+    n: int,
+    n_columns: int | None = None,
+) -> dict[str, bool]:
+    """Named conditions for hierarchical Bayes dominance (squared error).
+
+    The delta_hb validity assumptions, a nonincreasing g, and
+    alpha + 1 <= min(n(m-2), nm/2 + beta*r).  The tail integrability part of
+    the assumptions involves the total number of columns N; pass `n_columns`
+    when it differs from n (it only matters when beta = 0).
     """
-    return m >= 7 and r >= 2.5
+    n_cols = n if n_columns is None else n_columns
+    bound = min(n * (m - 2), n * m / 2 + beta * r)
+    return {
+        "delta_hb valid (r > m, or r = m with alpha + q0 > N; finite tail)": (
+            hb_assumptions_hold(alpha, beta, g, r, m, n_cols)
+        ),
+        "g nonincreasing": g.nonincreasing,
+        "alpha + 1 <= min(n(m-2), nm/2 + beta r)": alpha + 1 <= bound + _EPS,
+    }
 
 
 def check_hb_dominance(
@@ -134,21 +172,31 @@ def check_hb_dominance(
     n: int,
     n_columns: int | None = None,
 ) -> bool:
-    """Hierarchical Bayes dominance under the squared-error loss.
+    """Hierarchical Bayes dominance under the squared-error loss: every
+    condition of `hb_dominance_conditions` holds."""
+    return all(hb_dominance_conditions(alpha, beta, g, r, m, n, n_columns).values())
 
-    Requires the delta_hb validity assumptions, a nonincreasing g, and
-    alpha + 1 <= min(n(m-2), nm/2 + beta*r).  The tail integrability part of
-    the assumptions involves the total number of columns N; pass `n_columns`
-    when it differs from n (it only matters when beta = 0).
-    """
-    n_cols = n if n_columns is None else n_columns
-    tail = tail_finite(alpha, beta, g, n_cols * m)
-    assumptions = (r > m and tail) or (
-        r == m and tail and small_t_finite(alpha, g, n_cols)
-    )
-    if not assumptions or not g.nonincreasing:
-        return False
-    return alpha + 1 <= min(n * (m - 2), n * m / 2 + beta * r) + _EPS
+
+def kl_dominance_conditions(
+    alpha: float,
+    beta: float,
+    g: GChoice,
+    a0: float,
+    a: np.ndarray,
+    r: float,
+    n: int,
+    n_columns: int,
+) -> dict[str, bool]:
+    """Named conditions for the hierarchical posterior mean to beat the
+    Dirichlet posterior mean (KL loss): posterior propriety, nonincreasing g,
+    a0 + a_dot + 1 >= 0 and alpha + 1 <= n(-a0 - 2)."""
+    prior = PriorSpec(alpha, beta, g, a0, np.asarray(a, dtype=float))
+    return {
+        "posterior proper": posterior_proper(prior, n_columns, r),
+        "g nonincreasing": g.nonincreasing,
+        "a0 + a_dot + 1 >= 0": a0 + prior.a_dot + 1 >= -_EPS,
+        "alpha + 1 <= n(-a0 - 2)": alpha + 1 <= n * (-a0 - 2) + _EPS,
+    }
 
 
 def check_kl_dominance(
@@ -161,23 +209,11 @@ def check_kl_dominance(
     n: int,
     n_columns: int,
 ) -> bool:
-    """Hierarchical posterior mean beats the Dirichlet posterior mean (KL loss).
-
-    Requires posterior propriety, nonincreasing g, a0 + a_dot + 1 >= 0, and
-    alpha + 1 <= n(-a0 - 2).
-    """
-    a = np.asarray(a, dtype=float)
-    prior = PriorSpec(alpha, beta, g, a0, a)
-    ra0 = r + a0
-    tail = tail_finite(alpha, beta, g, n_columns * prior.a_dot)
-    proper = (ra0 > 0 and tail) or (
-        ra0 == 0 and tail and small_t_finite(alpha, g, n_columns)
+    """Hierarchical posterior mean beats the Dirichlet posterior mean (KL
+    loss): every condition of `kl_dominance_conditions` holds."""
+    return all(
+        kl_dominance_conditions(alpha, beta, g, a0, a, r, n, n_columns).values()
     )
-    if not proper or not g.nonincreasing:
-        return False
-    if a0 + prior.a_dot + 1 < -_EPS:
-        return False
-    return alpha + 1 <= n * (-a0 - 2) + _EPS
 
 
 def jeffreys_prior(m: int) -> GeneralizedDirichlet:

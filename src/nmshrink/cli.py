@@ -265,51 +265,39 @@ def _audit_scenario(doc: dict) -> dict:
         return out
     if kind == "eb":
         m, r = int(doc["m"]), float(doc["r"])
-        holds = audit_mod.check_eb_dominance(m, r)
-        return {
-            "kind": kind,
-            "holds": holds,
-            "conditions": {"m >= 7": m >= 7, "r >= 5/2": r >= 2.5},
-            "text": f"m={m} {'>=' if m >= 7 else '<'} 7; r={r:g} "
-            f"{'>=' if r >= 2.5 else '<'} 5/2",
-        }
-    if kind == "hb":
+        conditions = audit_mod.eb_dominance_conditions(m, r)
+        text = (
+            f"m={m} {'>=' if m >= 7 else '<'} 7; r={r:g} "
+            f"{'>=' if r >= 2.5 else '<'} 5/2"
+        )
+    elif kind == "hb":
         alpha, beta = float(doc["alpha"]), float(doc["beta"])
         g = _g_from_doc(doc.get("g"))
         r, m, n = float(doc["r"]), int(doc["m"]), int(doc["n"])
         n_cols = int(doc.get("n_columns", n))
-        holds = audit_mod.check_hb_dominance(alpha, beta, g, r, m, n, n_cols)
+        conditions = audit_mod.hb_dominance_conditions(
+            alpha, beta, g, r, m, n, n_cols
+        )
         bound = min(n * (m - 2), n * m / 2 + beta * r)
-        return {
-            "kind": kind,
-            "holds": holds,
-            "conditions": {
-                "validity (r > m, or r = m with alpha > N)": r > m or r == m,
-                "g nonincreasing": g.nonincreasing,
-                "alpha + 1 <= min(n(m-2), nm/2 + beta r)": alpha + 1 <= bound,
-            },
-            "text": f"alpha+1={alpha + 1:g} vs min(n(m-2), nm/2+beta*r)={bound:g}",
-        }
-    if kind == "kl":
+        text = f"alpha+1={alpha + 1:g} vs min(n(m-2), nm/2+beta*r)={bound:g}"
+    elif kind == "kl":
         alpha, beta = float(doc["alpha"]), float(doc["beta"])
         g = _g_from_doc(doc.get("g"))
         a0 = float(doc["a0"])
         a = np.asarray(doc["a"], dtype=float)
         r, n, n_cols = float(doc["r"]), int(doc["n"]), int(doc["n_columns"])
-        holds = audit_mod.check_kl_dominance(alpha, beta, g, a0, a, r, n, n_cols)
-        return {
-            "kind": kind,
-            "holds": holds,
-            "conditions": {
-                "posterior proper": r + a0 > 0
-                or (r + a0 == 0 and alpha + g.small_t_exponent > n_cols),
-                "g nonincreasing": g.nonincreasing,
-                "a0 + a_dot + 1 >= 0": a0 + float(a.sum()) + 1 >= 0,
-                "alpha + 1 <= n(-a0 - 2)": alpha + 1 <= n * (-a0 - 2),
-            },
-            "text": f"alpha+1={alpha + 1:g} vs n(-a0-2)={n * (-a0 - 2):g}",
-        }
-    raise ValueError(f"unknown audit kind {kind!r}; use prior|eb|hb|kl")
+        conditions = audit_mod.kl_dominance_conditions(
+            alpha, beta, g, a0, a, r, n, n_cols
+        )
+        text = f"alpha+1={alpha + 1:g} vs n(-a0-2)={n * (-a0 - 2):g}"
+    else:
+        raise ValueError(f"unknown audit kind {kind!r}; use prior|eb|hb|kl")
+    return {
+        "kind": kind,
+        "holds": all(conditions.values()),
+        "conditions": conditions,
+        "text": text,
+    }
 
 
 def _cmd_audit(args) -> int:

@@ -1,40 +1,50 @@
-"""Fully conjugate Gibbs sampler for the hierarchical shrinkage prior.
+"""Conjugate Gibbs sampler for the hierarchical shrinkage prior, run on t.
 
 The joint density over the probability columns p and a latent positive
 scalar t is
 
     t^(alpha-1) e^(-beta t) prod_nu [ p0_nu^(t + a0 - 1) prod_i p_i,nu^(a_i,nu - 1) ],
 
-whose two full conditionals are exactly a gamma draw for t and independent
-Dirichlet draws for the columns:
+whose two full conditionals are a gamma draw for t and independent Dirichlet
+draws for the columns:
 
     t | p  ~  Gamma(shape alpha, rate beta + sum_nu log(1/p0_nu))
     p | t  ~  prod_nu Dirichlet(t + a0, a_nu)
 
+t depends on p only through the leftover masses p0_nu, and by Dirichlet
+aggregation p0_nu | t ~ Beta(t + a0, a_nu.), where a_nu. sums column nu of
+the weights.  Writing p0_nu = Ga / (Ga + Gb) with Ga ~ Gamma(t + a0) and
+Gb ~ Gamma(a_nu.), one step of the t-marginal of the joint chain is
+
+    t  <-  E / (beta + sum_nu log1p(Gb_nu / Ga_nu)),    E ~ Gamma(alpha),
+
+which has exactly the law of the t component of the two-block chain.  Only
+Ga depends on t, so E and Gb are drawn for every iteration before the loop
+and each step makes one gamma call of size N.  Shapes t + a0 below one are
+drawn in log space, log G(s) = log G(s + 1) + log(U)/s, so log(1/p0) stays
+finite however small t gets.  Given t the columns are exactly Dirichlet, so
+p is drawn only at the kept iterations, in one call after the loop.
+
 Conditioning on counts only shifts the parameters (a0 -> r + a0,
-a_nu -> x_nu + a_nu), so the same step targets prior and posterior.  The
+a_nu -> x_nu + a_nu), so the same chain targets prior and posterior.  The
 sampler is restricted to the constant mixing weight g = 1; other weights
 break conjugacy and are covered by the deterministic kernel quadrature.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .kernel import ConditionError, PriorSpec, posterior_proper
-from .model import CountMatrix, ProbColumn, make_rng
+from .kernel import ConditionError, PriorSpec, QuadratureError, posterior_proper
+from .model import CountMatrix, make_rng
 
 __all__ = [
     "ChainConfig",
-    "GibbsState",
     "Chain",
-    "gibbs_step",
-    "prior_chain",
-    "posterior_chain",
-    "collect",
+    "run_prior",
     "run_posterior",
     "ess",
     "mcmc_delta_estimates",
@@ -61,30 +71,6 @@ class ChainConfig:
     def n_kept(self) -> int:
         span = self.n_iter - self.burn_in
         return (span + self.thin - 1) // self.thin
-
-
-@dataclass(frozen=True)
-class GibbsState:
-    """One (p, t) draw; p is an m x N matrix of valid probability columns."""
-
-    p: np.ndarray
-    t: float
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 2:
-            raise ValueError("p must be an m x N matrix")
-        if np.any(p <= 0) or np.any(p.sum(axis=0) >= 1):
-            raise ValueError("every column must lie in the open simplex interior")
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-        p = np.array(p, copy=True)
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", float(self.t))
-
-    def columns(self) -> tuple[ProbColumn, ...]:
-        return tuple(ProbColumn(self.p[:, j]) for j in range(self.p.shape[1]))
 
 
 @dataclass
@@ -121,81 +107,62 @@ def joint_prior_proper(
     return min(max(a0, alpha - n_cols), max(a_total - alpha, beta)) > 0
 
 
-def _draw_columns(
-    rng: np.random.Generator, shape0: float, a_cols: np.ndarray
-) -> np.ndarray:
-    """Columnwise Dirichlet(shape0, a_cols[:, nu]) draws, returning the m x N
-    matrix of non-leftover coordinates."""
-    _, n_cols = a_cols.shape
-    y0 = rng.gamma(shape0, size=n_cols)
-    y = rng.gamma(a_cols)
-    # Shape parameters near zero can underflow a coordinate to exact zero.
-    bad = (y0 <= 0) | (y <= 0).any(axis=0)
-    tries = 0
-    while bad.any():
-        tries += 1
-        if tries > 100:
-            raise RuntimeError("gibbs column draws kept degenerating")
-        y0[bad] = rng.gamma(shape0, size=int(bad.sum()))
-        y[:, bad] = rng.gamma(a_cols[:, bad])
-        bad = (y0 <= 0) | (y <= 0).any(axis=0)
-    return y / (y0 + y.sum(axis=0))[None, :]
-
-
-def gibbs_step(
-    state: GibbsState,
-    alpha: float,
-    beta: float,
-    a0_eff: float,
-    a_cols: np.ndarray,
-    rng: np.random.Generator,
-) -> GibbsState:
-    """One systematic-scan update of (t, p).
-
-    `a0_eff` is the effective leftover-mass exponent: the raw a0 for prior
-    simulation, r + a0 for posterior simulation.  It must be nonnegative so
-    every Dirichlet parameter t + a0_eff stays positive.
-    """
-    if a0_eff < 0:
-        raise ConditionError("a0_eff must be nonnegative")
-    a_cols = np.asarray(a_cols, dtype=float)
-    if a_cols.shape != state.p.shape:
-        raise ValueError("a_cols must match the shape of state.p")
-    p0 = 1.0 - state.p.sum(axis=0)
-    rate = beta + float(np.log(1.0 / p0).sum())
-    t_new = float(rng.gamma(alpha, 1.0 / rate))
-    while t_new <= 0.0:
-        t_new = float(rng.gamma(alpha, 1.0 / rate))
-    p_new = _draw_columns(rng, t_new + a0_eff, a_cols)
-    return GibbsState(p_new, t_new)
-
-
-def _run_chain(
+def _sample(
     alpha: float,
     beta: float,
     a0_eff: float,
     a_cols: np.ndarray,
     cfg: ChainConfig,
-) -> Iterator[GibbsState]:
+    **meta,
+) -> Chain:
+    """Run the t-marginal chain and draw p | t at the kept iterations.
+
+    `a0_eff` is the leftover-mass exponent: the raw a0 for the prior, r + a0
+    for the posterior; the callers' propriety checks make it nonnegative.
+    """
     rng = make_rng(cfg.seed)
     m, n_cols = a_cols.shape
-    t0 = alpha / (beta + 1.0)
-    p0 = _draw_columns(rng, 1.0, np.ones((m, n_cols)))
-    state = GibbsState(p0, t0)
-    for i in range(cfg.n_iter):
-        state = gibbs_step(state, alpha, beta, a0_eff, a_cols, rng)
-        if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == 0:
-            yield state
+    n = cfg.n_iter
+    gamma = rng.standard_gamma
+    # The draws that do not depend on t, for every iteration at once:
+    # E ~ Gamma(alpha), and Gb ~ Gamma(a_nu.) in log space.
+    e = gamma(alpha, size=n).tolist()
+    a_dot = a_cols.sum(axis=0)
+    log_gb = np.log(gamma(a_dot + 1.0, size=(n, n_cols)))
+    log_gb += np.log1p(-rng.random((n, n_cols))) / a_dot
+    gb = np.exp(log_gb)
+    ts = [0.0] * n
+    t = alpha / (beta + 1.0)
+    for i in range(n):
+        s = t + a0_eff
+        if s >= 1.0:
+            rate = beta + float(np.log1p(gb[i] / gamma(s, size=n_cols)).sum())
+        else:
+            log_ga = np.log(gamma(s + 1.0, size=n_cols))
+            log_ga += np.log1p(-rng.random(n_cols)) / s
+            rate = beta + float(np.logaddexp(0.0, log_gb[i] - log_ga).sum())
+        t = e[i] / rate
+        if not 0.0 < t + a0_eff < math.inf:
+            raise QuadratureError(
+                f"gibbs chain left the floating-point range at iteration {i}: "
+                f"t + a0_eff = {t + a0_eff!r}"
+            )
+        ts[i] = t
+    kept = np.array(ts[cfg.burn_in :: cfg.thin])
+    y0 = gamma((kept + a0_eff)[:, None], size=(kept.size, n_cols))
+    y = gamma(a_cols, size=(kept.size, m, n_cols))
+    p = y / (y0 + y.sum(axis=1))[:, None, :]
+    return Chain(kept, p, **meta)
 
 
-def prior_chain(
+def run_prior(
     alpha: float,
     beta: float,
     a0: float,
     a_cols: np.ndarray,
     cfg: ChainConfig,
-) -> Iterator[GibbsState]:
-    """Gibbs chain targeting the joint prior; refuses improper configurations."""
+) -> Chain:
+    """Chain targeting the joint prior; refuses improper configurations."""
     a_cols = np.asarray(a_cols, dtype=float)
     if a_cols.ndim != 2 or np.any(a_cols <= 0):
         raise ValueError("a_cols must be a positive m x N matrix")
@@ -204,13 +171,14 @@ def prior_chain(
             "joint prior is improper: need a0 >= 0 and "
             "min(max(a0, alpha - N), max(a_total - alpha, beta)) > 0"
         )
-    return _run_chain(alpha, beta, a0, a_cols, cfg)
+    return _sample(alpha, beta, a0, a_cols, cfg)
 
 
-def posterior_chain(
+def run_posterior(
     x: CountMatrix, r: float, prior: PriorSpec, cfg: ChainConfig
-) -> Iterator[GibbsState]:
-    """Gibbs chain targeting the posterior given the count matrix.
+) -> Chain:
+    """Chain targeting the posterior given the count matrix, with the
+    metadata needed by mcmc_delta_estimates.
 
     The conditionals use a0_eff = r + a0 and per-column weights x_nu + a.
     """
@@ -224,27 +192,12 @@ def posterior_chain(
     if not posterior_proper(prior, x.n_columns, r):
         raise ConditionError("posterior is improper for this prior and r")
     a_cols = x.x.astype(float) + prior.a[:, None]
-    return _run_chain(prior.alpha, prior.beta, r + prior.a0, a_cols, cfg)
-
-
-def collect(states: Iterator[GibbsState], **meta) -> Chain:
-    """Materialize a chain of states into arrays."""
-    ts = []
-    ps = []
-    for s in states:
-        ts.append(s.t)
-        ps.append(s.p)
-    if not ts:
-        raise ValueError("empty chain")
-    return Chain(np.array(ts), np.array(ps), **meta)
-
-
-def run_posterior(
-    x: CountMatrix, r: float, prior: PriorSpec, cfg: ChainConfig
-) -> Chain:
-    """Posterior chain with the metadata needed by mcmc_delta_estimates."""
-    return collect(
-        posterior_chain(x, r, prior, cfg),
+    return _sample(
+        prior.alpha,
+        prior.beta,
+        r + prior.a0,
+        a_cols,
+        cfg,
         r=float(r),
         a0=prior.a0,
         a_dot=prior.a_dot,

@@ -5,8 +5,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nmshrink.cli import main
+from nmshrink import audit
+from nmshrink.cli import _audit_scenario, _g_from_doc, main
 
 
 def write(path, text):
@@ -170,6 +173,81 @@ class TestAudit:
         assert "tail" in doc["reasons"]
 
 
+G_DOCS = st.sampled_from([
+    "g1",
+    {"kind": "komaki", "c": -1, "kappa": 2},
+    {"kind": "komaki", "c": 0.5, "kappa": 1},
+])
+# Coarse grids, so the equality edges (r = m, r + a0 = 0, alpha + q0 = N, a
+# bound met exactly) are drawn often.
+HALVES = st.integers(1, 40).map(lambda k: k / 2)
+
+
+@st.composite
+def hb_scenarios(draw):
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 8))
+    doc = {
+        "kind": "hb", "alpha": draw(HALVES), "beta": draw(st.sampled_from([0, 0.5, 1])),
+        "g": draw(G_DOCS), "r": m + draw(st.sampled_from([-1, -0.5, 0, 0.5, 2])),
+        "m": m, "n": n,
+    }
+    if draw(st.booleans()):
+        doc["n_columns"] = draw(st.integers(1, 8))
+    return doc
+
+
+@st.composite
+def kl_scenarios(draw):
+    m, r = draw(st.integers(1, 5)), draw(st.sampled_from([2.5, 4, 6]))
+    return {
+        "kind": "kl", "alpha": draw(HALVES), "beta": draw(st.sampled_from([0, 1])),
+        "g": draw(G_DOCS), "a0": -r + draw(st.sampled_from([-0.5, 0, 0.5, 1.5])),
+        "a": draw(st.lists(st.sampled_from([0.5, 1, 2]), min_size=m, max_size=m)),
+        "r": r, "n": draw(st.integers(1, 8)), "n_columns": draw(st.integers(1, 4)),
+    }
+
+
+class TestAuditConditions:
+    """The audit verdict is the conjunction of the conditions it lists, and
+    both come from the library's dominance checkers."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hb_scenarios())
+    # r = m with alpha <= N: only the small-t part of validity fails
+    @example({"kind": "hb", "alpha": 2, "beta": 1, "r": 3, "m": 3, "n": 7})
+    def test_hb_holds_is_all_conditions(self, doc):
+        verdict = _audit_scenario(doc)
+        expected = audit.check_hb_dominance(
+            doc["alpha"], doc["beta"], _g_from_doc(doc.get("g")), doc["r"], doc["m"],
+            doc["n"], doc.get("n_columns"),
+        )
+        assert verdict["holds"] == all(verdict["conditions"].values()) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(kl_scenarios())
+    # beta = 0 with alpha >= N a_dot: only the tail part of propriety fails
+    @example({"kind": "kl", "alpha": 3, "beta": 0, "g": "g1", "a0": -3.5,
+              "a": [1, 1, 1], "r": 4, "n": 8, "n_columns": 1})
+    def test_kl_holds_is_all_conditions(self, doc):
+        verdict = _audit_scenario(doc)
+        expected = audit.check_kl_dominance(
+            doc["alpha"], doc["beta"], _g_from_doc(doc["g"]), doc["a0"],
+            np.array(doc["a"]), doc["r"], doc["n"], doc["n_columns"],
+        )
+        assert verdict["holds"] == all(verdict["conditions"].values()) == expected
+
+    def test_small_t_failure_is_listed(self):
+        # r = m with alpha <= N fails only the small-t part of the validity
+        # assumptions; the breakdown must name that condition.
+        verdict = _audit_scenario(
+            {"kind": "hb", "alpha": 2, "beta": 1, "r": 3, "m": 3, "n": 7}
+        )
+        assert verdict["holds"] is False
+        assert [k for k, ok in verdict["conditions"].items() if not ok] == [
+            "delta_hb valid (r > m, or r = m with alpha + q0 > N; finite tail)"
+        ]
+
+
 class TestGibbsDiag:
     def test_report_fields(self, counts_csv, tmp_path, capsys):
         prior = {"alpha": 6, "beta": 1, "g": "g1", "a0": 0.5, "a": [1, 1, 1]}
@@ -189,6 +267,29 @@ class TestGibbsDiag:
 
     def test_improper_posterior_exit_4(self, counts_csv, tmp_path):
         prior = {"alpha": 6, "beta": 1, "g": "g1", "a0": -9.0, "a": [1, 1, 1]}
+        src = write(tmp_path / "prior.json", json.dumps(prior))
+        code = main(
+            ["gibbs-diag", "--counts", counts_csv, "--prior", src, "--r", "4"]
+        )
+        assert code == 4
+
+    def test_tiny_t_exits_cleanly(self, tmp_path, capsys):
+        # r + a0 = 0 and alpha > N make the posterior proper, while beta = 1e9
+        # pins t near 6e-9, where Gamma(t) draws underflow in linear space.
+        counts = write(tmp_path / "counts.csv", "0,3\n2,0\n1,1\n")
+        prior = {"alpha": 6, "beta": 1e9, "g": "g1", "a0": -4, "a": [1, 1, 1]}
+        src = write(tmp_path / "prior.json", json.dumps(prior))
+        code = main(["gibbs-diag", "--counts", counts, "--prior", src, "--r", "4"])
+        assert code in (0, 3)
+        if code == 0:
+            doc = json.loads(capsys.readouterr().out)
+            values = [doc["posterior_mean_t"], doc["ess_t"], doc["delta_ss"]]
+            values += doc["delta_kl"] + sum(doc["posterior_mean_p"], [])
+            assert all(isinstance(v, float) and np.isfinite(v) for v in values)
+
+    def test_komaki_weight_exit_4(self, counts_csv, tmp_path):
+        prior = {"alpha": 6, "beta": 1, "g": {"kind": "komaki", "c": 1, "kappa": 1},
+                 "a0": 0.5, "a": [1, 1, 1]}
         src = write(tmp_path / "prior.json", json.dumps(prior))
         code = main(
             ["gibbs-diag", "--counts", counts_csv, "--prior", src, "--r", "4"]

@@ -1,4 +1,5 @@
-"""Gibbs sampler: conditionals, stationarity, propriety guards, diagnostics."""
+"""Gibbs sampler: conditionals, stationarity, propriety guards, agreement with
+the joint-sampler oracle, diagnostics."""
 
 import math
 
@@ -6,20 +7,24 @@ import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
+import gibbs_oracle
 from nmshrink.gibbs import (
     Chain,
     ChainConfig,
-    GibbsState,
-    collect,
     ess,
-    gibbs_step,
     joint_prior_proper,
     mcmc_delta_estimates,
-    posterior_chain,
-    prior_chain,
     run_posterior,
+    run_prior,
 )
-from nmshrink.kernel import ConditionError, GChoice, PriorSpec, delta_hb
+from nmshrink.kernel import (
+    ConditionError,
+    GChoice,
+    PriorSpec,
+    QuadratureError,
+    delta_hb,
+    log_kernel,
+)
 from nmshrink.model import (
     CountMatrix,
     ProbColumn,
@@ -41,20 +46,13 @@ def joint_log_density(p, t, alpha, beta, a0, a_cols):
     )
 
 
-class TestConfigAndState:
+class TestChainConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ChainConfig(n_iter=10, burn_in=10)
         with pytest.raises(ValueError):
             ChainConfig(n_iter=10, burn_in=2, thin=0)
         assert ChainConfig(n_iter=10, burn_in=2, thin=4).n_kept == 2
-
-    def test_state_validation(self):
-        with pytest.raises(ValueError):
-            GibbsState(np.array([[0.5], [0.5]]), 1.0)
-        with pytest.raises(ValueError):
-            GibbsState(np.array([[0.4], [0.4]]), 0.0)
-        GibbsState(np.array([[0.4], [0.4]]), 1.0)
 
 
 class TestConditionals:
@@ -94,45 +92,72 @@ class TestStepMechanics:
         x = CountMatrix(np.array([[3, 1], [2, 4]]))
         prior = PriorSpec(3.0, 1.0, G1, 0.5, np.ones(2))
         cfg = ChainConfig(n_iter=50, burn_in=10, seed=12)
-        a = collect(posterior_chain(x, 2.5, prior, cfg))
-        b = collect(posterior_chain(x, 2.5, prior, cfg))
+        a = run_posterior(x, 2.5, prior, cfg)
+        b = run_posterior(x, 2.5, prior, cfg)
         np.testing.assert_array_equal(a.t, b.t)
         np.testing.assert_array_equal(a.p, b.p)
+        c = run_posterior(x, 2.5, prior, ChainConfig(n_iter=50, burn_in=10, seed=13))
+        assert not np.array_equal(a.t, c.t)
 
     def test_chain_length_bookkeeping(self):
         x = CountMatrix(np.array([[3, 1], [2, 4]]))
         prior = PriorSpec(3.0, 1.0, G1, 0.5, np.ones(2))
         cfg = ChainConfig(n_iter=100, burn_in=40, thin=3, seed=1)
-        chain = collect(posterior_chain(x, 2.5, prior, cfg))
+        chain = run_posterior(x, 2.5, prior, cfg)
         assert chain.t.size == cfg.n_kept == 20
         assert chain.p.shape == (20, 2, 2)
+        chain = run_prior(5.0, 2.0, 1.0, np.ones((3, 2)), cfg)
+        assert chain.t.size == 20
+        assert chain.p.shape == (20, 3, 2)
+        assert chain.r is None and chain.col_sums is None
 
     def test_negative_a0_eff_rejected(self):
-        state = GibbsState(np.array([[0.4], [0.4]]), 1.0)
+        # a0 < 0 for the prior chain, r + a0 < 0 for the posterior chain
         with pytest.raises(ConditionError):
-            gibbs_step(state, 2.0, 1.0, -0.5, np.ones((2, 1)), make_rng(0))
+            run_prior(3.0, 1.0, -0.5, np.ones((2, 1)), ChainConfig(n_iter=10))
+        x = CountMatrix(np.array([[3], [2]]))
+        prior = PriorSpec(3.0, 1.0, G1, -3.0, np.ones(2))
+        with pytest.raises(ConditionError):
+            run_posterior(x, 2.5, prior, ChainConfig(n_iter=10))
 
     def test_prior_chain_refuses_improper(self):
         # alpha <= N with a0 = 0 fails the joint propriety triple
         assert not joint_prior_proper(2.0, 1.0, 0.0, np.ones((2, 3)))
         with pytest.raises(ConditionError):
-            prior_chain(2.0, 1.0, 0.0, np.ones((2, 3)), ChainConfig(n_iter=10))
+            run_prior(2.0, 1.0, 0.0, np.ones((2, 3)), ChainConfig(n_iter=10))
         # beta = 0 with alpha >= total weight fails the tail part
         assert not joint_prior_proper(7.0, 0.0, 1.0, np.ones((2, 3)))
         with pytest.raises(ConditionError):
-            prior_chain(7.0, 0.0, 1.0, np.ones((2, 3)), ChainConfig(n_iter=10))
+            run_prior(7.0, 0.0, 1.0, np.ones((2, 3)), ChainConfig(n_iter=10))
 
     def test_posterior_chain_refuses_improper(self):
         x = CountMatrix(np.array([[3, 1], [2, 4]]))
         prior = PriorSpec(3.0, 1.0, G1, -4.0, np.ones(2))
         with pytest.raises(ConditionError):
-            posterior_chain(x, 2.5, prior, ChainConfig(n_iter=10))
+            run_posterior(x, 2.5, prior, ChainConfig(n_iter=10))
 
     def test_posterior_chain_requires_constant_weight(self):
         x = CountMatrix(np.array([[3, 1], [2, 4]]))
         prior = PriorSpec(3.0, 1.0, GChoice.komaki(1.0, 1.0), 0.5, np.ones(2))
         with pytest.raises(ConditionError, match="conjugacy"):
-            posterior_chain(x, 2.5, prior, ChainConfig(n_iter=10))
+            run_posterior(x, 2.5, prior, ChainConfig(n_iter=10))
+
+    def test_tiny_t_stays_finite(self):
+        # r + a0 = 0 and beta = 1e9 pin t near 6e-9: Gamma(t) draws underflow
+        # to zero in linear space, so the leftover masses are drawn in logs.
+        x = CountMatrix(np.array([[0, 3], [2, 0], [1, 1]]))
+        prior = PriorSpec(6.0, 1e9, G1, -4.0, np.ones(3))
+        chain = run_posterior(x, 4.0, prior, ChainConfig(n_iter=2_000, seed=1))
+        assert np.all(chain.t > 0) and np.all(np.isfinite(chain.t))
+        assert 1e-9 < chain.t.mean() < 1e-8
+        assert np.all(np.isfinite(chain.p))
+
+    def test_unrepresentable_chain_raises_quadrature_error(self):
+        # beta near the largest float drives t + a0_eff to exactly zero
+        x = CountMatrix(np.array([[0, 3], [2, 0], [1, 1]]))
+        prior = PriorSpec(6.0, 1.7e308, G1, -4.0, np.ones(3))
+        with pytest.raises(QuadratureError, match="floating-point range"):
+            run_posterior(x, 4.0, prior, ChainConfig(n_iter=2_000, seed=1))
 
 
 class TestStationarity:
@@ -148,6 +173,20 @@ class TestStationarity:
         target = delta_hb(alpha, beta, G1, r, 3, x.col_sums)
         se = chain.t.std() / math.sqrt(chain.ess_t())
         assert abs(chain.t.mean() - target) < 3 * se
+
+    def test_small_t_posterior_mean_matches_quadrature(self):
+        # r + a0 = 0 with alpha = 6 puts t below one on most steps, so most
+        # leftover-mass draws take the log-space path; E[t | X] is the kernel
+        # ratio K(alpha + 1)/K(alpha) at xi0 = 0, xi_nu = z_nu + a_dot.
+        x = CountMatrix(np.array([[0, 3], [2, 0], [1, 1]]))
+        prior = PriorSpec(6.0, 1.0, G1, -4.0, np.ones(3))
+        chain = run_posterior(
+            x, 4.0, prior, ChainConfig(n_iter=40_000, burn_in=2_000, seed=8)
+        )
+        assert np.mean(chain.t < 1.0) > 0.5
+        log_k, log_k1 = log_kernel([6.0, 7.0], 1.0, G1, 0.0, x.col_sums + 3.0)
+        se = chain.t.std() / math.sqrt(chain.ess_t())
+        assert abs(chain.t.mean() - math.exp(log_k1 - log_k)) < 4 * se
 
     def test_prior_marginal_matches_direct_mixture_sampling(self):
         # Draw t from its prior marginal by grid inversion, then columns from
@@ -173,17 +212,13 @@ class TestStationarity:
         rng = make_rng(77)
         n_draws = 40_000
         ts = np.interp(rng.uniform(size=n_draws), cdf, grid)
-        direct = np.empty((n_draws, m, n_cols))
-        for k in range(n_draws):
-            for j in range(n_cols):
-                y = rng.gamma(np.concatenate(([ts[k] + a0], a_cols[:, j])))
-                direct[k, :, j] = y[1:] / y.sum()
+        y0 = rng.gamma(ts[:, None] + a0, size=(n_draws, n_cols))
+        y = rng.gamma(a_cols, size=(n_draws, m, n_cols))
+        direct = y / (y0 + y.sum(axis=1))[:, None, :]
 
-        chain = collect(
-            prior_chain(
-                alpha, beta, a0, a_cols,
-                ChainConfig(n_iter=50_000, burn_in=10_000, seed=6),
-            )
+        chain = run_prior(
+            alpha, beta, a0, a_cols,
+            ChainConfig(n_iter=50_000, burn_in=10_000, seed=6),
         )
         for moment in (lambda v: v, lambda v: v**2):
             md, mg = moment(direct), moment(chain.p)
@@ -206,6 +241,90 @@ class TestStationarity:
         )
         plain = dirichlet_posterior_mean(x, r, a0, a)
         assert np.max(np.abs(chain.posterior_mean_p() - plain)) < 0.01
+
+
+# (counts, r, prior) for the cli-sweep cases i (m=7, N=3) and ii (m=3, N=7),
+# and the r + a0 = 0 regime where t is small and Gamma(t + r + a0) draws
+# take the log-space path.  alpha = 8 keeps that regime shallow enough for the
+# oracle, whose column draws degenerate once t is often far below one (see
+# test_small_t_posterior_mean_matches_quadrature for the deeper regime).
+ORACLE_SETUPS = {
+    "case-i": (
+        [[2, 1, 3], [1, 0, 2], [4, 2, 1], [0, 1, 1], [3, 5, 2], [2, 3, 4], [1, 2, 0]],
+        8.0,
+        PriorSpec(14.0, 1.0, G1, -7.0, np.ones(7)),
+    ),
+    "case-ii": (
+        [[1, 0, 3, 2, 1, 4, 0], [2, 1, 0, 1, 3, 1, 2], [0, 2, 1, 1, 0, 2, 5]],
+        4.0,
+        PriorSpec(6.0, 1.0, G1, -1.0, np.array([0.7, 1.1, 1.3])),
+    ),
+    "small-t": (
+        [[0, 3], [2, 0], [1, 1]],
+        4.0,
+        PriorSpec(8.0, 1.0, G1, -4.0, np.ones(3)),
+    ),
+}
+
+
+def mc_mean_and_se(draws: np.ndarray) -> tuple[float, float]:
+    """Mean of a chain's scalar series with its ESS-based standard error."""
+    return float(draws.mean()), float(draws.std() / math.sqrt(ess(draws)))
+
+
+def assert_means_agree(new: np.ndarray, old: np.ndarray) -> None:
+    """Means of two chains' series within 4 combined ESS-based SEs."""
+    (m_new, se_new), (m_old, se_old) = mc_mean_and_se(new), mc_mean_and_se(old)
+    assert abs(m_new - m_old) < 4 * math.hypot(se_new, se_old)
+
+
+def kl_ratio_se(chain: Chain, nu: int) -> float:
+    """Standard error of E[t w]/E[w] by linearising the ratio estimator."""
+    t = chain.t
+    w = 1.0 / (t + chain.r + chain.a0 + float(chain.col_sums[nu]) + chain.a_dot)
+    delta = mcmc_delta_estimates(chain, "kl", nu)
+    return mc_mean_and_se((t - delta) * w / w.mean())[1]
+
+
+class TestOracleAgreement:
+    """The t-marginal chain against the joint (p, t) sampler it replaced:
+    both target the same posterior, so every estimate must agree within
+    4 combined ESS-based standard errors."""
+
+    @pytest.fixture(scope="class", params=sorted(ORACLE_SETUPS))
+    def chains(self, request):
+        counts, r, prior = ORACLE_SETUPS[request.param]
+        x = CountMatrix(np.array(counts))
+        cfg = ChainConfig(n_iter=21_000, burn_in=1_000, seed=31)
+        new = run_posterior(x, r, prior, cfg)
+        old = gibbs_oracle.run_posterior(x, r, prior, cfg)
+        return request.param, new, old
+
+    def test_posterior_mean_t(self, chains):
+        name, new, old = chains
+        assert_means_agree(new.t, old.t)
+        if name == "small-t":
+            assert np.mean(new.t < 1.0) > 0.1, "the log-space draws must be exercised"
+
+    def test_posterior_mean_p(self, chains):
+        _, new, old = chains
+        _, m, n_cols = new.p.shape
+        for i in range(m):
+            for j in range(n_cols):
+                assert_means_agree(new.p[:, i, j], old.p[:, i, j])
+
+    def test_kl_delta_estimates(self, chains):
+        _, new, old = chains
+        for nu in range(new.col_sums.size):
+            gap = mcmc_delta_estimates(new, "kl", nu) - mcmc_delta_estimates(
+                old, "kl", nu
+            )
+            se = math.hypot(kl_ratio_se(new, nu), kl_ratio_se(old, nu))
+            assert abs(gap) < 4 * se
+
+    def test_ess_per_draw(self, chains):
+        _, new, old = chains
+        assert abs(new.ess_t() / new.t.size - old.ess_t() / old.t.size) < 0.1
 
 
 class TestDeltaEstimates:
