@@ -23,6 +23,7 @@ from .kernel import (
     tail_finite,
 )
 from .model import GeneralizedDirichlet
+from .risklab import benchmark_scenarios
 
 __all__ = [
     "ProprietyReport",
@@ -224,32 +225,25 @@ def jeffreys_prior(m: int) -> GeneralizedDirichlet:
     return GeneralizedDirichlet((1.0 - m) / 2.0, np.full(m, 0.5))
 
 
-# Benchmark settings (r, m, N, alpha) used by the risk laboratory.
-BENCHMARK_CASES = {
-    "i": {"r": 8.0, "m": 7, "n_columns": 3, "alpha": 14.0},
-    "ii": {"r": 4.0, "m": 3, "n_columns": 7, "alpha": 6.0},
-    "iii": {"r": 2.0, "m": 1, "n_columns": 7, "alpha": 6.0},
-}
-
-
 def dominance_table(beta: float = 1.0) -> list[dict]:
     """Apply the dominance checkers to the three benchmark cases.
 
     Returns one row per case with boolean verdicts for the columnwise
     empirical Bayes (EB0), pooled empirical Bayes (EB), and hierarchical
-    Bayes (HB) estimators, each evaluated at n = N.
+    Bayes (HB) estimators, each evaluated at n = N.  The (r, m, N, alpha) of
+    a case are those of its truths in `risklab.benchmark_scenarios`.
     """
     g1 = GChoice.constant_one()
     rows = []
-    for name, c in BENCHMARK_CASES.items():
+    for name in ("i", "ii", "iii"):
+        sc = benchmark_scenarios(name)[0]
+        r, m, n = sc.params.r, sc.params.m, sc.params.n_columns
         rows.append(
             {
                 "case": name,
-                "EB0": check_eb_dominance(c["m"], c["r"]),
-                "EB": check_eb_dominance(c["m"], c["r"]),
-                "HB": check_hb_dominance(
-                    c["alpha"], beta, g1, c["r"], c["m"], c["n_columns"]
-                ),
+                "EB0": check_eb_dominance(m, r),
+                "EB": check_eb_dominance(m, r),
+                "HB": check_hb_dominance(sc.alpha_hb, beta, g1, r, m, n),
             }
         )
     return rows

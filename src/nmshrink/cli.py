@@ -6,12 +6,18 @@ non-finite number (a divergent kernel, say) is written as null.  Every
 subcommand accepts --dry-run, which validates inputs and prints the
 resolved configuration without computing.  The environment variable
 NMSHRINK_OUTDIR supplies the default output directory for `repro`.
+
+`main` parses with one parser, built by its first call and reused by every
+later call in the same process (parsing does not change a parser, and
+argparse looks up sys.stdout/sys.stderr when it prints).  `build_parser`
+still returns a fresh parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -560,17 +566,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses: built on first use, then reused."""
+    return build_parser()
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    # A persisted run configuration {"argv": [...]} replays bit-for-bit.
+    if argv and argv[0] == "--config":
+        if len(argv) != 2:
+            raise ValueError("--config takes exactly one JSON file")
+        argv = [str(a) for a in _read_json(argv[1])["argv"]]
+    return _parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        # A persisted run configuration {"argv": [...]} replays bit-for-bit.
-        if argv and argv[0] == "--config":
-            if len(argv) != 2:
-                raise ValueError("--config takes exactly one JSON file")
-            argv = [str(a) for a in _read_json(argv[1])["argv"]]
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.fn(args)
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -19,11 +19,13 @@ Gb ~ Gamma(a_nu.), one step of the t-marginal of the joint chain is
     t  <-  E / (beta + sum_nu log1p(Gb_nu / Ga_nu)),    E ~ Gamma(alpha),
 
 which has exactly the law of the t component of the two-block chain.  Only
-Ga depends on t, so E and Gb are drawn for every iteration before the loop
-and each step makes one gamma call of size N.  Shapes t + a0 below one are
-drawn in log space, log G(s) = log G(s + 1) + log(U)/s, so log(1/p0) stays
-finite however small t gets.  Given t the columns are exactly Dirichlet, so
-p is drawn only at the kept iterations, in one call after the loop.
+Ga depends on t, so E and Gb are drawn for a block of iterations at a time
+and each step makes one gamma call of size N.  Only the kept t values are
+stored, so memory does not grow with the burn-in or the thinning.  Shapes
+t + a0 below one are drawn in log space, log G(s) = log G(s + 1) + log(U)/s,
+so log(1/p0) stays finite however small t gets.  Given t the columns are
+exactly Dirichlet, so p is drawn only at the kept iterations, in one call
+after the loop.
 
 Conditioning on counts only shifts the parameters (a0 -> r + a0,
 a_nu -> x_nu + a_nu), so the same chain targets prior and posterior.  The
@@ -107,6 +109,11 @@ def joint_prior_proper(
     return min(max(a0, alpha - n_cols), max(a_total - alpha, beta)) > 0
 
 
+# Iterations whose t-independent randomness is drawn at once; it bounds the
+# chain's memory whatever n_iter is.
+_BLOCK = 4096
+
+
 def _sample(
     alpha: float,
     beta: float,
@@ -122,33 +129,38 @@ def _sample(
     """
     rng = make_rng(cfg.seed)
     m, n_cols = a_cols.shape
-    n = cfg.n_iter
     gamma = rng.standard_gamma
-    # The draws that do not depend on t, for every iteration at once:
-    # E ~ Gamma(alpha), and Gb ~ Gamma(a_nu.) in log space.
-    e = gamma(alpha, size=n).tolist()
     a_dot = a_cols.sum(axis=0)
-    log_gb = np.log(gamma(a_dot + 1.0, size=(n, n_cols)))
-    log_gb += np.log1p(-rng.random((n, n_cols))) / a_dot
-    gb = np.exp(log_gb)
-    ts = [0.0] * n
+    kept_t: list[float] = []
     t = alpha / (beta + 1.0)
-    for i in range(n):
-        s = t + a0_eff
-        if s >= 1.0:
-            rate = beta + float(np.log1p(gb[i] / gamma(s, size=n_cols)).sum())
-        else:
-            log_ga = np.log(gamma(s + 1.0, size=n_cols))
-            log_ga += np.log1p(-rng.random(n_cols)) / s
-            rate = beta + float(np.logaddexp(0.0, log_gb[i] - log_ga).sum())
-        t = e[i] / rate
-        if not 0.0 < t + a0_eff < math.inf:
-            raise QuadratureError(
-                f"gibbs chain left the floating-point range at iteration {i}: "
-                f"t + a0_eff = {t + a0_eff!r}"
-            )
-        ts[i] = t
-    kept = np.array(ts[cfg.burn_in :: cfg.thin])
+    for start in range(0, cfg.n_iter, _BLOCK):
+        n = min(_BLOCK, cfg.n_iter - start)
+        # The draws that do not depend on t, for a block of iterations at
+        # once: E ~ Gamma(alpha), and Gb ~ Gamma(a_nu.) in log space.
+        e = gamma(alpha, size=n).tolist()
+        log_gb = np.log(gamma(a_dot + 1.0, size=(n, n_cols)))
+        log_gb += np.log1p(-rng.random((n, n_cols))) / a_dot
+        gb = np.exp(log_gb)
+        ts = [0.0] * n
+        for i in range(n):
+            s = t + a0_eff
+            if s >= 1.0:
+                rate = beta + float(np.log1p(gb[i] / gamma(s, size=n_cols)).sum())
+            else:
+                log_ga = np.log(gamma(s + 1.0, size=n_cols))
+                log_ga += np.log1p(-rng.random(n_cols)) / s
+                rate = beta + float(np.logaddexp(0.0, log_gb[i] - log_ga).sum())
+            t = e[i] / rate
+            if not 0.0 < t + a0_eff < math.inf:
+                raise QuadratureError(
+                    "gibbs chain left the floating-point range at iteration "
+                    f"{start + i}: t + a0_eff = {t + a0_eff!r}"
+                )
+            ts[i] = t
+        # The first kept iteration at or after `start`, relative to it.
+        skip = cfg.burn_in - start
+        kept_t.extend(ts[max(skip, skip % cfg.thin) :: cfg.thin])
+    kept = np.array(kept_t)
     y0 = gamma((kept + a0_eff)[:, None], size=(kept.size, n_cols))
     y = gamma(a_cols, size=(kept.size, m, n_cols))
     p = y / (y0 + y.sum(axis=1))[:, None, :]

@@ -11,9 +11,8 @@ of replications.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Mapping
 
 import numpy as np
@@ -118,6 +117,17 @@ def sample_counts(truth: ModelParams, rng: np.random.Generator) -> CountMatrix:
     return CountMatrix(np.column_stack(cols))
 
 
+def _sample_stack(truth: ModelParams, seed: int, rep_indices: range) -> np.ndarray:
+    """Count matrices (reps, m, N) of the given replications: row k holds the
+    draws of `sample_counts(truth, make_rng(seed, rep_indices[k]))`."""
+    x = np.empty((len(rep_indices), truth.m, truth.n_columns), dtype=np.int64)
+    for row, rep in enumerate(rep_indices):
+        rng = make_rng(seed, rep)
+        for nu, col in enumerate(truth.columns):
+            x[row, :, nu] = nm_sample(truth.r, col, rng)
+    return x
+
+
 def _replication_losses(
     named: list[tuple[str, Estimator]],
     truth: ModelParams,
@@ -129,9 +139,7 @@ def _replication_losses(
     """Losses (reps, estimators) of one batch of replications; each estimator
     and the loss run once on the stacked count matrices."""
     loss_fn = _LOSSES[loss]
-    x = CountMatrix(
-        np.stack([sample_counts(truth, make_rng(seed, rep)).x for rep in rep_indices])
-    )
+    x = CountMatrix(_sample_stack(truth, seed, rep_indices))
     out = np.empty((len(rep_indices), len(named)))
     for col, (name, fn) in enumerate(named):
         try:
@@ -187,6 +195,9 @@ def compare(
     if jobs <= 1:
         losses = _replication_losses(named, truth, loss, n, seed, range(reps))
     else:
+        # Imported here: serial runs need no multiprocessing machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [range(k, reps, jobs) for k in range(jobs)]
         losses = np.empty((reps, len(named)))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -284,6 +295,13 @@ def scenario_presets() -> list[Scenario]:
     Case ii:  (r, m, N) = (4, 3, 7), alpha = 6.
     Case iii: (r, m, N) = (2, 1, 7), alpha = 6 (negative binomial columns).
     """
+    return list(_presets())
+
+
+@cache
+def _presets() -> tuple[Scenario, ...]:
+    # Built once per process: the truths are validated on construction and
+    # are immutable, so every caller shares them.
     ones7 = np.ones(7)
     A = ones7 / 8.0
     B = np.array([1, 1, 1, 1, 2, 2, 2]) / 12.0
@@ -311,10 +329,10 @@ def scenario_presets() -> list[Scenario]:
             _cols(third, third, half, half, half, two_thirds, two_thirds),
         ),
     ]
-    return [
+    return tuple(
         Scenario(name, ModelParams.from_matrix(r, mat), alpha)
         for name, r, alpha, mat in presets
-    ]
+    )
 
 
 def benchmark_scenarios(case: str) -> list[Scenario]:

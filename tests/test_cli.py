@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nmshrink.cli as cli
 from nmshrink import audit
-from nmshrink.cli import _audit_scenario, _g_from_doc, main
+from nmshrink.cli import _audit_scenario, _g_from_doc, build_parser, main
 
 
 def write(path, text):
@@ -409,3 +410,100 @@ class TestPersistedConfig:
         cfg = write(tmp_path / "run.json", json.dumps({"args": []}))
         assert main(["--config", cfg]) == 2
         assert main(["--config", cfg, "extra"]) == 2
+
+
+# Parses covering every subcommand: defaults, --dry-run, prior flags.
+PARSE_CASES = [
+    ["estimate", "--estimator", "umvu", "--r", "8"],
+    ["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14", "--beta", "0.5",
+     "--g", "komaki", "--g-c", "1", "--g-kappa", "2", "--in", "c.csv", "--header",
+     "--dry-run"],
+    ["estimate", "--estimator", "hb-pm", "--r", "4", "--alpha", "6", "--a0", "-3",
+     "--a", "0.5,0.5", "--out", "o.csv"],
+    ["risk-sim", "--scenario", "ii"],
+    ["risk-sim", "--truth", "t.json", "--loss", "kl", "--estimators", "dir-pm,hb-pm",
+     "--n", "2", "--jobs", "2", "--reps", "20", "--seed", "3", "--alpha", "5",
+     "--a0", "-4", "--dry-run"],
+    ["audit", "--table1"],
+    ["audit", "--in", "s.json", "--enforce", "--out", "v.json"],
+    ["gibbs-diag", "--counts", "c.csv", "--prior", "p.json", "--r", "4"],
+    ["gibbs-diag", "--counts", "c.csv", "--header", "--prior", "p.json", "--r", "4",
+     "--iters", "2000", "--burn-in", "100", "--thin", "3", "--seed", "9", "--dry-run"],
+    ["kernel-eval"],
+    ["kernel-eval", "--in", "k.json", "--dry-run"],
+    ["repro", "tables"],
+    ["repro", "tables", "--reps", "10", "--seed", "1", "--jobs", "2", "--out", "d"],
+]
+
+
+class TestParserReuse:
+    """main parses with one parser per process; a fresh build_parser() is
+    the oracle for it."""
+
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a[:3]))
+    def test_parse_matches_fresh_parser(self, argv):
+        for _ in range(2):
+            assert vars(cli._parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+    def test_config_replay_matches_fresh_parser(self, tmp_path):
+        argv = PARSE_CASES[2]
+        cfg = write(tmp_path / "run.json", json.dumps({"argv": argv}))
+        assert vars(cli._parse_args(["--config", cfg])) == vars(
+            build_parser().parse_args(argv)
+        )
+
+    def test_built_once_per_process(self, counts_csv, monkeypatch, capsys):
+        calls = []
+
+        def counting():
+            calls.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        argv = ["estimate", "--estimator", "umvu", "--r", "8", "--in", counts_csv]
+        for _ in range(3):
+            assert main(argv) == 0
+        assert len(calls) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_interleaved_calls_repeat_exactly(self, counts_csv, tmp_path, capsys):
+        from nmshrink.model import ModelParams
+
+        bad = write(tmp_path / "bad.csv", "1,2\n3\n")
+        sharp = write(tmp_path / "k.json", json.dumps(
+            {"alpha": 1600, "beta": 1, "g": "g1", "xi0": 1, "xi": [10, 12, 9]}
+        ))
+        truth = write(tmp_path / "truth.json",
+                      ModelParams.from_matrix(1.5, np.full((2, 3), 0.2)).to_json())
+        sequence = [
+            (["estimate", "--estimator", "umvu", "--r", "8", "--in", bad], 2),
+            (["estimate", "--estimator", "eb", "--r", "8", "--in", counts_csv], 0),
+            (["kernel-eval", "--in", sharp], 3),
+            (["risk-sim", "--truth", truth, "--reps", "6", "--estimators", "umvu,hb",
+              "--alpha", "6"], 4),
+            (["--version"], "exit 0"),
+            (["estimate", "--estimator", "umvu", "--r", "8", "--in", counts_csv,
+              "--no-such-option"], "exit 2"),
+        ]
+
+        def run_all():
+            seen = []
+            for argv, _ in sequence:
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = f"exit {exc.code}"
+                out = capsys.readouterr()
+                seen.append((code, out.out, out.err))
+            return seen
+
+        cli._parser.cache_clear()  # the first run builds the parser
+        first = run_all()
+        second = run_all()
+        assert [code for code, _, _ in first] == [want for _, want in sequence]
+        assert first == second
+        assert first[4][1].startswith("nmshrink ")
+        assert "unrecognized arguments: --no-such-option" in first[5][2]

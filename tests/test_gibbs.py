@@ -2,12 +2,14 @@
 the joint-sampler oracle, diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import gamma as gamma_dist
 
 import gibbs_oracle
+from nmshrink import gibbs
 from nmshrink.gibbs import (
     Chain,
     ChainConfig,
@@ -158,6 +160,70 @@ class TestStepMechanics:
         prior = PriorSpec(6.0, 1.7e308, G1, -4.0, np.ones(3))
         with pytest.raises(QuadratureError, match="floating-point range"):
             run_posterior(x, 4.0, prior, ChainConfig(n_iter=2_000, seed=1))
+
+
+class TestBlockedDraws:
+    """The t-independent randomness is drawn in blocks of `_BLOCK` iterations
+    and only kept t values are stored."""
+
+    X = CountMatrix(np.array([[3, 0], [2, 1], [0, 4]]))
+
+    @pytest.mark.parametrize(
+        "beta, a0, want_t, want_p",
+        [
+            # t + a0_eff >= 1 throughout: the direct gamma ratio
+            (1.0, 0.5,
+             [1.8125066024860135, 2.8346685500237196, 0.661587663915643,
+              1.7114704859374894, 2.0429923123393126],
+             [[0.22291720146892766, 0.06461968434667094],
+              [0.23363547892354647, 0.07567095874541206],
+              [0.09058483406220721, 0.37038660367317433]]),
+            # r + a0 = 0 with t near 1e-9: the log-space draws
+            (1e9, -4.0,
+             [1.396128281947337e-09, 6.700879022824634e-09, 1.6405751782907778e-09,
+              3.6388324178370017e-09, 3.5701979425678973e-09],
+             [[0.5932121160330476, 0.015804570338966914],
+              [0.3589257925709405, 0.12793446533324607],
+              [0.04786209139601188, 0.8562609643277871]]),
+        ],
+    )
+    def test_short_chain_keeps_its_stream(self, beta, a0, want_t, want_p):
+        # Values recorded from the sampler that drew every iteration's
+        # randomness at once; a chain within one block draws the same stream.
+        prior = PriorSpec(6.0, beta, G1, a0, np.ones(3))
+        cfg = ChainConfig(n_iter=40, burn_in=10, seed=5, thin=6)
+        chain = run_posterior(self.X, 4.0, prior, cfg)
+        np.testing.assert_allclose(chain.t, want_t, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(chain.p[-1], want_p, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize(
+        "burn_in, thin", [(0, 7), (4_100, 7), (gibbs._BLOCK, 1), (3, gibbs._BLOCK + 5)]
+    )
+    def test_thinning_across_blocks(self, burn_in, thin):
+        # The steps draw the same stream whatever is kept, so a thinned chain
+        # keeps exactly the matching draws of the unthinned one.
+        prior = PriorSpec(6.0, 1.0, G1, 0.5, np.ones(3))
+        n_iter = 2 * gibbs._BLOCK + 1_000
+        full = run_posterior(self.X, 4.0, prior, ChainConfig(n_iter, seed=8))
+        cfg = ChainConfig(n_iter, burn_in=burn_in, seed=8, thin=thin)
+        thinned = run_posterior(self.X, 4.0, prior, cfg)
+        assert thinned.t.size == cfg.n_kept
+        np.testing.assert_array_equal(thinned.t, full.t[burn_in::thin])
+
+    def test_memory_does_not_grow_with_thinned_iterations(self):
+        # Drawing all 50 000 iterations' randomness at once peaked at about 6 MB.
+        x = CountMatrix(np.array([[1, 0, 2], [0, 1, 1], [2, 2, 0], [1, 0, 0],
+                                  [0, 3, 1], [1, 1, 1], [2, 0, 1]]))
+        prior = PriorSpec(14.0, 1.0, G1, 0.5, np.ones(7))
+        cfg = ChainConfig(n_iter=50_000, thin=50, seed=2)
+        tracemalloc.start()
+        try:
+            chain = run_posterior(x, 8.0, prior, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chain.t.size == 1_000
+        assert peak < 1.5e6
 
 
 class TestStationarity:

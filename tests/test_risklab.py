@@ -7,8 +7,9 @@ import pytest
 
 from nmshrink.audit import jeffreys_prior
 from nmshrink.kernel import ConditionError, GChoice, QuadratureError
-from nmshrink.model import CountMatrix, ModelParams, ProbColumn
+from nmshrink.model import CountMatrix, ModelParams, ProbColumn, make_rng
 from nmshrink.risklab import (
+    _sample_stack,
     benchmark_scenarios,
     case_table,
     compare,
@@ -206,6 +207,16 @@ class TestSampling:
     def test_sample_counts_shape(self):
         x = sample_counts(benchmark_scenarios("ii")[0].params, np.random.default_rng(0))
         assert x.x.shape == (3, 7)
+
+    @pytest.mark.parametrize("sc", scenario_presets(), ids=lambda sc: sc.name)
+    def test_stack_matches_per_replication_draws(self, sc):
+        # compare's stack draws replication k from the (seed, k) stream in
+        # the column order of sample_counts.
+        reps = range(3, 40, 4)
+        want = np.stack([sample_counts(sc.params, make_rng(11, k)).x for k in reps])
+        got = _sample_stack(sc.params, 11, reps)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
 
 
 class TestDominanceSpotChecks:
