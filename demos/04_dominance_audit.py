@@ -13,9 +13,11 @@ from nmshrink.audit import (
     check_prior_propriety,
     check_shrinkage_conditions,
     dominance_table,
+    hb_dominance_conditions,
     jeffreys_prior,
 )
 from nmshrink.estimators import eb_delta_rule
+from nmshrink.kernel import posterior_proper
 
 g1 = GChoice.constant_one()
 
@@ -42,12 +44,16 @@ print(f"an oversized constant rule fails first at z = {rep.first_violation}")
 print("\nhierarchical dominance, alpha + 1 <= min(n(m-2), nm/2 + beta r):")
 for alpha in (10.0, 14.0, 15.0):
     print(f"  alpha={alpha}: {check_hb_dominance(alpha, 1.0, g1, 8.0, 7, 3)}")
+# Each condition set comes with the text `nmshrink audit` prints.
+verdict = hb_dominance_conditions(15.0, 1.0, g1, 8.0, 7, 3)
+print(f"  {verdict.text}; failing: "
+      f"{[name for name, ok in verdict.conditions.items() if not ok]}")
 
 # Propriety: an improper prior can still give a proper posterior.
 prior = PriorSpec(6.0, 1.0, g1, -7.0, np.ones(7))
 rep = check_prior_propriety(prior, 3)
 print(f"\na0=-7 prior proper? {rep.prior_proper}; "
-      f"posterior proper at r=8? {rep.posterior_proper_given_r(8.0)}")
+      f"posterior proper at r=8? {posterior_proper(prior, 3, 8.0)}")
 print("reasons:", rep.reasons)
 
 # Positive-loss dominance with the information-based default weights.

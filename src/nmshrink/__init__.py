@@ -49,7 +49,6 @@ from .risklab import (
     loss_kl,
     loss_ss,
     prial,
-    risk_mc,
     scenario_presets,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "nm_moments",
     "nm_sample",
     "prial",
-    "risk_mc",
     "scenario_presets",
     "shrink_general",
     "umvu",

@@ -1,9 +1,11 @@
 """Analytic checkers for propriety and dominance conditions.
 
 Every checker is a pure predicate over closed-form inequalities; nothing here
-runs quadrature or simulation.  `dominance_table` applies the estimator-level
-checkers to the three benchmark parameter settings used by the risk
-laboratory and reports the resulting +/- pattern.
+runs quadrature or simulation.  Propriety and kernel-ratio validity are the
+one test `kernel.kernel_finite`.  Each `*_dominance_conditions` returns a
+`Verdict`: named conditions and the text, with both sides of each bound, that
+the command line prints.  `dominance_table` applies the estimator-level
+checkers to the three benchmark cases of the risk laboratory.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .risklab import benchmark_scenarios
 __all__ = [
     "ProprietyReport",
     "ShrinkageRuleReport",
+    "Verdict",
     "check_prior_propriety",
     "check_shrinkage_conditions",
     "eb_dominance_conditions",
@@ -47,8 +50,19 @@ _EPS = 1e-12
 @dataclass(frozen=True)
 class ProprietyReport:
     prior_proper: bool
-    posterior_proper_given_r: Callable[[float], bool]
     reasons: str
+
+
+@dataclass(frozen=True)
+class Verdict:
+    """Named conditions and a text with both sides of their inequalities."""
+
+    conditions: dict[str, bool]
+    text: str
+
+    @property
+    def holds(self) -> bool:
+        return all(self.conditions.values())
 
 
 @dataclass(frozen=True)
@@ -58,12 +72,12 @@ class ShrinkageRuleReport:
 
 
 def check_prior_propriety(prior: PriorSpec, n_columns: int) -> ProprietyReport:
-    """Exact propriety verdicts for the hierarchical prior and its posteriors.
+    """Exact propriety verdict for the hierarchical prior, with its reasons.
 
     The prior is proper iff a0 > 0 (or a0 = 0 with the small-t integrability
     test) together with a finite tail integral of t^(alpha - N a_dot - 1)
-    e^(-beta t) g(t); the posterior verdict is the same test with a0 shifted
-    by r.
+    e^(-beta t) g(t); the posterior verdict, `kernel.posterior_proper`, is
+    the same test with a0 shifted by r.
     """
     tail = tail_finite(prior.alpha, prior.beta, prior.g, n_columns * prior.a_dot)
     small = small_t_finite(prior.alpha, prior.g, n_columns)
@@ -85,11 +99,7 @@ def check_prior_propriety(prior: PriorSpec, n_columns: int) -> ProprietyReport:
         f"({prior.alpha:g} vs {n_columns * prior.a_dot:g}): "
         f"{'ok' if tail else 'FAILS'}"
     )
-
-    def posterior_given_r(r: float) -> bool:
-        return posterior_proper(prior, n_columns, r)
-
-    return ProprietyReport(proper, posterior_given_r, "; ".join(parts))
+    return ProprietyReport(proper, "; ".join(parts))
 
 
 def check_shrinkage_conditions(
@@ -126,15 +136,17 @@ def check_shrinkage_conditions(
     return ShrinkageRuleReport(True, None)
 
 
-def eb_dominance_conditions(m: int, r: float) -> dict[str, bool]:
+def eb_dominance_conditions(m: int, r: float) -> Verdict:
     """Named conditions under which empirical Bayes beats the unbiased
     estimator; they do not involve the number of columns being estimated."""
-    return {"m >= 7": m >= 7, "r >= 5/2": r >= 2.5}
+    m_ok, r_ok = m >= 7, r >= 2.5
+    text = f"m={m} {'>=' if m_ok else '<'} 7; r={r:g} {'>=' if r_ok else '<'} 5/2"
+    return Verdict({"m >= 7": m_ok, "r >= 5/2": r_ok}, text)
 
 
 def check_eb_dominance(m: int, r: float) -> bool:
     """Empirical Bayes beats the unbiased estimator when m >= 7 and r >= 5/2."""
-    return all(eb_dominance_conditions(m, r).values())
+    return eb_dominance_conditions(m, r).holds
 
 
 def hb_dominance_conditions(
@@ -145,7 +157,7 @@ def hb_dominance_conditions(
     m: int,
     n: int,
     n_columns: int | None = None,
-) -> dict[str, bool]:
+) -> Verdict:
     """Named conditions for hierarchical Bayes dominance (squared error).
 
     The delta_hb validity assumptions, a nonincreasing g, and
@@ -153,15 +165,19 @@ def hb_dominance_conditions(
     the assumptions involves the total number of columns N; pass `n_columns`
     when it differs from n (it only matters when beta = 0).
     """
+    if not (alpha > 0 and beta >= 0):
+        raise ValueError("alpha must be positive and beta nonnegative")
     n_cols = n if n_columns is None else n_columns
     bound = min(n * (m - 2), n * m / 2 + beta * r)
-    return {
+    conditions = {
         "delta_hb valid (r > m, or r = m with alpha + q0 > N; finite tail)": (
             hb_assumptions_hold(alpha, beta, g, r, m, n_cols)
         ),
         "g nonincreasing": g.nonincreasing,
         "alpha + 1 <= min(n(m-2), nm/2 + beta r)": alpha + 1 <= bound + _EPS,
     }
+    text = f"alpha+1={alpha + 1:g} vs min(n(m-2), nm/2+beta*r)={bound:g}"
+    return Verdict(conditions, text)
 
 
 def check_hb_dominance(
@@ -175,7 +191,7 @@ def check_hb_dominance(
 ) -> bool:
     """Hierarchical Bayes dominance under the squared-error loss: every
     condition of `hb_dominance_conditions` holds."""
-    return all(hb_dominance_conditions(alpha, beta, g, r, m, n, n_columns).values())
+    return hb_dominance_conditions(alpha, beta, g, r, m, n, n_columns).holds
 
 
 def kl_dominance_conditions(
@@ -187,17 +203,19 @@ def kl_dominance_conditions(
     r: float,
     n: int,
     n_columns: int,
-) -> dict[str, bool]:
+) -> Verdict:
     """Named conditions for the hierarchical posterior mean to beat the
     Dirichlet posterior mean (KL loss): posterior propriety, nonincreasing g,
     a0 + a_dot + 1 >= 0 and alpha + 1 <= n(-a0 - 2)."""
     prior = PriorSpec(alpha, beta, g, a0, np.asarray(a, dtype=float))
-    return {
+    bound = n * (-a0 - 2)
+    conditions = {
         "posterior proper": posterior_proper(prior, n_columns, r),
         "g nonincreasing": g.nonincreasing,
         "a0 + a_dot + 1 >= 0": a0 + prior.a_dot + 1 >= -_EPS,
-        "alpha + 1 <= n(-a0 - 2)": alpha + 1 <= n * (-a0 - 2) + _EPS,
+        "alpha + 1 <= n(-a0 - 2)": alpha + 1 <= bound + _EPS,
     }
+    return Verdict(conditions, f"alpha+1={alpha + 1:g} vs n(-a0-2)={bound:g}")
 
 
 def check_kl_dominance(
@@ -212,9 +230,7 @@ def check_kl_dominance(
 ) -> bool:
     """Hierarchical posterior mean beats the Dirichlet posterior mean (KL
     loss): every condition of `kl_dominance_conditions` holds."""
-    return all(
-        kl_dominance_conditions(alpha, beta, g, a0, a, r, n, n_columns).values()
-    )
+    return kl_dominance_conditions(alpha, beta, g, a0, a, r, n, n_columns).holds
 
 
 def jeffreys_prior(m: int) -> GeneralizedDirichlet:

@@ -20,8 +20,7 @@ from .kernel import (
     PriorSpec,
     delta_hb,
     delta_nu,
-    hb_assumptions_hold,
-    posterior_proper,
+    require_hb_assumptions,
 )
 from .model import CountMatrix
 
@@ -119,11 +118,7 @@ def hb(
     One kernel evaluation covers every matrix of a stack; an all-zero matrix
     needs none and maps to the zero matrix.
     """
-    if not hb_assumptions_hold(alpha, beta, g, r, x.m, x.n_columns):
-        raise ConditionError(
-            "hierarchical Bayes estimator requires r > m (or r = m with "
-            "alpha large enough) and a finite tail integral"
-        )
+    require_hb_assumptions(alpha, beta, g, r, x.m, x.n_columns)
     z = x.col_sums
     d = np.full(z.shape[:-1], math.inf)
     nonzero = np.asarray(x.grand_sum) > 0
@@ -139,6 +134,8 @@ def dirichlet_posterior_mean(
 
     Proper exactly when r + a0 > 0; entries are strictly positive.
     """
+    if not r > 0:
+        raise ValueError("r must be positive")
     a = np.asarray(a, dtype=float)
     if a.shape != (x.m,):
         raise ValueError("a must have length m")
@@ -155,12 +152,13 @@ def hb_posterior_mean(x: CountMatrix, r: float, prior: PriorSpec) -> np.ndarray:
 
     Each column's Dirichlet denominator is enlarged by its own kernel ratio,
     so every entry is strictly smaller than the plain Dirichlet posterior
-    mean's.  One kernel evaluation covers every column of every matrix.
+    mean's.  One kernel evaluation covers every column of every matrix, and
+    `delta_nu` refuses an improper posterior.
     """
+    if not r > 0:
+        raise ValueError("r must be positive")
     if prior.m != x.m:
         raise ValueError("prior dimension does not match the count matrix")
-    if not posterior_proper(prior, x.n_columns, r):
-        raise ConditionError("hierarchical posterior is improper for these counts")
     z = x.col_sums
     deltas = delta_nu(
         prior.alpha,

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ConditionError, PriorSpec, QuadratureError, posterior_proper
+from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError
+from .kernel import kernel_finite, posterior_proper
 from .model import CountMatrix, make_rng
 
 __all__ = [
@@ -96,17 +97,12 @@ class Chain:
 def joint_prior_proper(
     alpha: float, beta: float, a0: float, a_cols: np.ndarray
 ) -> bool:
-    """Propriety of the joint (p, t) prior with per-column Dirichlet weights.
-
-    Requires a0 >= 0 and min(max(a0, alpha - N), max(a_total - alpha, beta)) > 0,
-    where a_total sums the Dirichlet weights over all columns.
+    """Propriety of the joint (p, t) prior with per-column Dirichlet weights:
+    K with g = 1 at xi0 = a0 and the column totals of `a_cols` is finite.
     """
     a_cols = np.asarray(a_cols, dtype=float)
-    n_cols = a_cols.shape[1]
-    a_total = float(a_cols.sum())
-    if a0 < 0:
-        return False
-    return min(max(a0, alpha - n_cols), max(a_total - alpha, beta)) > 0
+    g1 = GChoice.constant_one()
+    return kernel_finite(alpha, beta, g1, a0, a_cols.shape[1], float(a_cols.sum()))
 
 
 # Iterations whose t-independent randomness is drawn at once; it bounds the
@@ -194,6 +190,8 @@ def run_posterior(
 
     The conditionals use a0_eff = r + a0 and per-column weights x_nu + a.
     """
+    if not r > 0:
+        raise ValueError("r must be positive")
     if prior.m != x.m:
         raise ValueError("prior dimension does not match the count matrix")
     if prior.g.kind != "constant_one":

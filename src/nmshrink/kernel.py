@@ -25,7 +25,9 @@ grows its own tail depth per side until the geometric remainder estimate is
 below 1e-13 of the integral, within 2^14 nodes.  It then sums only its own
 panels, in a fixed order, so its value does not depend on the other rows or
 exponents of the call.  Divergence is decided analytically per exponent and
-reported as +inf; the quadrature never runs on a divergent integral.
+reported as +inf; the quadrature never runs on a divergent integral.  That
+analytic test, `kernel_finite`, is also every propriety and validity
+condition of the package, each at its smallest admissible xi.
 
 Each panel's 64-point sum is compared with an interpolatory 32-point rule on
 every other node of the same panel.  With e the summed differences relative
@@ -56,12 +58,12 @@ __all__ = [
     "log_kernel",
     "delta_hb",
     "delta_nu",
+    "kernel_finite",
     "kernel_is_finite",
-    "tail_finite",
-    "small_t_finite",
     "prior_proper",
     "posterior_proper",
     "hb_assumptions_hold",
+    "require_hb_assumptions",
     "quadrature_settings",
 ]
 
@@ -223,6 +225,17 @@ def small_t_finite(alpha: float, g: GChoice, n: float) -> bool:
     return alpha + g.small_t_exponent > n
 
 
+def kernel_finite(alpha, beta: float, g: GChoice, xi0: float, n_positive, total):
+    """Whether xi0 >= 0 and K(alpha, beta, g, xi0, xi) is finite for the xi
+    with `n_positive` positive entries summing to `total` (only these two
+    numbers matter).  Every propriety and validity condition of the package
+    is this test at the smallest admissible xi.  Broadcasts over alpha,
+    n_positive and total.
+    """
+    small = small_t_finite(alpha, g, n_positive if xi0 == 0 else 0)
+    return (xi0 >= 0) & small & tail_finite(alpha, beta, g, total)
+
+
 def kernel_is_finite(
     alpha: float, beta: float, g: GChoice, xi0: float, xi: np.ndarray
 ) -> bool:
@@ -232,40 +245,43 @@ def kernel_is_finite(
     array of verdicts.
     """
     xi = np.asarray(xi, dtype=float)
-    s0 = np.count_nonzero(xi > 0, axis=-1) if xi0 == 0 else 0
-    return small_t_finite(alpha, g, s0) & tail_finite(alpha, beta, g, xi.sum(axis=-1))
+    n_positive = np.count_nonzero(xi > 0, axis=-1)
+    return kernel_finite(alpha, beta, g, xi0, n_positive, xi.sum(axis=-1))
 
 
 def prior_proper(prior: PriorSpec, n_columns: int) -> bool:
-    """Propriety of the hierarchical prior over N probability columns."""
-    tail = tail_finite(prior.alpha, prior.beta, prior.g, n_columns * prior.a_dot)
-    if prior.a0 > 0:
-        return tail
-    if prior.a0 == 0:
-        return tail and small_t_finite(prior.alpha, prior.g, n_columns)
-    return False
+    """Propriety of the hierarchical prior over N probability columns: K at
+    xi0 = a0 and xi_nu = a_dot is finite."""
+    total = n_columns * prior.a_dot
+    return kernel_finite(prior.alpha, prior.beta, prior.g, prior.a0, n_columns, total)
 
 
 def posterior_proper(prior: PriorSpec, n_columns: int, r: float) -> bool:
-    """Propriety of the posterior for every possible count matrix."""
-    shifted = PriorSpec(prior.alpha, prior.beta, prior.g, prior.a0 + float(r), prior.a)
-    return prior_proper(shifted, n_columns)
+    """Propriety of the posterior for every possible count matrix: the prior
+    test with a0 shifted by r (all-zero counts are the binding case)."""
+    xi0, total = prior.a0 + float(r), n_columns * prior.a_dot
+    return kernel_finite(prior.alpha, prior.beta, prior.g, xi0, n_columns, total)
 
 
 def hb_assumptions_hold(
     alpha: float, beta: float, g: GChoice, r: float, m: int, n_columns: int
 ) -> bool:
-    """Validity condition for the column-sum shrinkage ratio delta_hb.
-
-    Either r > m with a finite tail integral at total N*m, or r = m with the
-    additional small-t requirement alpha (+ the g exponent) > N.
+    """Validity condition for the column-sum shrinkage ratio delta_hb: K at
+    xi0 = r - m and xi_nu = m is finite.  That is, r > m with a finite tail
+    integral at total N*m, or r = m with additionally alpha + q0 > N.
     """
-    tail = tail_finite(alpha, beta, g, n_columns * m)
-    if r > m:
-        return tail
-    if r == m:
-        return tail and small_t_finite(alpha, g, n_columns)
-    return False
+    return kernel_finite(alpha, beta, g, r - m, n_columns, n_columns * m)
+
+
+def require_hb_assumptions(
+    alpha: float, beta: float, g: GChoice, r: float, m: int, n_columns: int
+) -> None:
+    """Raise ConditionError unless `hb_assumptions_hold`."""
+    if not hb_assumptions_hold(alpha, beta, g, r, m, n_columns):
+        raise ConditionError(
+            "the hierarchical Bayes shrinkage ratio requires r > m with a finite "
+            "tail integral, or r = m with additionally alpha + (g exponent at 0) > N"
+        )
 
 
 def quadrature_settings() -> dict:
@@ -442,11 +458,7 @@ def delta_hb(alpha: float, beta: float, g: GChoice, r: float, m: int, z: np.ndar
     downstream code treats the infinity as total shrinkage).
     """
     z = _counts(z)
-    if not hb_assumptions_hold(alpha, beta, g, r, m, z.shape[-1]):
-        raise ConditionError(
-            "delta_hb requires r > m with a finite tail integral, or r = m "
-            "with additionally alpha + (g exponent at 0) > N"
-        )
+    require_hb_assumptions(alpha, beta, g, r, m, z.shape[-1])
     logk = log_kernel([alpha, alpha + 1.0], beta, g, r - m, z.astype(float) + float(m))
     if not np.all(np.isfinite(logk[..., 0])):
         raise QuadratureError("denominator kernel did not evaluate finitely")
@@ -479,11 +491,7 @@ def delta_nu(
     if not a_dot > 0:
         raise ValueError("a_dot must be positive")
     ra0 = r + a0
-    tail = tail_finite(alpha, beta, g, n_cols * a_dot)
-    ok = (ra0 > 0 and tail) or (
-        ra0 == 0 and tail and small_t_finite(alpha, g, n_cols)
-    )
-    if not ok:
+    if not kernel_finite(alpha, beta, g, ra0, n_cols, n_cols * a_dot):
         raise ConditionError(
             "delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
             "alpha + (g exponent at 0) > N) and a finite tail integral"

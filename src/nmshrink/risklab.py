@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import betainc, gammaln
 
 from . import estimators as est
-from .kernel import ConditionError, GChoice, QuadratureError
+from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError
 from .model import CountMatrix, ModelParams, ProbColumn, make_rng, nm_sample
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "loss_kl",
     "prial",
     "sample_counts",
-    "risk_mc",
     "compare",
     "hudson_check",
     "scenario_presets",
@@ -226,23 +225,6 @@ def compare(
     return reports
 
 
-def risk_mc(
-    estimator: Estimator,
-    truth: ModelParams,
-    loss: str = "ss",
-    n: int | None = None,
-    reps: int = 1000,
-    seed: int = 0,
-    name: str = "estimator",
-    risk_ref: float | None = None,
-) -> RiskReport:
-    """Monte Carlo risk of one estimator; shares the stream of `compare`."""
-    report = compare({name: estimator}, truth, loss, n, reps, seed)[name]
-    if risk_ref is None:
-        return report
-    return RiskReport(name, report.risk, report.mc_stderr, prial(risk_ref, report.risk))
-
-
 def make_estimator(
     kind: str,
     alpha: float | None = None,
@@ -255,8 +237,6 @@ def make_estimator(
 
     Kinds: umvu | eb0 | eb | hb | dir-pm | hb-pm.
     """
-    from .kernel import PriorSpec
-
     if kind == "umvu":
         return est.umvu
     if kind == "eb0":

@@ -13,7 +13,7 @@ from nmshrink.audit import (
     jeffreys_prior,
 )
 from nmshrink.estimators import eb_delta_rule
-from nmshrink.kernel import GChoice, PriorSpec
+from nmshrink.kernel import GChoice, PriorSpec, posterior_proper
 
 G1 = GChoice.constant_one()
 
@@ -35,10 +35,10 @@ class TestPriorPropriety:
 
     def test_improper_prior_proper_posterior(self):
         m = 3
-        rep = check_prior_propriety(spec(2.0, 1.0, -float(m), np.ones(m)), 4)
-        assert not rep.prior_proper
-        assert rep.posterior_proper_given_r(m + 1.0)
-        assert not rep.posterior_proper_given_r(m - 1.0)
+        prior = spec(2.0, 1.0, -float(m), np.ones(m))
+        assert not check_prior_propriety(prior, 4).prior_proper
+        assert posterior_proper(prior, 4, m + 1.0)
+        assert not posterior_proper(prior, 4, m - 1.0)
 
     def test_a0_zero_boundary(self):
         good = check_prior_propriety(spec(4.0, 1.0, 0.0, np.ones(3)), 3)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import nmshrink.cli as cli
 from nmshrink import audit
 from nmshrink.cli import _audit_scenario, _g_from_doc, build_parser, main
+from nmshrink.kernel import ConditionError, QuadratureError
 
 
 def write(path, text):
@@ -77,6 +78,16 @@ class TestEstimate:
         assert code == 0
         got = np.loadtxt(capsys.readouterr().out.splitlines(), delimiter=",")
         assert np.all(got > 0)
+
+    @pytest.mark.parametrize("estimator", ["dir-pm", "hb-pm"])
+    def test_posterior_means_reject_nonpositive_r(self, counts_csv, capsys, estimator):
+        # a0 = 3 keeps r + a0 > 0, so only r <= 0 itself is wrong
+        code = main(
+            ["estimate", "--estimator", estimator, "--r", "-0.5", "--alpha", "6",
+             "--a0", "3", "--in", counts_csv]
+        )
+        assert code == 2
+        assert "r must be positive" in capsys.readouterr().err
 
 
 class TestKernelEval:
@@ -172,6 +183,46 @@ class TestAudit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["prior_proper"] is False
         assert "tail" in doc["reasons"]
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ({"kind": "hb", "alpha": 14, "beta": 1, "r": 8, "m": 7.5, "n": 3},
+             "m must be a positive integer"),
+            ({"kind": "hb", "alpha": 14, "beta": 1, "r": 8, "m": -4, "n": 0},
+             "must be a positive integer"),
+            ({"kind": "hb", "alpha": "nan", "beta": 1, "r": 8, "m": 7, "n": 3},
+             "alpha must be finite"),
+            ({"kind": "prior", "alpha": 6, "beta": 1, "a0": 1.0, "a": [1, 1],
+              "n_columns": 2, "r": -5}, "r must be positive"),
+            ({"kind": "kl", "alpha": 5, "beta": 1, "a0": -4, "a": [0.5, 1e400],
+              "r": 5, "n": 3, "n_columns": 3}, "a must be finite"),
+            ({"kind": "eb", "m": True, "r": 4}, "m must be a positive integer"),
+            # a negative beta makes every kernel diverge
+            ({"kind": "hb", "alpha": 1, "beta": -0.1, "r": 8, "m": 7, "n": 3},
+             "beta nonnegative"),
+        ],
+    )
+    def test_rejects_input_the_model_cannot_take(self, tmp_path, capsys, scenario,
+                                                 message):
+        src = write(tmp_path / "s.json", json.dumps(scenario))
+        assert main(["audit", "--in", src]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_integral_float_counts_are_accepted(self, tmp_path, capsys):
+        docs = [{"kind": "eb", "m": m, "r": 4} for m in (7, 7.0)]
+        outs = []
+        for doc in docs:
+            assert main(["audit", "--in", write(tmp_path / "s.json", json.dumps(doc))]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+    def test_non_object_document_exit_2(self, tmp_path, capsys):
+        src = write(tmp_path / "s.json", "[1, 2]")
+        assert main(["audit", "--in", src]) == 2
+        assert main(["kernel-eval", "--in", src]) == 2
 
 
 G_DOCS = st.sampled_from([
@@ -288,6 +339,15 @@ class TestGibbsDiag:
             values += doc["delta_kl"] + sum(doc["posterior_mean_p"], [])
             assert all(isinstance(v, float) and np.isfinite(v) for v in values)
 
+    @pytest.mark.parametrize("r", ["0", "-0.5"])
+    def test_nonpositive_r_exit_2(self, counts_csv, tmp_path, capsys, r):
+        prior = {"alpha": 6, "beta": 1, "g": "g1", "a0": 5.0, "a": [1, 1, 1]}
+        src = write(tmp_path / "prior.json", json.dumps(prior))
+        code = main(["gibbs-diag", "--counts", counts_csv, "--prior", src, "--r", r,
+                     "--iters", "50", "--burn-in", "0"])
+        assert code == 2
+        assert "r must be positive" in capsys.readouterr().err
+
     def test_komaki_weight_exit_4(self, counts_csv, tmp_path):
         prior = {"alpha": 6, "beta": 1, "g": {"kind": "komaki", "c": 1, "kappa": 1},
                  "a0": 0.5, "a": [1, 1, 1]}
@@ -331,6 +391,21 @@ class TestRiskSim:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("estimator,risk,se,prial_vs_dir-pm")
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_kl_loss_rejects_estimators_with_zeros(self, tmp_path, capsys, jobs):
+        from nmshrink.model import ModelParams
+
+        truth = ModelParams.from_matrix(5.0, np.full((2, 2), 0.2))
+        src = write(tmp_path / "truth.json", truth.to_json())
+        code = main(
+            ["risk-sim", "--truth", src, "--loss", "kl", "--estimators", "umvu,eb",
+             "--reps", "20", "--jobs", jobs]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "umvu, eb" in captured.err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_condition_violation_exit_4(self, tmp_path, capsys, jobs):
@@ -507,3 +582,90 @@ class TestParserReuse:
         assert first == second
         assert first[4][1].startswith("nmshrink ")
         assert "unrecognized arguments: --no-such-option" in first[5][2]
+
+
+# Each subcommand's argv, the library call it makes (module, attribute) and
+# whether it writes JSON to stdout.
+CONTRACT_CALLS = {
+    "estimate": (["estimate", "--estimator", "umvu", "--r", "8", "--in", "{counts}"],
+                 (cli, "make_estimator"), False),
+    "risk-sim": (["risk-sim", "--truth", "{truth}", "--reps", "2",
+                  "--estimators", "umvu,eb"], (cli, "compare"), False),
+    "audit": (["audit", "--in", "{scenario}"],
+              (audit, "eb_dominance_conditions"), True),
+    "gibbs-diag": (["gibbs-diag", "--counts", "{counts}", "--prior", "{prior}",
+                    "--r", "4", "--iters", "50", "--burn-in", "10"],
+                   (cli, "run_posterior"), True),
+    "kernel-eval": (["kernel-eval", "--in", "{kernel}"], (cli, "log_kernel"), True),
+    "repro": (["repro", "tables", "--reps", "2", "--out", "{outdir}"],
+              (cli, "case_table"), False),
+}
+# Injected exception (None: the real call) and the exit code it must give.
+CONTRACT_ERRORS = [
+    (None, 0),
+    (ValueError("injected"), 2),
+    (KeyError("injected"), 2),
+    (OSError("injected"), 2),
+    (json.JSONDecodeError("injected", "{", 0), 2),
+    (ConditionError("injected"), 4),
+    (QuadratureError("injected"), 3),
+]
+
+
+@pytest.fixture(scope="module")
+def contract_paths(tmp_path_factory):
+    from nmshrink.model import ModelParams
+
+    d = tmp_path_factory.mktemp("contract")
+    docs = {
+        "counts": "3,0\n2,1\n0,4\n",
+        "truth": ModelParams.from_matrix(5.0, np.full((2, 2), 0.2)).to_json(),
+        "scenario": json.dumps({"kind": "eb", "m": 7, "r": 4}),
+        "prior": json.dumps({"alpha": 6, "beta": 1, "a0": 0.5, "a": [1, 1, 1]}),
+        "kernel": json.dumps({"alpha": 6, "beta": 1, "xi0": 1, "xi": [3, 2, 4]}),
+    }
+    paths = {name: write(d / name, text) for name, text in docs.items()}
+    paths["outdir"] = str(d / "tables")
+    return paths
+
+
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+class TestExitCodeContract:
+    """Whatever a subcommand's library call raises, main maps it to the
+    contract's exit code (0/2/2/2/2/4/3), writes nothing to stdout on
+    failure and only strict JSON where it writes JSON; --dry-run computes
+    nothing, so it always exits 0 with JSON."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(sorted(CONTRACT_CALLS)),
+        st.sampled_from(CONTRACT_ERRORS),
+        st.booleans(),
+    )
+    def test_exit_code_follows_exception(self, contract_paths, name, error, dry_run):
+        import contextlib
+        import io
+
+        template, (module, attr), writes_json = CONTRACT_CALLS[name]
+        argv = [a.format(**contract_paths) for a in template]
+        exc, want = error
+        real = getattr(module, attr)
+
+        def injected(*args, **kwargs):
+            if exc is None:
+                return real(*args, **kwargs)
+            raise exc
+
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(module, attr, injected)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--dry-run"] * dry_run)
+        assert code == (0 if dry_run else want), err.getvalue()
+        if code != 0:
+            assert out.getvalue() == ""
+        elif dry_run or writes_json:
+            json.loads(out.getvalue(), parse_constant=reject_constant)

@@ -220,6 +220,12 @@ class TestDirichletPosteriorMean:
         with pytest.raises(ConditionError):
             dirichlet_posterior_mean(x, 1.0, -1.0, np.array([0.5]))
 
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_rejects_nonpositive_r(self, r):
+        # a0 = 3 keeps r + a0 > 0: r itself is out of the model
+        with pytest.raises(ValueError, match="r must be positive"):
+            dirichlet_posterior_mean(counts([[1]]), r, 3.0, np.array([0.5]))
+
 
 class TestHbPosteriorMean:
     def _prior(self, m):
@@ -257,6 +263,12 @@ class TestHbPosteriorMean:
         prior = PriorSpec(5.0, 1.0, G1, -3.0, np.array([0.5]))
         with pytest.raises(ConditionError):
             hb_posterior_mean(x, 1.0, prior)
+
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_rejects_nonpositive_r(self, r):
+        prior = PriorSpec(5.0, 1.0, G1, 3.0, np.full(3, 0.5))
+        with pytest.raises(ValueError, match="r must be positive"):
+            hb_posterior_mean(counts([[3, 1], [2, 0], [0, 5]]), r, prior)
 
 
 class TestStacks:

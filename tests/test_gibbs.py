@@ -138,6 +138,13 @@ class TestStepMechanics:
         with pytest.raises(ConditionError):
             run_posterior(x, 2.5, prior, ChainConfig(n_iter=10))
 
+    @pytest.mark.parametrize("r", [0.0, -0.5])
+    def test_posterior_chain_rejects_nonpositive_r(self, r):
+        x = CountMatrix(np.array([[3, 1], [2, 4]]))
+        prior = PriorSpec(3.0, 1.0, G1, 5.0, np.ones(2))
+        with pytest.raises(ValueError, match="r must be positive"):
+            run_posterior(x, r, prior, ChainConfig(n_iter=10))
+
     def test_posterior_chain_requires_constant_weight(self):
         x = CountMatrix(np.array([[3, 1], [2, 4]]))
         prior = PriorSpec(3.0, 1.0, GChoice.komaki(1.0, 1.0), 0.5, np.ones(2))

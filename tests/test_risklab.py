@@ -18,7 +18,6 @@ from nmshrink.risklab import (
     loss_ss,
     make_estimator,
     prial,
-    risk_mc,
     sample_counts,
     scenario_presets,
 )
@@ -109,7 +108,7 @@ class TestPrial:
 
 class TestRiskMc:
     def test_two_reps_bookkeeping(self):
-        rep = risk_mc(make_estimator("umvu"), truth_1x1(), reps=2, seed=1)
+        rep = compare({"U": make_estimator("umvu")}, truth_1x1(), reps=2, seed=1)["U"]
         assert math.isfinite(rep.risk) and math.isfinite(rep.mc_stderr)
 
     def test_bit_identical_reruns(self):
@@ -118,17 +117,6 @@ class TestRiskMc:
         a = compare(fns, truth, reps=50, seed=3, reference="U")
         b = compare(fns, truth, reps=50, seed=3, reference="U")
         assert a == b
-
-    def test_risk_mc_consistent_with_compare(self):
-        truth = benchmark_scenarios("iii")[0].params
-        solo = risk_mc(make_estimator("umvu"), truth, reps=40, seed=9, name="U")
-        joint = compare(
-            {"U": make_estimator("umvu"), "EB": make_estimator("eb")},
-            truth,
-            reps=40,
-            seed=9,
-        )["U"]
-        assert solo.risk == joint.risk  # same replication stream
 
     def test_failure_reports_replication_index(self):
         def broken(x, r):
