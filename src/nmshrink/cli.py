@@ -139,8 +139,11 @@ def _write_text(path: str | None, text: str) -> None:
             f.write(text)
 
 
-def _print_dry_run(config: dict) -> int:
-    print(_to_json({"dry_run": True, "config": config}, default=str))
+def _print_dry_run(args, **resolved) -> int:
+    """Print the parsed options, keyed by destination name, and the values
+    the subcommand resolved from them."""
+    config = {k: v for k, v in vars(args).items() if k not in ("fn", "dry_run")}
+    print(_to_json({"dry_run": True, "config": {**config, **resolved}}, default=str))
     return EXIT_OK
 
 
@@ -157,35 +160,20 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
-    config = {
-        "subcommand": "estimate",
-        "estimator": args.estimator,
-        "r": args.r,
-        "alpha": args.alpha,
-        "beta": args.beta,
-        "g": args.g,
-        "a0": args.a0,
-        "a": args.a,
-        "input": args.infile or "<stdin>",
-        "output": args.out or "<stdout>",
-        "header": args.header,
-    }
+    kind = args.estimator
+    if kind in ("hb", "hb-pm") and args.alpha is None:
+        raise ValueError(f"--alpha is required for estimator {kind}")
+    if kind in ("dir-pm", "hb-pm") and args.a0 is None:
+        raise ValueError(f"--a0 is required for estimator {kind}")
+    g = _g_from_args(args)
+    a = _parse_vector(args.a) if args.a else None
     source = args.infile if args.infile else sys.stdin
     counts = read_counts_csv(source, header=args.header)
     if args.dry_run:
-        config["shape"] = [counts.m, counts.n_columns]
-        return _print_dry_run(config)
+        return _print_dry_run(args, shape=[counts.m, counts.n_columns])
 
-    kind = args.estimator
-    g = _g_from_args(args)
-    a = _parse_vector(args.a) if args.a else None
-    if kind in ("hb", "hb-pm") and args.alpha is None:
-        raise ValueError(f"--alpha is required for estimator {kind}")
-    if kind in ("dir-pm", "hb-pm"):
-        if args.a0 is None:
-            raise ValueError(f"--a0 is required for estimator {kind}")
-        if a is None:
-            a = np.full(counts.m, 1.0)
+    if a is None and kind in ("dir-pm", "hb-pm"):
+        a = np.full(counts.m, 1.0)
     fn = make_estimator(kind, alpha=args.alpha, beta=args.beta, g=g, a0=args.a0, a=a)
     result = fn(counts, args.r)
 
@@ -214,23 +202,33 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+# The options a --scenario run honours; its estimators, loss and priors are
+# the paper's.
+_SCENARIO_OPTIONS = ("scenario", "reps", "seed", "jobs", "out", "dry_run")
+
+
 def _cmd_risk_sim(args) -> int:
-    config = {
-        "subcommand": "risk-sim",
-        "scenario": args.scenario,
-        "truth": args.truth,
-        "reps": args.reps,
-        "seed": args.seed,
-        "loss": args.loss,
-        "estimators": args.estimators,
-        "n": args.n,
-        "jobs": args.jobs,
-        "output": args.out or "<stdout>",
-    }
     if (args.scenario is None) == (args.truth is None):
         raise ValueError("give exactly one of --scenario or --truth")
+    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
+    if args.scenario is not None:
+        defaults = vars(_parser().parse_args(["risk-sim"]))
+        ignored = [
+            "--" + dest.replace("_", "-")
+            for dest, value in vars(args).items()
+            if dest not in _SCENARIO_OPTIONS and value != defaults[dest]
+        ]
+        if ignored:
+            raise ValueError(
+                f"--scenario runs the paper's estimators, loss and priors; "
+                f"it does not take {', '.join(ignored)}"
+            )
+    # The KL-type loss is undefined at the exact zeros the others put at zero counts.
+    zeros = [name for name in names if name not in ("dir-pm", "hb-pm")]
+    if args.loss == "kl" and zeros:
+        raise ValueError(f"--loss kl needs dir-pm or hb-pm, not {', '.join(zeros)}")
     if args.dry_run:
-        return _print_dry_run(config)
+        return _print_dry_run(args)
 
     if args.scenario is not None:
         rows = case_table(args.scenario, reps=args.reps, seed=args.seed, jobs=args.jobs)
@@ -243,11 +241,6 @@ def _cmd_risk_sim(args) -> int:
         truth = ModelParams.from_json(f.read())
     g = _g_from_args(args)
     a = _parse_vector(args.a) if args.a else np.full(truth.m, 1.0)
-    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
-    # The KL-type loss is undefined at the exact zeros the others put at zero counts.
-    zeros = [name for name in names if name not in ("dir-pm", "hb-pm")]
-    if args.loss == "kl" and zeros:
-        raise ValueError(f"--loss kl needs dir-pm or hb-pm, not {', '.join(zeros)}")
     fns = {
         name: make_estimator(
             name, alpha=args.alpha, beta=args.beta, g=g, a0=args.a0, a=a
@@ -316,15 +309,9 @@ def _audit_scenario(doc: dict) -> dict:
 
 
 def _cmd_audit(args) -> int:
-    config = {
-        "subcommand": "audit",
-        "table1": args.table1,
-        "input": args.infile or "<stdin>",
-        "enforce": args.enforce,
-    }
     if args.table1:
         if args.dry_run:
-            return _print_dry_run(config)
+            return _print_dry_run(args)
         rows = audit_mod.dominance_table()
         text = _to_json(rows)
         _write_text(args.out, text + "\n")
@@ -336,8 +323,7 @@ def _cmd_audit(args) -> int:
 
     doc = _read_json(args.infile)
     if args.dry_run:
-        config["scenario"] = doc
-        return _print_dry_run(config)
+        return _print_dry_run(args, scenario=doc)
     verdict = _audit_scenario(doc)
     _write_text(args.out, _to_json(verdict) + "\n")
     failed = verdict.get("holds") is False or verdict.get("prior_proper") is False
@@ -352,21 +338,10 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_gibbs_diag(args) -> int:
-    config = {
-        "subcommand": "gibbs-diag",
-        "counts": args.counts,
-        "prior": args.prior,
-        "r": args.r,
-        "iters": args.iters,
-        "burn_in": args.burn_in,
-        "thin": args.thin,
-        "seed": args.seed,
-    }
     counts = read_counts_csv(args.counts, header=args.header)
     prior = _prior_from_doc(_read_json(args.prior))
     if args.dry_run:
-        config["shape"] = [counts.m, counts.n_columns]
-        return _print_dry_run(config)
+        return _print_dry_run(args, shape=[counts.m, counts.n_columns])
 
     cfg = ChainConfig(
         n_iter=args.iters, burn_in=args.burn_in, seed=args.seed, thin=args.thin
@@ -392,10 +367,8 @@ def _cmd_gibbs_diag(args) -> int:
 
 def _cmd_kernel_eval(args) -> int:
     doc = _read_json(args.infile)
-    config = {"subcommand": "kernel-eval", "input": args.infile or "<stdin>"}
     if args.dry_run:
-        config["spec"] = doc
-        return _print_dry_run(config)
+        return _print_dry_run(args, spec=doc)
     alpha, beta, xi0 = _real(doc, "alpha"), _real(doc, "beta"), _real(doc, "xi0")
     g = _g_from_doc(doc.get("g"))
     xi = np.asarray(_real(doc, "xi"))
@@ -420,18 +393,10 @@ def _cmd_kernel_eval(args) -> int:
 
 def _cmd_repro(args) -> int:
     outdir = args.out or os.environ.get("NMSHRINK_OUTDIR") or "."
-    config = {
-        "subcommand": "repro",
-        "target": args.target,
-        "reps": args.reps,
-        "seed": args.seed,
-        "jobs": args.jobs,
-        "outdir": outdir,
-    }
     if args.target != "tables":
         raise ValueError(f"unknown repro target {args.target!r}")
     if args.dry_run:
-        return _print_dry_run(config)
+        return _print_dry_run(args, outdir=outdir)
 
     os.makedirs(outdir, exist_ok=True)
     started = time.time()

@@ -220,28 +220,31 @@ class GeneralizedDirichlet:
         return self.a0 > 0
 
 
-def nm_log_pmf(x: np.ndarray, r: float, p: ProbColumn) -> float:
-    """Log mass of NM_m(r, p) at the count vector x.
+def nm_log_pmf(x: np.ndarray, r: float, p: ProbColumn):
+    """Log mass of NM_m(r, p) at each count vector of x.
 
-    Computed via log-gamma so large counts cannot overflow.
+    x is one count vector, shape (m,), giving a float, or a (..., m) stack
+    of them, giving one value per vector; each vector of a stack gets
+    exactly the value it gets alone.  Computed via log-gamma so large
+    counts cannot overflow.
     """
     x = np.asarray(x)
-    if x.shape != (p.m,):
-        raise ValueError(f"count vector has shape {x.shape}, expected ({p.m},)")
+    if x.ndim == 0 or x.shape[-1] != p.m:
+        raise ValueError(f"count vectors have shape {x.shape}, expected (..., {p.m})")
     if np.any(x < 0) or not np.all(np.equal(np.mod(x, 1), 0)):
         raise ValueError("counts must be nonnegative integers")
     if not r > 0:
         raise ValueError("r must be positive")
-    x = x.astype(np.int64)
-    total = int(x.sum())
+    # C order: each vector's sums then run over contiguous memory, as alone.
+    x = x.astype(np.int64, order="C")
     out = (
-        gammaln(r + total)
+        gammaln(r + x.sum(axis=-1))
         - gammaln(r)
-        - gammaln(x + 1.0).sum()
+        - gammaln(x + 1.0).sum(axis=-1)
         + r * np.log(p.p0)
-        + float(x @ np.log(p.p))
+        + (x * np.log(p.p)).sum(axis=-1)
     )
-    return float(out)
+    return float(out) if out.ndim == 0 else out
 
 
 def nm_sample(

@@ -6,6 +6,10 @@ through a counter-based generator, so results are bit-identical regardless
 of execution order or parallelism.  Replications are stacked into one
 (reps, m, N) CountMatrix, so each estimator and the loss run once per batch
 of replications.
+
+The summation-by-parts identity check is exact for every shape: its test
+functions depend on column nu only through (X_{i,nu}, colsum_nu), so both
+sides are sums over the law of those two counts alone.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from functools import cache, partial
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc
 
 from . import estimators as est
 from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError
-from .model import CountMatrix, ModelParams, ProbColumn, make_rng, nm_sample
+from .model import CountMatrix, ModelParams, ProbColumn, make_rng, nm_log_pmf, nm_sample
 
 __all__ = [
     "Scenario",
@@ -181,7 +185,8 @@ def compare(
     are called with the replications stacked as one (reps, m, N)
     CountMatrix.  With `jobs` > 1 replications are split across processes;
     the result does not depend on jobs (estimator callables must then be
-    picklable).  ConditionError and QuadratureError propagate as they are;
+    picklable).  An `n` outside 1..N raises ValueError before any draw.
+    ConditionError and QuadratureError propagate as they are;
     any other estimator failure raises RuntimeError naming the replication.
     """
     if reps < 2:
@@ -190,6 +195,8 @@ def compare(
         raise ValueError(f"unknown loss {loss!r}")
     if n is None:
         n = truth.n_columns
+    if not 1 <= n <= truth.n_columns:
+        raise ValueError(f"n must be in 1..{truth.n_columns}, got {n}")
     named = list(estimator_fns.items())
     if jobs <= 1:
         losses = _replication_losses(named, truth, loss, n, seed, range(reps))
@@ -358,31 +365,6 @@ def case_table(
 # ---------------------------------------------------------------------------
 
 
-def _column_support(m: int, cap: int) -> np.ndarray:
-    """All count vectors of length m with sum <= cap."""
-    if m == 1:
-        return np.arange(cap + 1, dtype=np.int64)[:, None]
-    if m == 2:
-        rows = [
-            (x1, x2)
-            for x1 in range(cap + 1)
-            for x2 in range(cap + 1 - x1)
-        ]
-        return np.array(rows, dtype=np.int64)
-    raise ValueError("enumeration supports m <= 2 only")
-
-
-def _column_log_pmf(support: np.ndarray, r: float, col: ProbColumn) -> np.ndarray:
-    totals = support.sum(axis=1)
-    return (
-        gammaln(r + totals)
-        - gammaln(r)
-        - gammaln(support + 1.0).sum(axis=1)
-        + r * np.log(col.p0)
-        + support @ np.log(col.p)
-    )
-
-
 def _h_values(h_kind: str, xi: np.ndarray, colsum: np.ndarray, r: float):
     """h(X) and h(X + e_{i,nu}) as functions of (X_{i,nu}, colsum_nu)."""
     if h_kind == "indicator":
@@ -402,28 +384,18 @@ def _nbinom_sf(k: int, r: float, p0: float) -> float:
     return float(betainc(k + 1.0, r, 1.0 - p0))
 
 
-def _enumeration_caps(truth: ModelParams, i: int, nu: int, tol: float) -> list[int]:
-    """Per-column support caps with total truncation error below tol/10."""
-    r = truth.r
+def _column_cap(r: float, p0: float, p_inu: float, tol: float) -> int:
+    """Column-sum cap whose truncation error on either side is below tol/10."""
     cap = 16
-    p_inu = float(truth.columns[nu].p[i])
     h_bound = max(1.0, 1.0 / r)
+    mean = r * (1.0 - p0) / p0
     while cap <= 2**22:
-        bound = 0.0
-        for k, col in enumerate(truth.columns):
-            p0 = col.p0
-            sf = _nbinom_sf(cap, r, p0)
-            mean = r * (1.0 - p0) / p0
-            tail_mean = mean * _nbinom_sf(cap - 1, r + 1.0, p0)
-            # lhs tail: |h| <= h_bound and the 1/p factor
-            bound += h_bound / p_inu * sf
-            # rhs tail: (r + colsum_nu) grows linearly in the exceeded column
-            if k == nu:
-                bound += h_bound * (r * sf + tail_mean)
-            else:
-                bound += h_bound * (r + mean) * sf
-        if bound < tol / 10.0:
-            return [cap] * truth.n_columns
+        sf = _nbinom_sf(cap, r, p0)
+        tail_mean = mean * _nbinom_sf(cap - 1, r + 1.0, p0)
+        # lhs tail: |h| <= h_bound and the 1/p factor; rhs tail: (r + colsum)
+        # grows linearly in the column sum.
+        if h_bound / p_inu * sf + h_bound * (r * sf + tail_mean) < tol / 10.0:
+            return cap
         cap *= 2
     raise RuntimeError("truncation bound unattainable at this tolerance")
 
@@ -435,54 +407,35 @@ def hudson_check(
     i: int,
     nu: int,
     tol: float = 1e-8,
-    mc_draws: int = 200_000,
-    seed: int = 0,
 ) -> HudsonReport:
     """Check the summation-by-parts identity
     E[h(X)/p_{i,nu}] = E[(r + colsum_nu)/(X_{i,nu} + 1) h(X + e_{i,nu})].
 
-    For m <= 2 and N <= 2 both sides are computed by truncated exact
-    enumeration whose tail is analytically bounded below tol/10; otherwise a
-    common-seed Monte Carlo estimate is used and `tol` should allow for the
-    sampling noise.  `h_kind` selects a function vanishing at X_{i,nu} = 0:
-    an indicator of X_{i,nu} >= 1, the unbiased-estimator entry, or zero.
+    `h_kind` selects a function vanishing at X_{i,nu} = 0: an indicator of
+    X_{i,nu} >= 1, the unbiased-estimator entry, or zero.  The computation
+    needs h to depend on X only through (X_{i,nu}, colsum_nu), as each kind
+    does: the other columns then sum out and, by aggregation,
+    (X_{i,nu}, colsum_nu - X_{i,nu}) is NM_2(r, (p_{i,nu}, sum of the other
+    p_{j,nu})), or NM_1(r, p_{i,nu}) when m = 1.  Both sides are exact sums
+    over that law, truncated at a column sum whose tail is analytically
+    bounded below tol/10, for every m and N.
     """
     truth = ModelParams(r, p.columns)
-    m, n_cols = truth.m, truth.n_columns
-    if not (0 <= i < m and 0 <= nu < n_cols):
+    if not (0 <= i < truth.m and 0 <= nu < truth.n_columns):
         raise ValueError("index out of range")
-    p_inu = float(truth.columns[nu].p[i])
-
-    if m <= 2 and n_cols <= 2:
-        caps = _enumeration_caps(truth, i, nu, tol)
-        supports = [_column_support(m, caps[k]) for k in range(n_cols)]
-        log_pmfs = [
-            _column_log_pmf(supports[k], r, truth.columns[k]) for k in range(n_cols)
-        ]
-        if n_cols == 1:
-            joint = np.exp(log_pmfs[0])
-            xi = supports[0][:, i].astype(float)
-            colsum = supports[0].sum(axis=1).astype(float)
-        else:
-            joint = np.exp(log_pmfs[0][:, None] + log_pmfs[1][None, :])
-            xi_col = supports[nu][:, i].astype(float)
-            cs_col = supports[nu].sum(axis=1).astype(float)
-            if nu == 0:
-                xi, colsum = xi_col[:, None], cs_col[:, None]
-            else:
-                xi, colsum = xi_col[None, :], cs_col[None, :]
-        h, h_shift = _h_values(h_kind, xi, colsum, r)
-        lhs = float((joint * h / p_inu).sum())
-        rhs = float((joint * (r + colsum) / (xi + 1.0) * h_shift).sum())
+    col = truth.columns[nu]
+    p_inu = float(col.p[i])
+    cap = _column_cap(r, col.p0, p_inu, tol)
+    if truth.m == 1:
+        xi = colsum = np.arange(cap + 1)
+        log_pmf = nm_log_pmf(xi[:, None], r, col)
     else:
-        rng = make_rng(seed)
-        draws = [
-            nm_sample(r, truth.columns[k], rng, size=mc_draws) for k in range(n_cols)
-        ]
-        xi = draws[nu][:, i].astype(float)
-        colsum = draws[nu].sum(axis=1).astype(float)
-        h, h_shift = _h_values(h_kind, xi, colsum, r)
-        lhs = float((h / p_inu).mean())
-        rhs = float(((r + colsum) / (xi + 1.0) * h_shift).mean())
-
+        xi, colsum = np.triu_indices(cap + 1)
+        pair = ProbColumn(np.array([p_inu, np.delete(col.p, i).sum()]))
+        log_pmf = nm_log_pmf(np.stack([xi, colsum - xi], axis=-1), r, pair)
+    pmf = np.exp(log_pmf)
+    xi, colsum = xi.astype(float), colsum.astype(float)
+    h, h_shift = _h_values(h_kind, xi, colsum, r)
+    lhs = float((pmf * h / p_inu).sum())
+    rhs = float((pmf * (r + colsum) / (xi + 1.0) * h_shift).sum())
     return HudsonReport(lhs, rhs, abs(lhs - rhs) <= tol)

@@ -70,6 +70,16 @@ class TestEstimate:
         assert doc["dry_run"] and doc["config"]["estimator"] == "hb"
         assert doc["config"]["shape"] == [3, 2]
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_flag_checks_precede_dry_run(self, counts_csv, capsys, dry_run):
+        code = main(
+            ["estimate", "--estimator", "hb", "--r", "8", "--in", counts_csv]
+            + ["--dry-run"] * dry_run
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--alpha is required" in captured.err
+
     def test_posterior_mean_estimators(self, counts_csv, capsys):
         code = main(
             ["estimate", "--estimator", "dir-pm", "--r", "4", "--a0", "0",
@@ -436,6 +446,44 @@ class TestRiskSim:
     def test_scenario_and_truth_are_exclusive(self, capsys):
         assert main(["risk-sim", "--scenario", "i", "--truth", "x.json"]) == 2
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--loss", "kl", "--estimators", "umvu,foo"], "--loss, --estimators"),
+            (["--n", "2"], "--n"),
+            (["--alpha", "5", "--g", "komaki", "--g-kappa", "2"],
+             "--alpha, --g, --g-kappa"),
+        ],
+    )
+    def test_scenario_refuses_flags_it_would_ignore(self, capsys, dry_run, flags,
+                                                    named):
+        argv = ["risk-sim", "--scenario", "i", "--reps", "4"] + flags
+        assert main(argv + ["--dry-run"] * dry_run) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not take {named}" in captured.err
+
+    def test_scenario_accepts_flags_at_their_defaults(self, capsys):
+        argv = ["risk-sim", "--scenario", "i", "--loss", "ss", "--estimators",
+                "umvu,eb0,eb", "--beta", "1", "--dry-run"]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("n", ["0", "3", "-1"])
+    def test_n_out_of_range_exit_2(self, tmp_path, capsys, jobs, n):
+        from nmshrink.model import ModelParams
+
+        truth = ModelParams.from_matrix(5.0, np.full((2, 2), 0.2))
+        src = write(tmp_path / "truth.json", truth.to_json())
+        code = main(
+            ["risk-sim", "--truth", src, "--reps", "5", "--estimators", "umvu,eb",
+             "--n", n, "--jobs", jobs]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"n must be in 1..2, got {n}" in captured.err
+
 
 class TestRepro:
     def test_tables_and_manifest(self, tmp_path):
@@ -509,6 +557,42 @@ PARSE_CASES = [
     ["repro", "tables"],
     ["repro", "tables", "--reps", "10", "--seed", "1", "--jobs", "2", "--out", "d"],
 ]
+
+
+# Inputs the --dry-run cases of PARSE_CASES read.
+PARSE_FILES = {
+    "c.csv": "a,b\n3,0\n2,1\n",
+    "p.json": json.dumps({"alpha": 6, "beta": 1, "a0": 0.5, "a": [1, 1]}),
+    "k.json": json.dumps({"alpha": 6, "beta": 1, "xi0": 1, "xi": [3, 2]}),
+}
+
+
+class TestDryRunConfig:
+    """A dry run prints the parsed namespace: every option by its
+    destination name, with the value it parsed to."""
+
+    @pytest.mark.parametrize(
+        "argv", [a for a in PARSE_CASES if "--dry-run" in a],
+        ids=lambda a: " ".join(a[:3]),
+    )
+    def test_every_destination_is_shown(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, text in PARSE_FILES.items():
+            write(tmp_path / name, text)
+        assert main(argv) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        parsed = vars(build_parser().parse_args(argv))
+        for dest, value in parsed.items():
+            if dest not in ("fn", "dry_run"):
+                assert config[dest] == value, dest
+
+    def test_resolved_values_are_added(self, tmp_path, capsys):
+        spec = write(tmp_path / "k.json", PARSE_FILES["k.json"])
+        assert main(["kernel-eval", "--in", spec, "--dry-run"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert config["spec"] == json.loads(PARSE_FILES["k.json"])
+        assert main(["repro", "tables", "--out", "d", "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["outdir"] == "d"
 
 
 class TestParserReuse:

@@ -148,6 +148,28 @@ class TestLogPmf:
         with pytest.raises(ValueError):
             nm_log_pmf(np.array([1, 2]), 0.0, col)
 
+    def test_stack_rows_equal_single_calls(self):
+        rng = np.random.default_rng(3)
+        for m in (1, 2, 7, 12):
+            col = ProbColumn(rng.dirichlet(np.ones(m + 1))[1:])
+            x = rng.integers(0, 500, size=(4, 5, m))
+            stack = nm_log_pmf(x, 2.5, col)
+            assert stack.shape == (4, 5)
+            for idx in np.ndindex(4, 5):
+                alone = nm_log_pmf(x[idx], 2.5, col)
+                assert isinstance(alone, float) and stack[idx] == alone
+            # A Fortran-ordered stack gives the same values.
+            np.testing.assert_array_equal(
+                nm_log_pmf(np.asfortranarray(x[0]), 2.5, col), stack[0]
+            )
+
+    def test_stack_last_axis_must_be_m(self):
+        col = ProbColumn(np.array([0.2, 0.3]))
+        with pytest.raises(ValueError):
+            nm_log_pmf(np.zeros((4, 3)), 2.0, col)
+        with pytest.raises(ValueError):
+            nm_log_pmf(np.zeros((2, 4)), 2.0, col)
+
     def test_normalization_m1(self):
         # Truncated sum over x = 0..200 must reach 1 to 1e-9; the dropped
         # tail is bounded by a geometric series from the pmf ratio

@@ -2,6 +2,7 @@
 
 import math
 
+import hudson_oracle
 import numpy as np
 import pytest
 
@@ -138,6 +139,18 @@ class TestRiskMc:
         with pytest.raises(QuadratureError):
             compare(near, truth_1x1(0.5, 2.0), reps=12, seed=0)
 
+    @pytest.mark.parametrize("n", [0, 3, -1])
+    def test_n_is_checked_before_sampling(self, monkeypatch, n):
+        import nmshrink.risklab as risklab
+
+        def no_sampling(*args):
+            raise AssertionError("sampled before checking n")
+
+        monkeypatch.setattr(risklab, "_sample_stack", no_sampling)
+        truth = ModelParams.from_matrix(5.0, np.full((2, 2), 0.2))
+        with pytest.raises(ValueError, match="n must be in 1..2"):
+            compare({"U": make_estimator("umvu")}, truth, n=n, reps=5)
+
     def test_parallel_jobs_match_serial(self):
         truth = benchmark_scenarios("iii")[0].params
         fns = {"U": make_estimator("umvu"), "EB0": make_estimator("eb0")}
@@ -253,14 +266,60 @@ class TestHudson:
                 rep = hudson_check(kind, 2.5, p, 1, nu, tol=1e-8)
                 assert rep.passed, (kind, nu)
 
-    def test_monte_carlo_fallback(self):
+    def test_exact_for_three_by_three(self):
+        # With r = 3, p_{0,1} = 0.2 and p0 = 0.4 the indicator side is
+        # (1 - (0.4/0.6)^3) / 0.2 = 95/27.
         p = ModelParams.from_matrix(3.0, np.full((3, 3), 0.2))
-        rep = hudson_check("indicator", 3.0, p, 0, 1, tol=0.05)
+        rep = hudson_check("indicator", 3.0, p, 0, 1, tol=1e-8)
         assert rep.passed
+        assert rep.lhs == pytest.approx(95 / 27, abs=1e-8)
+        assert rep.rhs == pytest.approx(95 / 27, abs=1e-8)
+
+    @pytest.mark.parametrize("sc", scenario_presets(), ids=lambda sc: sc.name)
+    def test_closed_forms_on_benchmark_truths(self, sc):
+        # Indicator: E[1{X_inu >= 1}] / p_inu with X_inu ~ NB(r, p0/(p0 + p_inu)).
+        # Unbiased-estimator entry: both sides are 1.
+        truth, r = sc.params, sc.params.r
+        for i, nu in ((0, 0), (truth.m - 1, truth.n_columns - 1)):
+            col = truth.columns[nu]
+            p_inu = col.p[i]
+            want = (1.0 - (col.p0 / (col.p0 + p_inu)) ** r) / p_inu
+            rep = hudson_check("indicator", r, truth, i, nu)
+            assert abs(rep.lhs - want) <= 1e-9 and abs(rep.rhs - want) <= 1e-9
+            rep = hudson_check("linear-in-one-count", r, truth, i, nu)
+            assert abs(rep.lhs - 1.0) <= 1e-9 and abs(rep.rhs - 1.0) <= 1e-9
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             hudson_check("nope", 2.0, truth_1x1(), 0, 0)
+
+
+def enumerable_cases():
+    """The models the joint enumeration took: criterion 6's configurations
+    and a two-column model with m = 2, each with its (i, nu)."""
+    cases = []
+    for r in (2.0, 2.5):
+        for p in (0.2, 0.4, 0.6):
+            cases.append((ModelParams.from_matrix(r, np.array([[p]])), 0, 0))
+        for pv in ((0.15, 0.2), (0.3, 0.3), (0.1, 0.5)):
+            cases.append((ModelParams.from_matrix(r, np.array(pv)[:, None]), 1, 0))
+        for pa, pb in ((0.3, 0.4), (0.2, 0.2), (0.45, 0.1)):
+            cases.append((ModelParams.from_matrix(r, np.array([[pa, pb]])), 0, 1))
+    two = ModelParams.from_matrix(2.5, np.array([[0.2, 0.25], [0.3, 0.25]]))
+    return cases + [(two, 1, 0), (two, 1, 1)]
+
+
+class TestHudsonOracle:
+    """The one-column two-count sums agree with the joint enumeration they
+    replaced (hudson_oracle) wherever that enumeration ran."""
+
+    @pytest.mark.parametrize("kind", ["indicator", "linear-in-one-count", "zero"])
+    def test_agrees_with_joint_enumeration(self, kind):
+        for truth, i, nu in enumerable_cases():
+            rep = hudson_check(kind, truth.r, truth, i, nu, tol=1e-8)
+            lhs, rhs = hudson_oracle.enumerate_sides(kind, truth.r, truth, i, nu, 1e-8)
+            assert abs(rep.lhs - lhs) <= 1e-9, (kind, truth, i, nu)
+            assert abs(rep.rhs - rhs) <= 1e-9, (kind, truth, i, nu)
 
 
 class TestCaseTable:
