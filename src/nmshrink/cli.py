@@ -41,7 +41,7 @@ from .kernel import (
     quadrature_settings,
 )
 from .model import read_counts_csv
-from .risklab import case_table, compare, make_estimator
+from .risklab import case_table, compare, loss_columns, make_estimator
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -227,10 +227,9 @@ def _cmd_risk_sim(args) -> int:
     zeros = [name for name in names if name not in ("dir-pm", "hb-pm")]
     if args.loss == "kl" and zeros:
         raise ValueError(f"--loss kl needs dir-pm or hb-pm, not {', '.join(zeros)}")
-    if args.dry_run:
-        return _print_dry_run(args)
-
     if args.scenario is not None:
+        if args.dry_run:
+            return _print_dry_run(args)
         rows = case_table(args.scenario, reps=args.reps, seed=args.seed, jobs=args.jobs)
         _write_text(args.out, _rows_to_csv(rows))
         return EXIT_OK
@@ -239,6 +238,9 @@ def _cmd_risk_sim(args) -> int:
 
     with open(args.truth) as f:
         truth = ModelParams.from_json(f.read())
+    loss_columns(truth, args.n)
+    if args.dry_run:
+        return _print_dry_run(args, shape=[truth.m, truth.n_columns])
     g = _g_from_args(args)
     a = _parse_vector(args.a) if args.a else np.full(truth.m, 1.0)
     fns = {

@@ -20,14 +20,18 @@ two log-gammas would cancel), and panels are combined by log-sum-exp.
 
 One call evaluates a stack of xi rows for several exponents alpha: the
 integrand for alpha + 1 is the one for alpha times t, so each node is
-computed once for all exponents.  Each (row, alpha) starts at depth 6 and
-grows its own tail depth per side until the geometric remainder estimate is
-below 1e-13 of the integral, within 2^14 nodes.  It then sums only its own
-panels, in a fixed order, so its value does not depend on the other rows or
-exponents of the call.  Divergence is decided analytically per exponent and
-reported as +inf; the quadrature never runs on a divergent integral.  That
-analytic test, `kernel_finite`, is also every propriety and validity
-condition of the package, each at its smallest admissible xi.
+computed once for all exponents.  The Gamma ratios are computed once for
+each distinct xi value of the call and shared by every row that holds that
+value; each entry is the same floating-point operation a row alone would
+make, so a row's bits do not depend on the rows it shares a table with.
+Each (row, alpha) starts at depth 6 and grows its own tail depth per side
+until the geometric remainder estimate is below 1e-13 of the integral,
+within 2^14 nodes.  It then sums only its own panels, in a fixed order, so
+its value does not depend on the other rows or exponents of the call.
+Divergence is decided analytically per exponent and reported as +inf; the
+quadrature never runs on a divergent integral.  That analytic test,
+`kernel_finite`, is also every propriety and validity condition of the
+package, each at its smallest admissible xi.
 
 Each panel's 64-point sum is compared with an interpolatory 32-point rule on
 every other node of the same panel.  With e the summed differences relative
@@ -297,23 +301,22 @@ def quadrature_settings() -> dict:
     }
 
 
-def _shared_log_integrand(beta, g, xi0, xi, panels) -> np.ndarray:
+def _shared_log_integrand(beta, g, xi0, values, index, panels) -> np.ndarray:
     """Log-integrand without its t^(alpha-1) factor, plus the log Jacobian
-    and half-width, for rows xi (R, N) on a slice of panels: (R, P, 64)."""
+    and half-width, on a slice of panels: (R, P, 64) for rows xi (R, N)
+    given as distinct values (U,) and xi = values[index]."""
     t = _T[panels]
     x = t + xi0
-    gx = gammaln(x)
+    ratio = gammaln(x) - gammaln(x + values[:, None, None])
     far = x > _FAR_ARGUMENT
-    x_far = x[far] if far.any() else None
-    out = np.empty((xi.shape[0],) + t.shape)
+    if far.any():
+        b = values[:, None]
+        with np.errstate(invalid="ignore"):
+            ratio[:, far] = np.where(b > 0, betaln(x[far], b) - gammaln(b), 0.0)
+    out = np.empty((index.shape[0],) + t.shape)
     out[...] = _LOG_JAC[panels] - beta * t + g.log_g(t)
-    for xi_nu in xi.T:
-        ratio = gx - gammaln(x + xi_nu[:, None, None])
-        if x_far is not None:
-            b = xi_nu[:, None]
-            with np.errstate(invalid="ignore"):
-                ratio[:, far] = np.where(b > 0, betaln(x_far, b) - gammaln(b), 0.0)
-        out += ratio
+    for column in index.T:
+        out += ratio[column]
     return out
 
 
@@ -354,11 +357,18 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
     err = np.zeros_like(c)
     depth = np.zeros((alphas.size, n_rows, 2), dtype=int)
     todo = np.flatnonzero(finite.any(axis=1))
+    # Rows still growing their tails, as indices into the distinct values.
+    # One row shares its table with no other: its own values are the table.
+    if todo.size > 1:
+        values, index = np.unique(xi[todo], return_inverse=True)
+    else:
+        values, index = xi[todo].ravel(), np.arange(todo.size * xi.shape[1])
+    index = index.reshape(todo.size, xi.shape[1])
     done = 0
     while todo.size:
         reach = min(_MAX_DEPTH, max(_INITIAL_DEPTH, 2 * done))
         panels = slice(2 * done, 2 * reach)
-        shared = _shared_log_integrand(beta, g, xi0, xi[todo], panels)
+        shared = _shared_log_integrand(beta, g, xi0, values, index, panels)
         for k, alpha in enumerate(alphas):
             c[k, todo, panels], err[k, todo, panels] = _panel_terms(shared, alpha, panels)
             found = _tail_depths(c[k, todo], reach)
@@ -370,7 +380,12 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
                 f"node budget {MAX_TOTAL_NODES} exceeded; integral is too close "
                 "to divergence for the panel grid"
             )
-        todo = todo[~settled]
+        todo, index = todo[~settled], index[~settled]
+        if todo.size and settled.any():
+            # Deeper panels need the values of the remaining rows only.
+            held = np.zeros(values.size, dtype=bool)
+            held[index] = True
+            values, index = values[held], (np.cumsum(held) - 1)[index]
 
     out = np.full((n_rows, alphas.size), math.inf)
     panel_depth = np.arange(n_panels) // 2 + 1

@@ -34,6 +34,7 @@ __all__ = [
     "loss_kl",
     "prial",
     "sample_counts",
+    "loss_columns",
     "compare",
     "hudson_check",
     "scenario_presets",
@@ -168,6 +169,16 @@ def _failed_replication(name, fn, x, truth, loss_fn, n, rep_indices) -> RuntimeE
     )
 
 
+def loss_columns(truth: ModelParams, n: int | None) -> int:
+    """The number of leading columns a loss counts: `n`, or all N when None.
+    ValueError outside 1..N."""
+    if n is None:
+        return truth.n_columns
+    if not 1 <= n <= truth.n_columns:
+        raise ValueError(f"n must be in 1..{truth.n_columns}, got {n}")
+    return n
+
+
 def compare(
     estimator_fns: Mapping[str, Estimator],
     truth: ModelParams,
@@ -193,10 +204,7 @@ def compare(
         raise ValueError("need at least 2 replications for a standard error")
     if loss not in _LOSSES:
         raise ValueError(f"unknown loss {loss!r}")
-    if n is None:
-        n = truth.n_columns
-    if not 1 <= n <= truth.n_columns:
-        raise ValueError(f"n must be in 1..{truth.n_columns}, got {n}")
+    n = loss_columns(truth, n)
     named = list(estimator_fns.items())
     if jobs <= 1:
         losses = _replication_losses(named, truth, loss, n, seed, range(reps))
@@ -384,6 +392,11 @@ def _nbinom_sf(k: int, r: float, p0: float) -> float:
     return float(betainc(k + 1.0, r, 1.0 - p0))
 
 
+# Column sums per block of the Hudson sums: a block holds at most this many
+# times (cap + 1) count pairs, whatever the cap.
+_SUM_BLOCK = 32
+
+
 def _column_cap(r: float, p0: float, p_inu: float, tol: float) -> int:
     """Column-sum cap whose truncation error on either side is below tol/10."""
     cap = 16
@@ -426,16 +439,22 @@ def hudson_check(
     col = truth.columns[nu]
     p_inu = float(col.p[i])
     cap = _column_cap(r, col.p0, p_inu, tol)
-    if truth.m == 1:
-        xi = colsum = np.arange(cap + 1)
-        log_pmf = nm_log_pmf(xi[:, None], r, col)
-    else:
-        xi, colsum = np.triu_indices(cap + 1)
+    if truth.m > 1:
         pair = ProbColumn(np.array([p_inu, np.delete(col.p, i).sum()]))
-        log_pmf = nm_log_pmf(np.stack([xi, colsum - xi], axis=-1), r, pair)
-    pmf = np.exp(log_pmf)
-    xi, colsum = xi.astype(float), colsum.astype(float)
-    h, h_shift = _h_values(h_kind, xi, colsum, r)
-    lhs = float((pmf * h / p_inu).sum())
-    rhs = float((pmf * (r + colsum) / (xi + 1.0) * h_shift).sum())
+    lhs = rhs = 0.0
+    for start in range(0, cap + 1, _SUM_BLOCK):
+        stop = min(start + _SUM_BLOCK, cap + 1)
+        if truth.m == 1:
+            xi = colsum = np.arange(start, stop)
+            log_pmf = nm_log_pmf(xi[:, None], r, col)
+        else:
+            # The pairs xi <= colsum with colsum in [start, stop).
+            xi, colsum = np.triu_indices(stop, -start, stop - start)
+            colsum += start
+            log_pmf = nm_log_pmf(np.stack([xi, colsum - xi], axis=-1), r, pair)
+        pmf = np.exp(log_pmf)
+        xi, colsum = xi.astype(float), colsum.astype(float)
+        h, h_shift = _h_values(h_kind, xi, colsum, r)
+        lhs += float((pmf * h / p_inu).sum())
+        rhs += float((pmf * (r + colsum) / (xi + 1.0) * h_shift).sum())
     return HudsonReport(lhs, rhs, abs(lhs - rhs) <= tol)

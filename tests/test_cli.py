@@ -484,6 +484,35 @@ class TestRiskSim:
         captured = capsys.readouterr()
         assert captured.out == "" and f"n must be in 1..2, got {n}" in captured.err
 
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            (None, [], "No such file"),
+            ('{"r": 5.0, "columns": [[0.2, 0.2]', [], "Expecting"),
+            ('{"r": 5.0, "columns": [[0.2, 0.2], [0.2, 0.2]]}', ["--n", "3"],
+             "n must be in 1..2, got 3"),
+        ],
+        ids=["missing file", "bad JSON", "n out of range"],
+    )
+    def test_truth_is_checked_before_dry_run(self, tmp_path, capsys, dry_run, text,
+                                             flags, message):
+        src = str(tmp_path / "truth.json")
+        if text is not None:
+            write(tmp_path / "truth.json", text)
+        argv = ["risk-sim", "--truth", src, "--reps", "5", "--estimators", "umvu,eb"]
+        assert main(argv + flags + ["--dry-run"] * dry_run) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_dry_run_reports_the_truth_shape(self, tmp_path, capsys):
+        from nmshrink.model import ModelParams
+
+        truth = ModelParams.from_matrix(5.0, np.full((3, 2), 0.1))
+        src = write(tmp_path / "truth.json", truth.to_json())
+        assert main(["risk-sim", "--truth", src, "--n", "2", "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["shape"] == [3, 2]
+
 
 class TestRepro:
     def test_tables_and_manifest(self, tmp_path):
@@ -564,6 +593,7 @@ PARSE_FILES = {
     "c.csv": "a,b\n3,0\n2,1\n",
     "p.json": json.dumps({"alpha": 6, "beta": 1, "a0": 0.5, "a": [1, 1]}),
     "k.json": json.dumps({"alpha": 6, "beta": 1, "xi0": 1, "xi": [3, 2]}),
+    "t.json": json.dumps({"r": 5.0, "columns": [[0.2, 0.2], [0.2, 0.2]]}),
 }
 
 

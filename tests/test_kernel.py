@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from adaptive_kernel import adaptive_log_kernel, adaptive_ratio
+from kernel_oracle import per_column_integrand
 
 from nmshrink.kernel import (
     ConditionError,
@@ -356,3 +357,62 @@ class TestOnePassEvaluator:
                 assert per_column[i, nu] == delta_nu(5.0, 1.0, G1, 4.0, 0.5, 2.5, row, nu)
         with pytest.raises(ValueError):
             delta_nu(5.0, 1.0, G1, 4.0, 0.5, 2.5, z, np.array([0, 1, 3]))
+
+
+def _mixed_rows(seed: int, n_rows: int, n_cols: int) -> np.ndarray:
+    """Counts 0..5 with many repeats, some shifted by 1/2 or 0.37."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 6, size=(n_rows, n_cols)).astype(float)
+    return rows + rng.choice([0.0, 0.0, 0.5, 0.37], size=rows.shape)
+
+
+# The one-pass regimes plus a row alone, stacks whose rows share most of
+# their values, rows with zero entries, and the far branch (t + xi0 > 1e6,
+# with xi >= 1e5).
+TABLE_REGIMES = ORACLE_REGIMES + [
+    _regime("one row", 14.0, 1.0, G1, 1.0, [[17, 2.5, 31, 0, 4.37]]),
+    _tables_regime("ii", reps=300),
+    _regime("repeated mixed values, two row blocks", 9.0, 1.0, G1, 2.0,
+            _mixed_rows(1, 400, 7)),
+    _regime("zero entries", 4.0, 0.3, G1, 0.0,
+            [[0, 3, 0], [0, 0, 7], [2.5, 0, 0], [0, 3, 7]]),
+    _regime("far branch, beta = 0", 6.5, 0.0, G1, 1.0,
+            [[1e5, 0.0], [7.0, 1e5], [8.0, 0.0], [1e5, 1e5 + 0.5]]),
+    _regime("far branch, xi0 = 2e6", 2.0, 1.0, G1, 2e6,
+            [[1e5, 3.0], [0.0, 2.5], [1e5, 1e5 + 0.5], [3.0, 1e5]]),
+]
+
+
+class TestValueTable:
+    """One log-gamma table per kernel call gives the bits of the per-column
+    integrand it replaced (kernel_oracle)."""
+
+    @pytest.mark.parametrize("alpha, beta, g, xi0, rows", TABLE_REGIMES)
+    def test_bit_identical_to_per_column_integrand(self, alpha, beta, g, xi0, rows):
+        got = log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows)
+        with per_column_integrand():
+            want = log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows)
+        assert np.array_equal(got, want)
+
+    def test_slow_tail_ratio_is_bit_identical(self):
+        got = delta_hb(6.5, 0.0, G1, 8.0, 7, np.array([1]))
+        with per_column_integrand():
+            want = delta_hb(6.5, 0.0, G1, 8.0, 7, np.array([1]))
+        assert got == want
+
+    def test_row_bits_do_not_depend_on_its_table_mates(self):
+        # beta = 0: [1, 7] grows its tail far past the other rows, so the
+        # table shrinks under it; the others share none, some or all of
+        # its values.
+        row = np.array([1.0, 7.0])
+        mates = [
+            [[1.0, 7.0]],
+            [[7.0, 1.0], [1.0, 1.0]],
+            [[30.0, 2.5], [40.0, 0.37]],
+            [[7.0, 30.0], [1.0, 40.0], [1e5, 0.0]],
+        ]
+        alone = log_kernel([6.5, 7.5], 0.0, G1, 1.0, row)
+        for others in mates:
+            batch = np.vstack([others, row, others])
+            got = log_kernel([6.5, 7.5], 0.0, G1, 1.0, batch)
+            assert np.array_equal(got[len(others)], alone)

@@ -1,11 +1,13 @@
 """Losses, Monte Carlo risk machinery, identity checks, and scenarios."""
 
 import math
+import tracemalloc
 
 import hudson_oracle
 import numpy as np
 import pytest
 
+from nmshrink import risklab
 from nmshrink.audit import jeffreys_prior
 from nmshrink.kernel import ConditionError, GChoice, QuadratureError
 from nmshrink.model import CountMatrix, ModelParams, ProbColumn, make_rng
@@ -293,6 +295,22 @@ class TestHudson:
         with pytest.raises(ValueError):
             hudson_check("nope", 2.0, truth_1x1(), 0, 0)
 
+    def test_peak_memory_is_bounded(self):
+        # p0 = 0.02 puts the column-sum cap at 2048; the whole (x_i, rest)
+        # triangle at once peaked at 144 MiB here.
+        truth = ModelParams.from_matrix(3.0, np.array([[0.33], [0.33], [0.32]]))
+        col = truth.columns[0]
+        assert risklab._column_cap(3.0, col.p0, 0.33, 1e-8) == 2048
+        tracemalloc.start()
+        try:
+            rep = hudson_check("indicator", 3.0, truth, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = (1.0 - (col.p0 / (col.p0 + 0.33)) ** 3) / 0.33
+        assert abs(rep.lhs - want) <= 1e-9 and abs(rep.rhs - want) <= 1e-9
+        assert peak < 16 * 2**20
+
 
 def enumerable_cases():
     """The models the joint enumeration took: criterion 6's configurations
@@ -320,6 +338,17 @@ class TestHudsonOracle:
             lhs, rhs = hudson_oracle.enumerate_sides(kind, truth.r, truth, i, nu, 1e-8)
             assert abs(rep.lhs - lhs) <= 1e-9, (kind, truth, i, nu)
             assert abs(rep.rhs - rhs) <= 1e-9, (kind, truth, i, nu)
+
+    @pytest.mark.parametrize("kind", ["indicator", "linear-in-one-count", "zero"])
+    def test_blocked_sums_match_one_block(self, kind, monkeypatch):
+        # Caps of 16 to 64 column sums: one to three blocks.
+        cases = enumerable_cases()
+        blocked = [hudson_check(kind, t.r, t, i, nu, tol=1e-8) for t, i, nu in cases]
+        monkeypatch.setattr(risklab, "_SUM_BLOCK", 2**30)
+        for (truth, i, nu), rep in zip(cases, blocked):
+            whole = hudson_check(kind, truth.r, truth, i, nu, tol=1e-8)
+            assert rep.lhs == pytest.approx(whole.lhs, rel=1e-12, abs=0)
+            assert rep.rhs == pytest.approx(whole.rhs, rel=1e-12, abs=0)
 
 
 class TestCaseTable:
