@@ -2,10 +2,13 @@
 
 Every checker is a pure predicate over closed-form inequalities; nothing here
 runs quadrature or simulation.  Propriety and kernel-ratio validity are the
-one test `kernel.kernel_finite`.  Each `*_dominance_conditions` returns a
-`Verdict`: named conditions and the text, with both sides of each bound, that
-the command line prints.  `dominance_table` applies the estimator-level
-checkers to the three benchmark cases of the risk laboratory.
+one test `kernel.kernel_finite`.  Every closed-form check
+(`check_prior_propriety` and each `*_dominance_conditions`) returns a
+`Verdict`: named conditions, whose conjunction is `.holds`, and the text,
+with both sides of each bound, that the command line prints.
+`check_shrinkage_conditions` sweeps a rule over z instead and reports where
+it first fails.  `dominance_table` applies the estimator-level conditions to
+the three benchmark cases of the risk laboratory.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .model import GeneralizedDirichlet
 from .risklab import benchmark_scenarios
 
 __all__ = [
-    "ProprietyReport",
     "ShrinkageRuleReport",
     "Verdict",
     "check_prior_propriety",
@@ -36,21 +38,12 @@ __all__ = [
     "eb_dominance_conditions",
     "hb_dominance_conditions",
     "kl_dominance_conditions",
-    "check_eb_dominance",
-    "check_hb_dominance",
-    "check_kl_dominance",
     "jeffreys_prior",
     "dominance_table",
 ]
 
 # Absolute slack for closed-form inequality comparisons.
 _EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class ProprietyReport:
-    prior_proper: bool
-    reasons: str
 
 
 @dataclass(frozen=True)
@@ -71,17 +64,17 @@ class ShrinkageRuleReport:
     first_violation: int | None
 
 
-def check_prior_propriety(prior: PriorSpec, n_columns: int) -> ProprietyReport:
+def check_prior_propriety(prior: PriorSpec, n_columns: int) -> Verdict:
     """Exact propriety verdict for the hierarchical prior, with its reasons.
 
     The prior is proper iff a0 > 0 (or a0 = 0 with the small-t integrability
     test) together with a finite tail integral of t^(alpha - N a_dot - 1)
     e^(-beta t) g(t); the posterior verdict, `kernel.posterior_proper`, is
-    the same test with a0 shifted by r.
+    the same test with a0 shifted by r.  The one condition is
+    `kernel.prior_proper`; the text spells out its two parts.
     """
     tail = tail_finite(prior.alpha, prior.beta, prior.g, n_columns * prior.a_dot)
     small = small_t_finite(prior.alpha, prior.g, n_columns)
-    proper = prior_proper(prior, n_columns)
 
     parts = []
     if prior.a0 > 0:
@@ -99,7 +92,7 @@ def check_prior_propriety(prior: PriorSpec, n_columns: int) -> ProprietyReport:
         f"({prior.alpha:g} vs {n_columns * prior.a_dot:g}): "
         f"{'ok' if tail else 'FAILS'}"
     )
-    return ProprietyReport(proper, "; ".join(parts))
+    return Verdict({"prior proper": prior_proper(prior, n_columns)}, "; ".join(parts))
 
 
 def check_shrinkage_conditions(
@@ -144,11 +137,6 @@ def eb_dominance_conditions(m: int, r: float) -> Verdict:
     return Verdict({"m >= 7": m_ok, "r >= 5/2": r_ok}, text)
 
 
-def check_eb_dominance(m: int, r: float) -> bool:
-    """Empirical Bayes beats the unbiased estimator when m >= 7 and r >= 5/2."""
-    return eb_dominance_conditions(m, r).holds
-
-
 def hb_dominance_conditions(
     alpha: float,
     beta: float,
@@ -180,20 +168,6 @@ def hb_dominance_conditions(
     return Verdict(conditions, text)
 
 
-def check_hb_dominance(
-    alpha: float,
-    beta: float,
-    g: GChoice,
-    r: float,
-    m: int,
-    n: int,
-    n_columns: int | None = None,
-) -> bool:
-    """Hierarchical Bayes dominance under the squared-error loss: every
-    condition of `hb_dominance_conditions` holds."""
-    return hb_dominance_conditions(alpha, beta, g, r, m, n, n_columns).holds
-
-
 def kl_dominance_conditions(
     alpha: float,
     beta: float,
@@ -218,21 +192,6 @@ def kl_dominance_conditions(
     return Verdict(conditions, f"alpha+1={alpha + 1:g} vs n(-a0-2)={bound:g}")
 
 
-def check_kl_dominance(
-    alpha: float,
-    beta: float,
-    g: GChoice,
-    a0: float,
-    a: np.ndarray,
-    r: float,
-    n: int,
-    n_columns: int,
-) -> bool:
-    """Hierarchical posterior mean beats the Dirichlet posterior mean (KL
-    loss): every condition of `kl_dominance_conditions` holds."""
-    return kl_dominance_conditions(alpha, beta, g, a0, a, r, n, n_columns).holds
-
-
 def jeffreys_prior(m: int) -> GeneralizedDirichlet:
     """Dirichlet parameters of the information-based default prior:
     a0 = (1 - m)/2 with every a_i = 1/2."""
@@ -241,25 +200,22 @@ def jeffreys_prior(m: int) -> GeneralizedDirichlet:
     return GeneralizedDirichlet((1.0 - m) / 2.0, np.full(m, 0.5))
 
 
-def dominance_table(beta: float = 1.0) -> list[dict]:
-    """Apply the dominance checkers to the three benchmark cases.
+def dominance_table() -> list[dict]:
+    """Apply the dominance conditions to the three benchmark cases.
 
     Returns one row per case with boolean verdicts for the columnwise
     empirical Bayes (EB0), pooled empirical Bayes (EB), and hierarchical
-    Bayes (HB) estimators, each evaluated at n = N.  The (r, m, N, alpha) of
-    a case are those of its truths in `risklab.benchmark_scenarios`.
+    Bayes (HB, g = 1 and beta = 1 as in the risk tables) estimators, each
+    evaluated at n = N.  EB0 and EB share the one empirical Bayes condition.
+    The (r, m, N, alpha) of a case are those of its truths in
+    `risklab.benchmark_scenarios`.
     """
     g1 = GChoice.constant_one()
     rows = []
     for name in ("i", "ii", "iii"):
         sc = benchmark_scenarios(name)[0]
         r, m, n = sc.params.r, sc.params.m, sc.params.n_columns
-        rows.append(
-            {
-                "case": name,
-                "EB0": check_eb_dominance(m, r),
-                "EB": check_eb_dominance(m, r),
-                "HB": check_hb_dominance(sc.alpha_hb, beta, g1, r, m, n),
-            }
-        )
+        eb = eb_dominance_conditions(m, r).holds
+        hb = hb_dominance_conditions(sc.alpha_hb, 1.0, g1, r, m, n).holds
+        rows.append({"case": name, "EB0": eb, "EB": eb, "HB": hb})
     return rows

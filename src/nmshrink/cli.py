@@ -147,11 +147,42 @@ def _print_dry_run(args, **resolved) -> int:
     return EXIT_OK
 
 
+def _finite(text: str) -> float:
+    """A float flag's value; argparse refuses inf and nan as it refuses 'abc'."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",") if v.strip() != ""])
+        out = np.array([float(v) for v in text.split(",") if v.strip() != ""])
     except ValueError as exc:
         raise ValueError(f"bad vector {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"bad vector {text!r}: entries must be finite")
+    return out
+
+
+def _estimators(names: list[str], args, m: int) -> dict:
+    """The estimator each name runs, built from the prior flags; `--a`
+    defaults to ones(m) and must have m entries."""
+    if not names:
+        raise ValueError("no estimator named")
+    a = _parse_vector(args.a) if args.a else np.ones(m)
+    if a.shape != (m,):
+        raise ValueError(f"--a needs m = {m} entries, got {a.size}")
+    g = _g_from_args(args)
+    return {
+        name: make_estimator(
+            name, alpha=args.alpha, beta=args.beta, g=g, a0=args.a0, a=a
+        )
+        for name in names
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +191,12 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _cmd_estimate(args) -> int:
-    kind = args.estimator
-    if kind in ("hb", "hb-pm") and args.alpha is None:
-        raise ValueError(f"--alpha is required for estimator {kind}")
-    if kind in ("dir-pm", "hb-pm") and args.a0 is None:
-        raise ValueError(f"--a0 is required for estimator {kind}")
-    g = _g_from_args(args)
-    a = _parse_vector(args.a) if args.a else None
     source = args.infile if args.infile else sys.stdin
     counts = read_counts_csv(source, header=args.header)
+    fn = _estimators([args.estimator], args, counts.m)[args.estimator]
     if args.dry_run:
         return _print_dry_run(args, shape=[counts.m, counts.n_columns])
 
-    if a is None and kind in ("dir-pm", "hb-pm"):
-        a = np.full(counts.m, 1.0)
-    fn = make_estimator(kind, alpha=args.alpha, beta=args.beta, g=g, a0=args.a0, a=a)
     result = fn(counts, args.r)
 
     buf = io.StringIO()
@@ -239,16 +261,9 @@ def _cmd_risk_sim(args) -> int:
     with open(args.truth) as f:
         truth = ModelParams.from_json(f.read())
     loss_columns(truth, args.n)
+    fns = _estimators(names, args, truth.m)
     if args.dry_run:
         return _print_dry_run(args, shape=[truth.m, truth.n_columns])
-    g = _g_from_args(args)
-    a = _parse_vector(args.a) if args.a else np.full(truth.m, 1.0)
-    fns = {
-        name: make_estimator(
-            name, alpha=args.alpha, beta=args.beta, g=g, a0=args.a0, a=a
-        )
-        for name in names
-    }
     reference = names[0]
     reports = compare(
         fns,
@@ -282,9 +297,8 @@ def _audit_scenario(doc: dict) -> dict:
     kind = doc.get("kind")
     if kind == "prior":
         prior, n_cols = _prior_from_doc(doc), _count(doc, "n_columns")
-        report = audit_mod.check_prior_propriety(prior, n_cols)
-        out = {"kind": kind, "prior_proper": report.prior_proper,
-               "reasons": report.reasons}
+        verdict = audit_mod.check_prior_propriety(prior, n_cols)
+        out = {"kind": kind, "prior_proper": verdict.holds, "reasons": verdict.text}
         if "r" in doc:
             r = _real(doc, "r")
             if not r > 0:
@@ -448,12 +462,12 @@ def _add_common(sp) -> None:
 
 
 def _add_prior_flags(sp) -> None:
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=1.0)
+    sp.add_argument("--alpha", type=_finite, default=None)
+    sp.add_argument("--beta", type=_finite, default=1.0)
     sp.add_argument("--g", choices=["g1", "komaki"], default="g1")
-    sp.add_argument("--g-c", type=float, default=0.0, help="komaki exponent c")
-    sp.add_argument("--g-kappa", type=float, default=1.0, help="komaki kappa")
-    sp.add_argument("--a0", type=float, default=None)
+    sp.add_argument("--g-c", type=_finite, default=0.0, help="komaki exponent c")
+    sp.add_argument("--g-kappa", type=_finite, default=1.0, help="komaki kappa")
+    sp.add_argument("--a0", type=_finite, default=None)
     sp.add_argument("--a", default=None, help="comma-separated positive reals")
 
 
@@ -472,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["umvu", "eb0", "eb", "hb", "dir-pm", "hb-pm"],
     )
-    sp.add_argument("--r", type=float, required=True)
+    sp.add_argument("--r", type=_finite, required=True)
     sp.add_argument("--in", dest="infile", default=None, help="counts CSV (default stdin)")
     sp.add_argument("--header", action="store_true", help="counts CSV has a header row")
     _add_prior_flags(sp)
@@ -509,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--counts", required=True, help="counts CSV")
     sp.add_argument("--header", action="store_true")
     sp.add_argument("--prior", required=True, help="prior JSON {alpha,beta,g,a0,a}")
-    sp.add_argument("--r", type=float, required=True)
+    sp.add_argument("--r", type=_finite, required=True)
     sp.add_argument("--iters", type=int, default=100_000)
     sp.add_argument("--burn-in", type=int, default=50_000)
     sp.add_argument("--thin", type=int, default=1)

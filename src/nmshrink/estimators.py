@@ -139,7 +139,7 @@ def dirichlet_posterior_mean(
     a = np.asarray(a, dtype=float)
     if a.shape != (x.m,):
         raise ValueError("a must have length m")
-    if np.any(a <= 0):
+    if not np.all(a > 0):
         raise ValueError("all a_i must be positive")
     if not r + a0 > 0:
         raise ConditionError("posterior mean requires r + a0 > 0")

@@ -172,7 +172,7 @@ def run_prior(
 ) -> Chain:
     """Chain targeting the joint prior; refuses improper configurations."""
     a_cols = np.asarray(a_cols, dtype=float)
-    if a_cols.ndim != 2 or np.any(a_cols <= 0):
+    if a_cols.ndim != 2 or not np.all(a_cols > 0):
         raise ValueError("a_cols must be a positive m x N matrix")
     if not joint_prior_proper(alpha, beta, a0, a_cols):
         raise ConditionError(

@@ -206,7 +206,7 @@ class GeneralizedDirichlet:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("a must be a nonempty 1-d vector")
-        if np.any(a <= 0):
+        if not np.all(a > 0):
             raise ValueError("all a_i must be positive")
         object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "a", _readonly(a))
@@ -284,7 +284,7 @@ def gen_dirichlet_sample(
     if not a0 > 0:
         raise ValueError("a0 must be positive for sampling")
     a = np.asarray(a, dtype=float)
-    if np.any(a <= 0):
+    if not np.all(a > 0):
         raise ValueError("all a_i must be positive")
     alpha = np.concatenate(([a0], a))
     # Tiny shape parameters can underflow a coordinate to exact zero.
@@ -300,7 +300,7 @@ def gen_dirichlet_log_pdf(p: ProbColumn, a0: float, a: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     if a.shape != (p.m,):
         raise ValueError("a has wrong length")
-    if not a0 > 0 or np.any(a <= 0):
+    if not a0 > 0 or not np.all(a > 0):
         raise ValueError("density is normalizable only for positive parameters")
     a_dot = float(a.sum())
     return float(

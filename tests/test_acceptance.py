@@ -290,7 +290,7 @@ def test_criterion_7_property_suites():
         if a0 == 0 and abs(alpha + g.small_t_exponent - n_cols) < 0.75:
             continue
         prior = PriorSpec(alpha, beta, g, a0, a)
-        predicted = check_prior_propriety(prior, n_cols).prior_proper
+        predicted = check_prior_propriety(prior, n_cols).holds
         i_mid = probe_log_integral(prior, n_cols, 1e-4, 1e4)
         i_wide = probe_log_integral(prior, n_cols, 1e-6, 1e6)
         observed_convergent = (i_wide - i_mid) < 0.1

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from nmshrink.audit import (
-    check_eb_dominance,
-    check_hb_dominance,
-    check_kl_dominance,
     check_prior_propriety,
     check_shrinkage_conditions,
     dominance_table,
+    eb_dominance_conditions,
+    hb_dominance_conditions,
     jeffreys_prior,
+    kl_dominance_conditions,
 )
 from nmshrink.estimators import eb_delta_rule
 from nmshrink.kernel import GChoice, PriorSpec, posterior_proper
@@ -26,25 +26,25 @@ class TestPriorPropriety:
     def test_positive_a0_with_decay(self):
         for alpha in (0.5, 3.0, 50.0):
             rep = check_prior_propriety(spec(alpha, 1.0, 0.5, [1.0, 1.0]), 2)
-            assert rep.prior_proper
+            assert rep.holds
 
     def test_tail_failure_without_decay(self):
         rep = check_prior_propriety(spec(6.0, 0.0, 1.0, [1.0, 1.0, 1.0]), 2)
-        assert not rep.prior_proper
-        assert "tail" in rep.reasons
+        assert not rep.holds
+        assert "tail" in rep.text
 
     def test_improper_prior_proper_posterior(self):
         m = 3
         prior = spec(2.0, 1.0, -float(m), np.ones(m))
-        assert not check_prior_propriety(prior, 4).prior_proper
+        assert not check_prior_propriety(prior, 4).holds
         assert posterior_proper(prior, 4, m + 1.0)
         assert not posterior_proper(prior, 4, m - 1.0)
 
     def test_a0_zero_boundary(self):
         good = check_prior_propriety(spec(4.0, 1.0, 0.0, np.ones(3)), 3)
-        assert good.prior_proper
+        assert good.holds
         bad = check_prior_propriety(spec(2.0, 1.0, 0.0, np.ones(3)), 3)
-        assert not bad.prior_proper
+        assert not bad.holds
 
 
 class TestShrinkageConditions:
@@ -102,36 +102,40 @@ class TestShrinkageConditions:
 
 class TestEbDominance:
     def test_threshold_cases(self):
-        assert check_eb_dominance(7, 2.5)
-        assert check_eb_dominance(7, 8.0)
-        assert not check_eb_dominance(3, 4.0)
-        assert not check_eb_dominance(1, 2.0)
-        assert not check_eb_dominance(6, 100.0)
-        assert not check_eb_dominance(7, 2.49)
+        assert eb_dominance_conditions(7, 2.5).holds
+        assert eb_dominance_conditions(7, 8.0).holds
+        assert not eb_dominance_conditions(3, 4.0).holds
+        assert not eb_dominance_conditions(1, 2.0).holds
+        assert not eb_dominance_conditions(6, 100.0).holds
+        assert not eb_dominance_conditions(7, 2.49).holds
 
 
 class TestHbDominance:
     def test_benchmark_cases(self):
-        assert check_hb_dominance(14.0, 1.0, G1, 8.0, 7, 3)  # 15 <= min(15, 18.5)
-        assert check_hb_dominance(6.0, 1.0, G1, 4.0, 3, 7)  # 7 <= min(7, 14.5)
-        assert not check_hb_dominance(6.0, 1.0, G1, 2.0, 1, 7)  # n(m-2) < 0
+        # 15 <= min(15, 18.5)
+        assert hb_dominance_conditions(14.0, 1.0, G1, 8.0, 7, 3).holds
+        # 7 <= min(7, 14.5)
+        assert hb_dominance_conditions(6.0, 1.0, G1, 4.0, 3, 7).holds
+        # n(m-2) < 0
+        assert not hb_dominance_conditions(6.0, 1.0, G1, 2.0, 1, 7).holds
 
     def test_rejects_increasing_g(self):
         gk = GChoice.komaki(1.0, 1.0)
-        assert not check_hb_dominance(2.0, 1.0, gk, 8.0, 7, 3)
+        assert not hb_dominance_conditions(2.0, 1.0, gk, 8.0, 7, 3).holds
 
     def test_alpha_bound_is_sharp(self):
-        assert check_hb_dominance(14.0, 1.0, G1, 8.0, 7, 3)
-        assert not check_hb_dominance(14.01, 1.0, G1, 8.0, 7, 3)
+        assert hb_dominance_conditions(14.0, 1.0, G1, 8.0, 7, 3).holds
+        assert not hb_dominance_conditions(14.01, 1.0, G1, 8.0, 7, 3).holds
 
     def test_r_equal_m_needs_alpha_above_n(self):
-        assert check_hb_dominance(8.0, 1.0, G1, 7.0, 7, 3)
-        assert not check_hb_dominance(2.5, 1.0, G1, 7.0, 7, 3, n_columns=3)
+        assert hb_dominance_conditions(8.0, 1.0, G1, 7.0, 7, 3).holds
+        assert not hb_dominance_conditions(2.5, 1.0, G1, 7.0, 7, 3, n_columns=3).holds
 
 
 class TestKlDominance:
     def test_nonnegative_a0_fails(self):
-        assert not check_kl_dominance(1.0, 1.0, G1, 0.0, np.ones(3), 4.0, 3, 3)
+        verdict = kl_dominance_conditions(1.0, 1.0, G1, 0.0, np.ones(3), 4.0, 3, 3)
+        assert not verdict.holds
 
     def test_jeffreys_reduction(self):
         # With the information-based default, the bound alpha + 1 <= n(-a0-2)
@@ -142,8 +146,8 @@ class TestKlDominance:
             r = m / 2.0 + 1.0
             for n in (2, 3):
                 for alpha in (0.5, 1.0, 2.0, 5.0, 8.0):
-                    lhs = check_kl_dominance(alpha, 1.0, G1, jp.a0, jp.a, r, n, n)
-                    assert lhs == (alpha + 1 <= n * (m - 5) / 2)
+                    lhs = kl_dominance_conditions(alpha, 1.0, G1, jp.a0, jp.a, r, n, n)
+                    assert lhs.holds == (alpha + 1 <= n * (m - 5) / 2)
 
     def test_boundary_propriety_alternative(self):
         # r + a0 = 0 is accepted when alpha > N
@@ -151,12 +155,12 @@ class TestKlDominance:
         jp = jeffreys_prior(m)
         r = (m - 1) / 2.0
         assert jp.a0 + r == 0
-        assert check_kl_dominance(4.0, 1.0, G1, jp.a0, jp.a, r, 3, 3)
-        assert not check_kl_dominance(2.0, 1.0, G1, jp.a0, jp.a, r, 3, 3)
+        assert kl_dominance_conditions(4.0, 1.0, G1, jp.a0, jp.a, r, 3, 3).holds
+        assert not kl_dominance_conditions(2.0, 1.0, G1, jp.a0, jp.a, r, 3, 3).holds
 
     def test_acceptance_configuration(self):
         jp = jeffreys_prior(9)
-        assert check_kl_dominance(5.0, 1.0, G1, jp.a0, jp.a, 5.0, 3, 3)
+        assert kl_dominance_conditions(5.0, 1.0, G1, jp.a0, jp.a, 5.0, 3, 3).holds
 
 
 class TestJeffreys:

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmshrink.cli as cli
-from nmshrink import audit
+from nmshrink import audit, estimators
 from nmshrink.cli import _audit_scenario, _g_from_doc, build_parser, main
 from nmshrink.kernel import ConditionError, QuadratureError
 
@@ -78,7 +78,7 @@ class TestEstimate:
         )
         assert code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "--alpha is required" in captured.err
+        assert captured.out == "" and "hb needs alpha" in captured.err
 
     def test_posterior_mean_estimators(self, counts_csv, capsys):
         code = main(
@@ -279,10 +279,10 @@ class TestAuditConditions:
     @example({"kind": "hb", "alpha": 2, "beta": 1, "r": 3, "m": 3, "n": 7})
     def test_hb_holds_is_all_conditions(self, doc):
         verdict = _audit_scenario(doc)
-        expected = audit.check_hb_dominance(
+        expected = audit.hb_dominance_conditions(
             doc["alpha"], doc["beta"], _g_from_doc(doc.get("g")), doc["r"], doc["m"],
             doc["n"], doc.get("n_columns"),
-        )
+        ).holds
         assert verdict["holds"] == all(verdict["conditions"].values()) == expected
 
     @settings(max_examples=300, deadline=None)
@@ -292,10 +292,10 @@ class TestAuditConditions:
               "a": [1, 1, 1], "r": 4, "n": 8, "n_columns": 1})
     def test_kl_holds_is_all_conditions(self, doc):
         verdict = _audit_scenario(doc)
-        expected = audit.check_kl_dominance(
+        expected = audit.kl_dominance_conditions(
             doc["alpha"], doc["beta"], _g_from_doc(doc["g"]), doc["a0"],
             np.array(doc["a"]), doc["r"], doc["n"], doc["n_columns"],
-        )
+        ).holds
         assert verdict["holds"] == all(verdict["conditions"].values()) == expected
 
     def test_small_t_failure_is_listed(self):
@@ -514,6 +514,47 @@ class TestRiskSim:
         assert json.loads(capsys.readouterr().out)["config"]["shape"] == [3, 2]
 
 
+# Input a run cannot take, refused with exit 2 whether or not it is a dry
+# run: the estimators a run would build, --a against m, finite flag values.
+BAD_INPUT = [
+    (["risk-sim", "--truth", "{truth}", "--estimators", "umvu,foo"],
+     "unknown estimator kind 'foo'"),
+    (["risk-sim", "--truth", "{truth}", "--estimators", ","], "no estimator named"),
+    (["risk-sim", "--truth", "{truth}", "--estimators", "dir-pm", "--a0", "1",
+      "--a", "1,2,3", "--reps", "2"], "--a needs m = 2 entries, got 3"),
+    (["estimate", "--estimator", "hb-pm", "--r", "4", "--alpha", "6", "--a0", "-1",
+      "--a", "1,2", "--in", "{counts}"], "--a needs m = 3 entries, got 2"),
+    (["estimate", "--estimator", "umvu", "--r", "inf", "--in", "{counts}"],
+     "argument --r: must be a finite number"),
+    (["estimate", "--estimator", "dir-pm", "--r", "3", "--a0", "1", "--a", "1,nan,1",
+      "--in", "{counts}"], "entries must be finite"),
+    (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "6", "--beta", "inf",
+      "--in", "{counts}"], "argument --beta: must be a finite number"),
+    (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "inf",
+      "--in", "{counts}"], "argument --alpha: must be a finite number"),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("template, message", BAD_INPUT,
+                             ids=[" ".join(argv) for argv, _ in BAD_INPUT])
+    def test_exit_2_with_or_without_dry_run(self, counts_csv, tmp_path, capsys,
+                                            dry_run, template, message):
+        from nmshrink.model import ModelParams
+
+        truth = write(tmp_path / "truth.json",
+                      ModelParams.from_matrix(5.0, np.full((2, 2), 0.2)).to_json())
+        argv = [a.format(counts=counts_csv, truth=truth) for a in template]
+        try:
+            code = main(argv + ["--dry-run"] * dry_run)
+        except SystemExit as exc:  # argparse refuses a flag's value
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+
 class TestRepro:
     def test_tables_and_manifest(self, tmp_path):
         out = tmp_path / "repro"
@@ -699,10 +740,11 @@ class TestParserReuse:
 
 
 # Each subcommand's argv, the library call it makes (module, attribute) and
-# whether it writes JSON to stdout.
+# whether it writes JSON to stdout.  A dry run builds its estimators, so
+# `estimate` is injected into the estimator it runs.
 CONTRACT_CALLS = {
     "estimate": (["estimate", "--estimator", "umvu", "--r", "8", "--in", "{counts}"],
-                 (cli, "make_estimator"), False),
+                 (estimators, "umvu"), False),
     "risk-sim": (["risk-sim", "--truth", "{truth}", "--reps", "2",
                   "--estimators", "umvu,eb"], (cli, "compare"), False),
     "audit": (["audit", "--in", "{scenario}"],

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmshrink import kernel
+from nmshrink.audit import check_prior_propriety
 from nmshrink.estimators import hb
 from nmshrink.gibbs import joint_prior_proper
 from nmshrink.kernel import ConditionError, GChoice, PriorSpec
@@ -90,6 +91,14 @@ class TestOnePredicate:
         assert delta_nu_refuses(alpha, beta, g, r, a0, a_dot, n_cols) is not (
             oracle.delta_nu_condition(alpha, beta, g, r, a0, a_dot, n_cols)
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(cases())
+    def test_audit_verdict_is_the_predicate(self, case):
+        alpha, beta, g, _, _, a0, a, _, n_cols = case
+        prior = PriorSpec(alpha, beta, g, a0, a)
+        verdict = check_prior_propriety(prior, n_cols)
+        assert verdict.holds is kernel.prior_proper(prior, n_cols)
 
     def test_negative_xi0_is_never_finite(self):
         g1 = GChoice.constant_one()

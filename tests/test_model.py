@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
 
+from nmshrink.estimators import dirichlet_posterior_mean
+from nmshrink.gibbs import ChainConfig, run_prior
+from nmshrink.kernel import GChoice, PriorSpec
 from nmshrink.model import (
     CountMatrix,
     GeneralizedDirichlet,
@@ -242,6 +245,33 @@ class TestSampler:
             freq = np.mean(np.all(draws == np.array(x), axis=1))
             se = math.sqrt(q * (1 - q) / n)
             assert abs(freq - q) < 4 * se
+
+
+NAN_WEIGHTS = np.array([1.0, np.nan, 1.0])
+
+
+class TestNanWeights:
+    """A NaN weight fails every positivity check on Dirichlet weights (a
+    comparison with NaN is false, so `any(a <= 0)` lets it through)."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda a: PriorSpec(6.0, 1.0, GChoice.constant_one(), 0.5, a),
+            lambda a: GeneralizedDirichlet(0.5, a),
+            lambda a: dirichlet_posterior_mean(CountMatrix(np.ones((3, 2), int)), 4.0,
+                                               0.5, a),
+            lambda a: run_prior(6.0, 1.0, 0.5, np.column_stack([a, a]),
+                                ChainConfig(20)),
+            lambda a: gen_dirichlet_sample(0.5, a, make_rng(0)),
+            lambda a: gen_dirichlet_log_pdf(ProbColumn(np.full(3, 0.2)), 0.5, a),
+        ],
+        ids=["PriorSpec", "GeneralizedDirichlet", "dirichlet_posterior_mean",
+             "run_prior", "gen_dirichlet_sample", "gen_dirichlet_log_pdf"],
+    )
+    def test_refused(self, build):
+        with pytest.raises(ValueError, match="positive"):
+            build(NAN_WEIGHTS)
 
 
 class TestGeneralizedDirichlet:
