@@ -158,6 +158,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """A count flag's value; argparse refuses one below 1 as it refuses 'abc'."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
         out = np.array([float(v) for v in text.split(",") if v.strip() != ""])
@@ -173,6 +184,9 @@ def _estimators(names: list[str], args, m: int) -> dict:
     defaults to ones(m) and must have m entries."""
     if not names:
         raise ValueError("no estimator named")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"estimator {name!r} named more than once")
     a = _parse_vector(args.a) if args.a else np.ones(m)
     if a.shape != (m,):
         raise ValueError(f"--a needs m = {m} entries, got {a.size}")
@@ -505,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list; first is the improvement reference",
     )
     sp.add_argument("--n", type=int, default=None, help="columns entering the loss")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     _add_prior_flags(sp)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_risk_sim)
@@ -540,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("target", choices=["tables"])
     sp.add_argument("--reps", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=42)
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_positive_int, default=1)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_repro)
 

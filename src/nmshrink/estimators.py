@@ -139,8 +139,8 @@ def dirichlet_posterior_mean(
     a = np.asarray(a, dtype=float)
     if a.shape != (x.m,):
         raise ValueError("a must have length m")
-    if not np.all(a > 0):
-        raise ValueError("all a_i must be positive")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError("all a_i must be positive and finite")
     if not r + a0 > 0:
         raise ConditionError("posterior mean requires r + a0 > 0")
     denom = r + a0 + x.col_sums.astype(float) + a.sum()

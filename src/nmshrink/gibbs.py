@@ -172,8 +172,8 @@ def run_prior(
 ) -> Chain:
     """Chain targeting the joint prior; refuses improper configurations."""
     a_cols = np.asarray(a_cols, dtype=float)
-    if a_cols.ndim != 2 or not np.all(a_cols > 0):
-        raise ValueError("a_cols must be a positive m x N matrix")
+    if a_cols.ndim != 2 or not np.all(np.isfinite(a_cols) & (a_cols > 0)):
+        raise ValueError("a_cols must be a positive finite m x N matrix")
     if not joint_prior_proper(alpha, beta, a0, a_cols):
         raise ConditionError(
             "joint prior is improper: need a0 >= 0 and "

@@ -197,8 +197,8 @@ class PriorSpec:
         if not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
         a = np.asarray(self.a, dtype=float)
-        if a.ndim != 1 or a.size == 0 or not np.all(a > 0):
-            raise ValueError("a must be a vector of positive reals")
+        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
+            raise ValueError("a must be a vector of positive finite reals")
         a = np.array(a, copy=True)
         a.flags.writeable = False
         object.__setattr__(self, "alpha", float(self.alpha))

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,11 @@ class ProbColumn:
     @property
     def m(self) -> int:
         return self.p.size
+
+    @cached_property
+    def rates(self) -> tuple[float, ...]:
+        """The Poisson mixture rates p_i / p0, as Python floats."""
+        return tuple((self.p / self.p0).tolist())
 
 
 @dataclass(frozen=True)
@@ -206,8 +212,8 @@ class GeneralizedDirichlet:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("a must be a nonempty 1-d vector")
-        if not np.all(a > 0):
-            raise ValueError("all a_i must be positive")
+        if not np.all(np.isfinite(a) & (a > 0)):
+            raise ValueError("all a_i must be positive and finite")
         object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "a", _readonly(a))
 
@@ -254,13 +260,19 @@ def nm_sample(
 
     Draws v ~ Gamma(shape r, scale 1), then x_i ~ Poisson((p_i/p0) v)
     independently.  Returns an (m,) vector, or (size, m) when `size` is given.
+
+    One vector is drawn as m scalar Poisson calls in entry order.  NumPy's
+    array path makes the same per-entry draws from the same products
+    (p_i/p0) * v, so the stream is unchanged, but it validates its argument
+    with array reductions that cost more than the draws at these sizes.
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    rate = p.p / p.p0
     if size is None:
         v = rng.gamma(r)
-        return rng.poisson(rate * v).astype(np.int64)
+        poisson = rng.poisson
+        return np.array([poisson(q * v) for q in p.rates], dtype=np.int64)
+    rate = p.p / p.p0
     v = rng.gamma(r, size=int(size))
     return rng.poisson(v[:, None] * rate[None, :]).astype(np.int64)
 
@@ -284,8 +296,8 @@ def gen_dirichlet_sample(
     if not a0 > 0:
         raise ValueError("a0 must be positive for sampling")
     a = np.asarray(a, dtype=float)
-    if not np.all(a > 0):
-        raise ValueError("all a_i must be positive")
+    if not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError("all a_i must be positive and finite")
     alpha = np.concatenate(([a0], a))
     # Tiny shape parameters can underflow a coordinate to exact zero.
     for _ in range(100):
@@ -300,8 +312,8 @@ def gen_dirichlet_log_pdf(p: ProbColumn, a0: float, a: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     if a.shape != (p.m,):
         raise ValueError("a has wrong length")
-    if not a0 > 0 or not np.all(a > 0):
-        raise ValueError("density is normalizable only for positive parameters")
+    if not a0 > 0 or not np.all(np.isfinite(a) & (a > 0)):
+        raise ValueError("density is normalizable only for positive finite parameters")
     a_dot = float(a.sum())
     return float(
         gammaln(a0 + a_dot)

@@ -532,6 +532,14 @@ BAD_INPUT = [
       "--in", "{counts}"], "argument --beta: must be a finite number"),
     (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "inf",
       "--in", "{counts}"], "argument --alpha: must be a finite number"),
+    (["risk-sim", "--truth", "{truth}", "--estimators", "umvu,eb", "--reps", "3",
+      "--jobs", "-5"], "argument --jobs: must be a positive integer, got '-5'"),
+    (["risk-sim", "--truth", "{truth}", "--estimators", "umvu,eb", "--reps", "3",
+      "--jobs", "0"], "argument --jobs: must be a positive integer, got '0'"),
+    (["repro", "tables", "--reps", "3", "--jobs", "0"],
+     "argument --jobs: must be a positive integer, got '0'"),
+    (["risk-sim", "--truth", "{truth}", "--estimators", "umvu,eb,umvu", "--reps", "3"],
+     "estimator 'umvu' named more than once"),
 ]
 
 

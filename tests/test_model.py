@@ -248,30 +248,44 @@ class TestSampler:
 
 
 NAN_WEIGHTS = np.array([1.0, np.nan, 1.0])
+INF_WEIGHTS = np.array([1.0, np.inf, 1.0])
+
+# Every check on a Dirichlet weight vector, as a call on the weights.
+WEIGHT_CHECKS = pytest.mark.parametrize(
+    "build",
+    [
+        lambda a: PriorSpec(6.0, 1.0, GChoice.constant_one(), 0.5, a),
+        lambda a: GeneralizedDirichlet(0.5, a),
+        lambda a: dirichlet_posterior_mean(CountMatrix(np.ones((3, 2), int)), 4.0,
+                                           0.5, a),
+        lambda a: run_prior(6.0, 1.0, 0.5, np.column_stack([a, a]),
+                            ChainConfig(20)),
+        lambda a: gen_dirichlet_sample(0.5, a, make_rng(0)),
+        lambda a: gen_dirichlet_log_pdf(ProbColumn(np.full(3, 0.2)), 0.5, a),
+    ],
+    ids=["PriorSpec", "GeneralizedDirichlet", "dirichlet_posterior_mean",
+         "run_prior", "gen_dirichlet_sample", "gen_dirichlet_log_pdf"],
+)
 
 
 class TestNanWeights:
     """A NaN weight fails every positivity check on Dirichlet weights (a
     comparison with NaN is false, so `any(a <= 0)` lets it through)."""
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda a: PriorSpec(6.0, 1.0, GChoice.constant_one(), 0.5, a),
-            lambda a: GeneralizedDirichlet(0.5, a),
-            lambda a: dirichlet_posterior_mean(CountMatrix(np.ones((3, 2), int)), 4.0,
-                                               0.5, a),
-            lambda a: run_prior(6.0, 1.0, 0.5, np.column_stack([a, a]),
-                                ChainConfig(20)),
-            lambda a: gen_dirichlet_sample(0.5, a, make_rng(0)),
-            lambda a: gen_dirichlet_log_pdf(ProbColumn(np.full(3, 0.2)), 0.5, a),
-        ],
-        ids=["PriorSpec", "GeneralizedDirichlet", "dirichlet_posterior_mean",
-             "run_prior", "gen_dirichlet_sample", "gen_dirichlet_log_pdf"],
-    )
+    @WEIGHT_CHECKS
     def test_refused(self, build):
         with pytest.raises(ValueError, match="positive"):
             build(NAN_WEIGHTS)
+
+
+class TestInfiniteWeights:
+    """An infinite weight is refused where it is given (`a > 0` holds for
+    inf, and a_dot = inf would only fail later, inside the quadrature)."""
+
+    @WEIGHT_CHECKS
+    def test_refused(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build(INF_WEIGHTS)
 
 
 class TestGeneralizedDirichlet:

@@ -6,11 +6,12 @@ import tracemalloc
 import hudson_oracle
 import numpy as np
 import pytest
+import sampling_oracle
 
 from nmshrink import risklab
 from nmshrink.audit import jeffreys_prior
 from nmshrink.kernel import ConditionError, GChoice, QuadratureError
-from nmshrink.model import CountMatrix, ModelParams, ProbColumn, make_rng
+from nmshrink.model import CountMatrix, ModelParams, ProbColumn, make_rng, nm_sample
 from nmshrink.risklab import (
     _sample_stack,
     benchmark_scenarios,
@@ -220,6 +221,80 @@ class TestSampling:
         got = _sample_stack(sc.params, 11, reps)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
+
+
+def random_truth(m: int, r: float, seed: int) -> ModelParams:
+    """A truth with m rows and 1-3 columns, each p drawn uniformly from the
+    simplex interior."""
+    rng = np.random.default_rng([m, seed])
+    n_cols = int(rng.integers(1, 4))
+    return ModelParams(
+        r, tuple(ProbColumn(rng.dirichlet(np.ones(m + 1))[1:]) for _ in range(n_cols))
+    )
+
+
+def assert_same_draws(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == np.int64 and want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+class TestSamplingOracle:
+    """The scalar-Poisson draw reproduces the array-Poisson one it replaced
+    (tests/sampling_oracle.py) bit for bit, so every (seed, k) stream and
+    every table is unchanged."""
+
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("sc", scenario_presets(), ids=lambda sc: sc.name)
+    def test_presets(self, sc, seed):
+        # The serial stack and the two chunks a --jobs 2 run draws.
+        for reps in (range(0, 40), range(0, 40, 2), range(1, 40, 2)):
+            want = sampling_oracle.sample_stack(sc.params, seed, reps)
+            assert_same_draws(_sample_stack(sc.params, seed, reps), want)
+        for k in range(1, 40, 6):
+            got = sample_counts(sc.params, make_rng(seed, k)).x
+            assert_same_draws(got, want[k // 2])
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_random_truths(self, m):
+        for seed in range(5):
+            rng = np.random.default_rng([seed, m])
+            r = float(np.exp(rng.uniform(np.log(0.2), np.log(50.0))))
+            truth = random_truth(m, r, seed)
+            reps = range(seed, 60, 3)
+            assert_same_draws(
+                _sample_stack(truth, seed, reps),
+                sampling_oracle.sample_stack(truth, seed, reps),
+            )
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.9, 1.0])
+    def test_small_shape(self, r):
+        # Gamma shapes at or below 1 take NumPy's small-shape branches.
+        truth = random_truth(5, r, 7)
+        reps = range(200)
+        assert_same_draws(
+            _sample_stack(truth, 3, reps), sampling_oracle.sample_stack(truth, 3, reps)
+        )
+
+    def test_poisson_regimes(self):
+        # NumPy draws a Poisson rate below 10 by multiplication and one at
+        # or above 10 by transformed rejection; both appear here.
+        p = ProbColumn(np.array([0.004, 0.9, 0.001, 0.05]))
+        truth = ModelParams(4.0, (p,))
+        reps = range(100)
+        lam = np.concatenate([p.p / p.p0 * make_rng(5, k).gamma(4.0) for k in reps])
+        assert (lam < 10).any() and (lam >= 10).any()
+        assert_same_draws(
+            _sample_stack(truth, 5, reps), sampling_oracle.sample_stack(truth, 5, reps)
+        )
+
+    def test_consecutive_draws(self):
+        # Each draw leaves the stream where the oracle's leaves it.
+        for m in range(1, 8):
+            col = random_truth(m, 2.5, m).columns[0]
+            ours, theirs = make_rng(9, m), make_rng(9, m)
+            for _ in range(20):
+                want = sampling_oracle.nm_sample(2.5, col, theirs)
+                assert_same_draws(nm_sample(2.5, col, ours), want)
 
 
 class TestDominanceSpotChecks:
