@@ -127,10 +127,10 @@ class ModelParams:
     def n_columns(self) -> int:
         return len(self.columns)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        """The m x N probability matrix."""
-        return np.column_stack([c.p for c in self.columns])
+        """The m x N probability matrix, read-only and built once."""
+        return _readonly(np.column_stack([c.p for c in self.columns]))
 
     @classmethod
     def from_matrix(cls, r: float, matrix: np.ndarray) -> "ModelParams":

@@ -3,9 +3,10 @@
 Risk comparisons use common random numbers: every estimator sees the same
 replication stream of count matrices, keyed by (seed, replication index)
 through a counter-based generator, so results are bit-identical regardless
-of execution order or parallelism.  Replications are stacked into one
-(reps, m, N) CountMatrix, so each estimator and the loss run once per batch
-of replications.
+of execution order, parallelism or batch size.  `case_table` stacks the
+replications of a case's three truths, which share r, m and N, into one
+(reps, m, N) CountMatrix, so each estimator runs once per case; each truth's
+loss and risks come from its own slice.  `compare` is the one-truth batch.
 
 The summation-by-parts identity check is exact for every shape: its test
 functions depend on column nu only through (X_{i,nu}, colsum_nu), so both
@@ -134,35 +135,44 @@ def _sample_stack(truth: ModelParams, seed: int, rep_indices: range) -> np.ndarr
 
 def _replication_losses(
     named: list[tuple[str, Estimator]],
-    truth: ModelParams,
+    truths: Mapping[str, ModelParams],
     loss: str,
     n: int,
     seed: int,
     rep_indices: range,
 ) -> np.ndarray:
-    """Losses (reps, estimators) of one batch of replications; each estimator
-    and the loss run once on the stacked count matrices."""
+    """Losses (truths, reps, estimators) of one batch of replications; each
+    estimator runs once on every truth's count matrices stacked, and the loss
+    once per truth on its slice."""
     loss_fn = _LOSSES[loss]
-    x = CountMatrix(_sample_stack(truth, seed, rep_indices))
-    out = np.empty((len(rep_indices), len(named)))
+    params = list(truths.values())
+    k = len(rep_indices)
+    x = CountMatrix(np.concatenate([_sample_stack(t, seed, rep_indices) for t in params]))
+    out = np.empty((len(params), k, len(named)))
     for col, (name, fn) in enumerate(named):
         try:
-            out[:, col] = loss_fn(fn(x, truth.r), truth, n)
+            d = fn(x, params[0].r)
+            for t, truth in enumerate(params):
+                out[t, :, col] = loss_fn(d[t * k : (t + 1) * k], truth, n)
         except (ConditionError, QuadratureError):
             raise
         except Exception as exc:
-            raise _failed_replication(name, fn, x, truth, loss_fn, n, rep_indices) from exc
+            raise _failed_replication(name, fn, x, truths, loss_fn, n, rep_indices) from exc
     return out
 
 
-def _failed_replication(name, fn, x, truth, loss_fn, n, rep_indices) -> RuntimeError:
-    """The error naming the first replication on which an estimator fails
-    alone, found by rerunning the batch one matrix at a time."""
-    for row, rep in enumerate(rep_indices):
-        try:
-            loss_fn(fn(CountMatrix(x.x[row]), truth.r), truth, n)
-        except Exception as exc:
-            return RuntimeError(f"estimator {name!r} failed on replication {rep}: {exc}")
+def _failed_replication(name, fn, x, truths, loss_fn, n, rep_indices) -> RuntimeError:
+    """The error naming the truth and the first replication on which an
+    estimator fails alone, found by rerunning the batch one matrix at a time."""
+    rows = iter(x.x)
+    for label, truth in truths.items():
+        for rep in rep_indices:
+            try:
+                loss_fn(fn(CountMatrix(next(rows)), truth.r), truth, n)
+            except Exception as exc:
+                return RuntimeError(
+                    f"estimator {name!r} failed on replication {rep} of {label!r}: {exc}"
+                )
     return RuntimeError(
         f"estimator {name!r} failed on a stack of replications but on none "
         "alone; estimators must accept a (reps, m, N) stack of counts"
@@ -177,6 +187,57 @@ def loss_columns(truth: ModelParams, n: int | None) -> int:
     if not 1 <= n <= truth.n_columns:
         raise ValueError(f"n must be in 1..{truth.n_columns}, got {n}")
     return n
+
+
+def _batch_risks(
+    estimator_fns: Mapping[str, Estimator],
+    truths: Mapping[str, ModelParams],
+    loss: str,
+    n: int | None,
+    reps: int,
+    seed: int,
+    reference: str | None,
+    jobs: int,
+) -> dict[str, dict[str, RiskReport]]:
+    """`compare` for named truths sharing r, m and N: reports per truth, each
+    from its own replications, with every estimator called once per batch."""
+    if reps < 2:
+        raise ValueError("need at least 2 replications for a standard error")
+    if loss not in _LOSSES:
+        raise ValueError(f"unknown loss {loss!r}")
+    if reference is not None and reference not in estimator_fns:
+        raise ValueError(f"reference {reference!r} not among the estimators")
+    n = loss_columns(next(iter(truths.values())), n)
+    named = list(estimator_fns.items())
+    if jobs <= 1:
+        losses = _replication_losses(named, truths, loss, n, seed, range(reps))
+    else:
+        # Imported here: serial runs need no multiprocessing machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
+        # At most reps chunks: an empty one would have no matrix to stack.
+        chunks = [range(k, reps, jobs) for k in range(min(jobs, reps))]
+        losses = np.empty((len(truths), reps, len(named)))
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            futs = [
+                pool.submit(_replication_losses, named, truths, loss, n, seed, ch)
+                for ch in chunks
+            ]
+            for ch, fut in zip(chunks, futs):
+                losses[:, list(ch), :] = fut.result()
+
+    names = list(estimator_fns)
+    out = {}
+    for label, block in zip(truths, losses):
+        risks = block.mean(axis=0)
+        stderrs = block.std(axis=0, ddof=1) / math.sqrt(reps)
+        ref = None if reference is None else float(risks[names.index(reference)])
+        prials = [None if ref is None else prial(ref, float(v)) for v in risks]
+        out[label] = {
+            name: RiskReport(name, float(v), float(se), p)
+            for name, v, se, p in zip(names, risks, stderrs, prials)
+        }
+    return out
 
 
 def compare(
@@ -194,50 +255,16 @@ def compare(
     Each replication's count matrix is keyed by (seed, index), so all
     estimators see identical data and reruns are bit-identical.  Estimators
     are called with the replications stacked as one (reps, m, N)
-    CountMatrix.  With `jobs` > 1 replications are split across processes;
-    the result does not depend on jobs (estimator callables must then be
-    picklable).  An `n` outside 1..N raises ValueError before any draw.
-    ConditionError and QuadratureError propagate as they are;
-    any other estimator failure raises RuntimeError naming the replication.
+    CountMatrix: this is the one-truth batch of `case_table`.  With `jobs`
+    > 1 replications are split across at most `reps` processes; the result
+    does not depend on jobs (estimator callables must then be picklable).
+    An `n` outside 1..N raises ValueError before any draw.  ConditionError
+    and QuadratureError propagate as they are; any other estimator failure
+    raises RuntimeError naming the replication.
     """
-    if reps < 2:
-        raise ValueError("need at least 2 replications for a standard error")
-    if loss not in _LOSSES:
-        raise ValueError(f"unknown loss {loss!r}")
-    n = loss_columns(truth, n)
-    named = list(estimator_fns.items())
-    if jobs <= 1:
-        losses = _replication_losses(named, truth, loss, n, seed, range(reps))
-    else:
-        # Imported here: serial runs need no multiprocessing machinery.
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [range(k, reps, jobs) for k in range(jobs)]
-        losses = np.empty((reps, len(named)))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = [
-                pool.submit(_replication_losses, named, truth, loss, n, seed, ch)
-                for ch in chunks
-            ]
-            for ch, fut in zip(chunks, futs):
-                losses[list(ch), :] = fut.result()
-
-    risks = losses.mean(axis=0)
-    stderrs = losses.std(axis=0, ddof=1) / math.sqrt(reps)
-    ref_risk = None
-    if reference is not None:
-        if reference not in estimator_fns:
-            raise ValueError(f"reference {reference!r} not among the estimators")
-        ref_risk = risks[[name for name, _ in named].index(reference)]
-    reports = {}
-    for k, (name, _) in enumerate(named):
-        reports[name] = RiskReport(
-            name,
-            float(risks[k]),
-            float(stderrs[k]),
-            None if ref_risk is None else prial(float(ref_risk), float(risks[k])),
-        )
-    return reports
+    return _batch_risks(
+        estimator_fns, {"truth": truth}, loss, n, reps, seed, reference, jobs
+    )["truth"]
 
 
 def make_estimator(
@@ -344,26 +371,27 @@ def case_table(
     """Risk-and-improvement table for one case: U, EB0, EB and HB estimators.
 
     One row per truth, with the unbiased estimator as reference for the
-    improvement percentages.
+    improvement percentages.  The case's truths share r, m, N and the HB
+    alpha, so they form one batch: each estimator runs once on the stacked
+    replications of all three, and each row comes from its truth's own.
     """
+    scenarios = benchmark_scenarios(case)
+    fns = {
+        "U": make_estimator("umvu"),
+        "EB0": make_estimator("eb0"),
+        "EB": make_estimator("eb"),
+        "HB": make_estimator("hb", alpha=scenarios[0].alpha_hb, beta=1.0),
+    }
+    truths = {sc.name: sc.params for sc in scenarios}
+    batch = _batch_risks(fns, truths, "ss", None, reps, seed, "U", jobs)
     rows = []
-    for sc in benchmark_scenarios(case):
-        fns = {
-            "U": make_estimator("umvu"),
-            "EB0": make_estimator("eb0"),
-            "EB": make_estimator("eb"),
-            "HB": make_estimator("hb", alpha=sc.alpha_hb, beta=1.0),
-        }
-        reports = compare(
-            fns, sc.params, loss="ss", reps=reps, seed=seed, reference="U", jobs=jobs
-        )
-        row = {"truth": sc.name}
-        for name in ("U", "EB0", "EB", "HB"):
-            rep = reports[name]
-            row[name] = rep.risk
-            row[f"{name}_se"] = rep.mc_stderr
-            if name != "U":
-                row[f"{name}_prial"] = rep.prial_vs_reference
+    for name, reports in batch.items():
+        row = {"truth": name}
+        for est_name, rep in reports.items():
+            row[est_name] = rep.risk
+            row[f"{est_name}_se"] = rep.mc_stderr
+            if est_name != "U":
+                row[f"{est_name}_prial"] = rep.prial_vs_reference
         rows.append(row)
     return rows
 

@@ -386,6 +386,17 @@ class TestRiskSim:
         assert main(base + ["--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_more_jobs_than_replications(self, tmp_path):
+        from nmshrink.model import ModelParams
+
+        truth = ModelParams.from_matrix(5.0, np.full((2, 2), 0.2))
+        src = write(tmp_path / "truth.json", truth.to_json())
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        base = ["risk-sim", "--truth", src, "--estimators", "umvu", "--reps", "2"]
+        assert main(base + ["--out", str(a)]) == 0
+        assert main(base + ["--jobs", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_custom_truth_kl(self, tmp_path):
         from nmshrink.model import ModelParams
 
@@ -584,6 +595,14 @@ class TestRepro:
             assert main(
                 ["repro", "tables", "--reps", "8", "--seed", "3", "--out", str(out)]
             ) == 0
+        for name in ("table1.csv", "table2.csv", "table3.csv", "table4.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_more_jobs_than_replications(self, tmp_path):
+        out1, out2 = tmp_path / "serial", tmp_path / "jobs3"
+        base = ["repro", "tables", "--reps", "2", "--seed", "3", "--out"]
+        assert main(base + [str(out1)]) == 0
+        assert main(base + [str(out2), "--jobs", "3"]) == 0
         for name in ("table1.csv", "table2.csv", "table3.csv", "table4.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

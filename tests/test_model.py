@@ -68,6 +68,15 @@ class TestModelParams:
         assert back.r == params.r
         np.testing.assert_array_equal(back.matrix, params.matrix)
 
+    def test_matrix_is_built_once_and_read_only(self):
+        params = ModelParams.from_matrix(4.0, np.array([[0.2, 0.3], [0.1, 0.4]]))
+        mat = params.matrix
+        want = np.column_stack([c.p for c in params.columns])
+        assert mat.dtype == want.dtype and np.array_equal(mat, want)
+        assert params.matrix is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.5
+
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValueError):
             ModelParams(

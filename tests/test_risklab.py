@@ -161,6 +161,13 @@ class TestRiskMc:
         parallel = compare(fns, truth, reps=60, seed=5, reference="U", jobs=2)
         assert serial == parallel
 
+    def test_more_jobs_than_replications_match_serial(self):
+        # Two replications over three jobs: one process per replication.
+        truth = benchmark_scenarios("iii")[0].params
+        fns = {"U": make_estimator("umvu"), "EB0": make_estimator("eb0")}
+        serial = compare(fns, truth, reps=2, seed=5, reference="U")
+        assert compare(fns, truth, reps=2, seed=5, reference="U", jobs=3) == serial
+
     def test_kl_loss_on_posterior_means(self):
         jp = jeffreys_prior(9)
         truth = ModelParams.from_matrix(5.0, np.full((9, 3), 1.0 / 18.0))
@@ -433,6 +440,76 @@ class TestCaseTable:
         for row in rows:
             for key in ("U", "EB0", "EB", "HB", "EB0_prial", "EB_prial", "HB_prial"):
                 assert key in row
+
+
+def per_truth_rows(case: str, reps: int, seed: int) -> list[dict]:
+    """The oracle: a case table built from one compare call per truth, each
+    with its own estimators, as case_table built it before batching."""
+    rows = []
+    for sc in benchmark_scenarios(case):
+        fns = {
+            "U": make_estimator("umvu"),
+            "EB0": make_estimator("eb0"),
+            "EB": make_estimator("eb"),
+            "HB": make_estimator("hb", alpha=sc.alpha_hb, beta=1.0),
+        }
+        reports = compare(fns, sc.params, loss="ss", reps=reps, seed=seed, reference="U")
+        row = {"truth": sc.name}
+        for name in ("U", "EB0", "EB", "HB"):
+            rep = reports[name]
+            row[name] = rep.risk
+            row[f"{name}_se"] = rep.mc_stderr
+            if name != "U":
+                row[f"{name}_prial"] = rep.prial_vs_reference
+        rows.append(row)
+    return rows
+
+
+class TestCaseBatch:
+    """case_table runs each estimator once on the stacked replications of a
+    case's three truths; every cell equals the per-truth computation."""
+
+    @pytest.mark.parametrize("reps", [2, 10, 37])
+    @pytest.mark.parametrize("seed", [0, 42])
+    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
+    def test_rows_equal_per_truth_compare(self, case, seed, reps):
+        got = case_table(case, reps=reps, seed=seed)
+        want = per_truth_rows(case, reps, seed)
+        assert got == want
+        assert [list(row) for row in got] == [list(row) for row in want]
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
+    def test_parallel_jobs_match_serial(self, case):
+        assert case_table(case, reps=10, seed=42, jobs=2) == case_table(
+            case, reps=10, seed=42
+        )
+
+    def test_more_jobs_than_replications_match_serial(self):
+        assert case_table("i", reps=2, seed=3, jobs=3) == case_table("i", reps=2, seed=3)
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii"])
+    def test_truths_of_a_case_share_the_batch_parameters(self, case):
+        shared = {
+            (sc.params.r, sc.params.m, sc.params.n_columns, sc.alpha_hb)
+            for sc in benchmark_scenarios(case)
+        }
+        assert len(shared) == 1
+
+    def test_failure_names_truth_and_replication(self, monkeypatch):
+        import nmshrink.estimators as est
+
+        # EB fails on one count matrix: replication 3 of the second truth.
+        bad = _sample_stack(benchmark_scenarios("i")[1].params, 0, range(3, 4))[0]
+        real_eb = est.eb
+
+        def broken(x, r):
+            if np.all(x.x == bad, axis=(-2, -1)).any():
+                raise ValueError("boom")
+            return real_eb(x, r)
+
+        monkeypatch.setattr(est, "eb", broken)
+        with pytest.raises(RuntimeError, match=r"'EB' failed on replication 3 of 'i-2': boom"):
+            case_table("i", reps=5, seed=0)
 
 
 def test_negative_binomial_tail_matches_scipy_stats():
