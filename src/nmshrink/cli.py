@@ -40,7 +40,7 @@ from .kernel import (
     posterior_proper,
     quadrature_settings,
 )
-from .model import read_counts_csv
+from .model import ModelParams, read_counts_csv
 from .risklab import case_table, compare, loss_columns, make_estimator
 
 EXIT_OK = 0
@@ -169,6 +169,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _reps(text: str) -> int:
+    """A --reps value; a standard error needs at least 2 replications."""
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 replications, got {text!r}")
+    return value
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
         out = np.array([float(v) for v in text.split(",") if v.strip() != ""])
@@ -269,8 +277,6 @@ def _cmd_risk_sim(args) -> int:
         rows = case_table(args.scenario, reps=args.reps, seed=args.seed, jobs=args.jobs)
         _write_text(args.out, _rows_to_csv(rows))
         return EXIT_OK
-
-    from .model import ModelParams
 
     with open(args.truth) as f:
         truth = ModelParams.from_json(f.read())
@@ -446,6 +452,8 @@ def _cmd_repro(args) -> int:
         with open(os.path.join(outdir, f"table{idx}.csv"), "w") as f:
             f.write(_rows_to_csv(rows))
 
+    import scipy
+
     manifest = {
         "target": "tables",
         "seed": args.seed,
@@ -455,6 +463,7 @@ def _cmd_repro(args) -> int:
         "versions": {
             "nmshrink": _version_string(),
             "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "quadrature": quadrature_settings(),
@@ -510,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("risk-sim", help="Monte Carlo risk comparison")
     sp.add_argument("--scenario", choices=["i", "ii", "iii"], default=None)
     sp.add_argument("--truth", default=None, help="ModelParams JSON file")
-    sp.add_argument("--reps", type=int, default=1000)
+    sp.add_argument("--reps", type=_reps, default=1000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--loss", choices=["ss", "kl"], default="ss")
     sp.add_argument(
@@ -552,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("repro", help="rebuild the benchmark tables")
     sp.add_argument("target", choices=["tables"])
-    sp.add_argument("--reps", type=int, default=1000)
+    sp.add_argument("--reps", type=_reps, default=1000)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--jobs", type=_positive_int, default=1)
     _add_common(sp)

@@ -52,7 +52,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 __all__ = [
     "GChoice",
@@ -305,6 +304,8 @@ def _shared_log_integrand(beta, g, xi0, values, index, panels) -> np.ndarray:
     """Log-integrand without its t^(alpha-1) factor, plus the log Jacobian
     and half-width, on a slice of panels: (R, P, 64) for rows xi (R, N)
     given as distinct values (U,) and xi = values[index]."""
+    from scipy.special import betaln, gammaln
+
     t = _T[panels]
     x = t + xi0
     ratio = gammaln(x) - gammaln(x + values[:, None, None])

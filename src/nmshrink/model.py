@@ -22,7 +22,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "ProbColumn",
@@ -234,6 +233,8 @@ def nm_log_pmf(x: np.ndarray, r: float, p: ProbColumn):
     exactly the value it gets alone.  Computed via log-gamma so large
     counts cannot overflow.
     """
+    from scipy.special import gammaln
+
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[-1] != p.m:
         raise ValueError(f"count vectors have shape {x.shape}, expected (..., {p.m})")
@@ -309,6 +310,8 @@ def gen_dirichlet_sample(
 
 def gen_dirichlet_log_pdf(p: ProbColumn, a0: float, a: np.ndarray) -> float:
     """Log density of the (a0, a) Dirichlet at p (requires a0 > 0)."""
+    from scipy.special import gammaln
+
     a = np.asarray(a, dtype=float)
     if a.shape != (p.m,):
         raise ValueError("a has wrong length")

@@ -21,7 +21,6 @@ from functools import cache, partial
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.special import betainc
 
 from . import estimators as est
 from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError
@@ -417,6 +416,8 @@ def _h_values(h_kind: str, xi: np.ndarray, colsum: np.ndarray, r: float):
 
 def _nbinom_sf(k: int, r: float, p0: float) -> float:
     """P(X > k) for X negative binomial with size r and success probability p0."""
+    from scipy.special import betainc
+
     return float(betainc(k + 1.0, r, 1.0 - p0))
 
 

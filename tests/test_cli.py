@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -551,6 +555,14 @@ BAD_INPUT = [
      "argument --jobs: must be a positive integer, got '0'"),
     (["risk-sim", "--truth", "{truth}", "--estimators", "umvu,eb,umvu", "--reps", "3"],
      "estimator 'umvu' named more than once"),
+    (["risk-sim", "--truth", "{truth}", "--estimators", "umvu,eb", "--reps", "1",
+      "--out", "{out}"], "argument --reps: need at least 2 replications, got '1'"),
+    (["risk-sim", "--scenario", "i", "--reps", "0", "--out", "{out}"],
+     "argument --reps: must be a positive integer, got '0'"),
+    (["repro", "tables", "--reps", "1", "--out", "{out}"],
+     "argument --reps: need at least 2 replications, got '1'"),
+    (["repro", "tables", "--reps", "0", "--out", "{out}"],
+     "argument --reps: must be a positive integer, got '0'"),
 ]
 
 
@@ -564,7 +576,8 @@ class TestBadInput:
 
         truth = write(tmp_path / "truth.json",
                       ModelParams.from_matrix(5.0, np.full((2, 2), 0.2)).to_json())
-        argv = [a.format(counts=counts_csv, truth=truth) for a in template]
+        out = tmp_path / "out"
+        argv = [a.format(counts=counts_csv, truth=truth, out=out) for a in template]
         try:
             code = main(argv + ["--dry-run"] * dry_run)
         except SystemExit as exc:  # argparse refuses a flag's value
@@ -572,6 +585,7 @@ class TestBadInput:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
+        assert not out.exists()
 
 
 class TestRepro:
@@ -587,6 +601,7 @@ class TestRepro:
         ]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5 and manifest["reps"] == 12
+        assert manifest["versions"]["scipy"] == scipy.__version__
         assert (out / "table1.csv").read_text().splitlines()[1] == "i,+,+,+"
 
     def test_idempotent_tables(self, tmp_path):
@@ -608,7 +623,7 @@ class TestRepro:
 
     def test_outdir_env_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("NMSHRINK_OUTDIR", str(tmp_path / "envout"))
-        assert main(["repro", "tables", "--reps", "-1", "--dry-run"]) == 0
+        assert main(["repro", "tables", "--reps", "5", "--dry-run"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["outdir"].endswith("envout")
 
@@ -852,3 +867,92 @@ class TestExitCodeContract:
             assert out.getvalue() == ""
         elif dry_run or writes_json:
             json.loads(out.getvalue(), parse_constant=reject_constant)
+
+
+# Runs main on each argv of argv.json in this interpreter and records, after
+# each call, its exit code and whether scipy.special has been loaded.
+COLD_RUNNER = """
+import json, sys
+from nmshrink.cli import main
+seen = []
+for argv in json.load(open("argv.json")):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    seen.append([argv, code, "scipy.special" in sys.modules])
+sys.stderr.write(json.dumps(seen))
+"""
+
+# Paths that evaluate no special function: each one must leave scipy.special
+# unloaded, in the order listed, in one fresh interpreter.
+NO_SPECIAL_PATHS = [
+    ["--version"],
+    ["estimate", "--estimator", "umvu", "--r", "8", "--in", "c.csv"],
+    ["estimate", "--estimator", "eb", "--r", "8", "--in", "c.csv"],
+    ["estimate", "--estimator", "eb0", "--r", "8", "--in", "c.csv"],
+    ["estimate", "--estimator", "dir-pm", "--r", "8", "--a0", "1", "--in", "c.csv"],
+    ["audit", "--table1"],
+    ["audit", "--in", "eb.json"],
+    ["risk-sim", "--truth", "t.json", "--estimators", "umvu,eb0,eb", "--reps", "3"],
+    ["gibbs-diag", "--counts", "c2.csv", "--prior", "p.json", "--r", "4",
+     "--iters", "2000", "--burn-in", "100"],
+    ["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14", "--in", "c.csv",
+     "--dry-run"],
+    ["risk-sim", "--scenario", "iii", "--dry-run"],
+    ["audit", "--table1", "--dry-run"],
+    ["gibbs-diag", "--counts", "c.csv", "--prior", "p.json", "--r", "4", "--dry-run"],
+    ["kernel-eval", "--in", "k.json", "--dry-run"],
+    ["repro", "tables", "--dry-run"],
+]
+
+
+class TestColdImports:
+    """scipy.special is imported where a special function is evaluated.
+    The suite itself imports SciPy, so each check runs in a fresh
+    interpreter."""
+
+    @staticmethod
+    def fresh(code, cwd, *args):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        for name, text in PARSE_FILES.items():
+            write(tmp_path / name, text)
+        write(tmp_path / "c.csv", "3,0\n2,1\n0,4\n")
+        write(tmp_path / "c2.csv", "3,0\n2,1\n")
+        write(tmp_path / "eb.json", json.dumps({"kind": "eb", "m": 3, "r": 4}))
+        return tmp_path
+
+    def test_import_and_parser_load_no_scipy(self, tmp_path):
+        proc = self.fresh(
+            "import sys, nmshrink, nmshrink.cli; nmshrink.cli.build_parser(); "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_closed_form_paths_leave_scipy_special_unloaded(self, inputs):
+        write(inputs / "argv.json", json.dumps(NO_SPECIAL_PATHS))
+        proc = self.fresh(COLD_RUNNER, inputs)
+        seen = json.loads(proc.stderr.splitlines()[-1])
+        assert [argv for argv, _, _ in seen] == NO_SPECIAL_PATHS
+        for argv, code, loaded in seen:
+            assert code == 0, argv
+            assert not loaded, argv
+
+    def test_hb_loads_scipy_special_and_prints_the_same_bytes(self, inputs, capsys,
+                                                             monkeypatch):
+        argv = ["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14",
+                "--in", "c.csv"]
+        write(inputs / "argv.json", json.dumps([argv]))
+        proc = self.fresh(COLD_RUNNER, inputs)
+        assert json.loads(proc.stderr.splitlines()[-1]) == [[argv, 0, True]]
+        monkeypatch.chdir(inputs)
+        assert main(argv) == 0
+        assert proc.stdout == capsys.readouterr().out
