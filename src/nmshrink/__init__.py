@@ -11,6 +11,10 @@ Subpackages by responsibility:
 * ``cli``        -- the ``nmshrink`` command-line harness
 """
 
+# The release in pyproject.toml; `nmshrink --version` and every `repro`
+# manifest report it, also when the package runs from its source tree.
+__version__ = "0.1.0"
+
 from .estimators import (
     dirichlet_posterior_mean,
     eb,

@@ -25,10 +25,10 @@ import math
 import os
 import sys
 import time
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__
 from . import audit as audit_mod
 from .gibbs import ChainConfig, mcmc_delta_estimates, run_posterior
 from .kernel import (
@@ -52,13 +52,9 @@ _FLOAT_FMT = "%.17g"
 
 
 def _version_string() -> str:
-    try:
-        version = metadata.version("nmshrink")
-    except metadata.PackageNotFoundError:
-        version = "unknown"
     q = quadrature_settings()
     return (
-        f"nmshrink {version} (quadrature: {q['rule']}, {q['substitution']}, "
+        f"nmshrink {__version__} (quadrature: {q['rule']}, {q['substitution']}, "
         f"node cap {q['node_cap']}, error tolerance {q['error_tol']:g})"
     )
 
@@ -212,6 +208,13 @@ def _estimators(names: list[str], args, m: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _matrix_to_csv(result: np.ndarray) -> str:
+    """The bytes `np.savetxt(f, result, fmt=_FLOAT_FMT, delimiter=",")`
+    writes for a 2-d array, from one format string per row."""
+    line = ",".join([_FLOAT_FMT] * result.shape[1]) + "\n"
+    return "".join(line % tuple(row) for row in result.tolist())
+
+
 def _cmd_estimate(args) -> int:
     source = args.infile if args.infile else sys.stdin
     counts = read_counts_csv(source, header=args.header)
@@ -221,9 +224,7 @@ def _cmd_estimate(args) -> int:
 
     result = fn(counts, args.r)
 
-    buf = io.StringIO()
-    np.savetxt(buf, result, fmt=_FLOAT_FMT, delimiter=",")
-    _write_text(args.out, buf.getvalue())
+    _write_text(args.out, _matrix_to_csv(result))
     return EXIT_OK
 
 

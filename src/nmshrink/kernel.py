@@ -24,10 +24,18 @@ computed once for all exponents.  The Gamma ratios are computed once for
 each distinct xi value of the call and shared by every row that holds that
 value; each entry is the same floating-point operation a row alone would
 make, so a row's bits do not depend on the rows it shares a table with.
-Each (row, alpha) starts at depth 6 and grows its own tail depth per side
-until the geometric remainder estimate is below 1e-13 of the integral,
+Each (row, alpha) pair starts at depth 6 and grows its own tail depth per
+side until the geometric remainder estimate is below 1e-13 of the integral,
 within 2^14 nodes.  It then sums only its own panels, in a fixed order, so
 its value does not depend on the other rows or exponents of the call.
+A depth step takes the panel terms one exponent at a time, so the
+temporaries of a pass grow with the row block only, not with the number of
+exponents.  The rest of the step works on every (row, alpha) pair at once:
+the tail-depth search, the depth update and the test for settled rows, and
+after the last step one log-sum-exp with its non-finite and error-estimate
+checks.  For the one to three rows of a single estimate these small array
+operations cost about as much as the node work, so they run once per step
+rather than once per exponent.
 Divergence is decided analytically per exponent and reported as +inf; the
 quadrature never runs on a divergent integral.  That analytic test,
 `kernel_finite`, is also every propriety and validity condition of the
@@ -82,8 +90,12 @@ ERROR_TOL = 1e-10
 # Above this argument a difference of log-gammas loses digits to
 # cancellation, while betaln switches to an asymptotic expansion.
 _FAR_ARGUMENT = 1e6
-# Rows evaluated together; bounds the temporaries at a few megabytes.
-_ROW_BLOCK = 256
+# Rows evaluated together: smaller blocks keep the temporaries in cache,
+# larger ones spread the fixed cost of a call over more rows.  hb on the
+# nine 1000-replication risk-table stacks took 573 and 671 ms at 64 rows,
+# 657 and 758 at 128, 698 and 822 at 32, 891 and 896 at 256 (medians of 5
+# interleaved repeats, two sessions, 2-core Xeon).
+_ROW_BLOCK = 64
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODE_COUNT)
 
@@ -116,6 +128,9 @@ def _panel_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _T, _LOG_T, _LOG_JAC = _panel_grid()
+# Depth and side of each panel slot.
+_PANEL_DEPTH = np.arange(2 * _MAX_DEPTH) // 2 + 1
+_PANEL_SIDE = np.arange(2 * _MAX_DEPTH) % 2
 
 
 class QuadratureError(RuntimeError):
@@ -351,12 +366,14 @@ def _tail_depths(c: np.ndarray, reach: int) -> np.ndarray:
 
 def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
     """log K for rows xi (R, N) and exponents alphas (K,): shape (R, K)."""
-    n_rows, n_panels = xi.shape[0], 2 * _MAX_DEPTH
+    n_rows, n_alphas, n_panels = xi.shape[0], alphas.size, 2 * _MAX_DEPTH
     finite = kernel_is_finite(alphas[None, :], beta, g, xi0, xi[:, None, :])
-    finite = np.broadcast_to(finite, (n_rows, alphas.size))
-    c = np.full((alphas.size, n_rows, n_panels), -np.inf)
+    finite = np.broadcast_to(finite, (n_rows, n_alphas))
+    # One (row, exponent) pair per kernel: its panel sums, their 64/32-node
+    # gaps and its tail depth per side.
+    c = np.full((n_rows, n_alphas, n_panels), -np.inf)
     err = np.zeros_like(c)
-    depth = np.zeros((alphas.size, n_rows, 2), dtype=int)
+    depth = np.zeros((n_rows, n_alphas, 2), dtype=int)
     todo = np.flatnonzero(finite.any(axis=1))
     # Rows still growing their tails, as indices into the distinct values.
     # One row shares its table with no other: its own values are the table.
@@ -371,10 +388,12 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
         panels = slice(2 * done, 2 * reach)
         shared = _shared_log_integrand(beta, g, xi0, values, index, panels)
         for k, alpha in enumerate(alphas):
-            c[k, todo, panels], err[k, todo, panels] = _panel_terms(shared, alpha, panels)
-            found = _tail_depths(c[k, todo], reach)
-            depth[k, todo] = np.where(depth[k, todo] > 0, depth[k, todo], found)
-        settled = ((depth[:, todo] > 0).all(axis=2) | ~finite[todo].T).all(axis=0)
+            c[todo, k, panels], err[todo, k, panels] = _panel_terms(shared, alpha, panels)
+        reached = depth[todo]
+        found = _tail_depths(c[todo].reshape(-1, n_panels), reach)
+        reached = np.where(reached > 0, reached, found.reshape(reached.shape))
+        depth[todo] = reached
+        settled = ((reached > 0).all(axis=2) | ~finite[todo]).all(axis=1)
         done = reach
         if done == _MAX_DEPTH and not settled.all():
             raise QuadratureError(
@@ -388,28 +407,25 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
             held[index] = True
             values, index = values[held], (np.cumsum(held) - 1)[index]
 
-    out = np.full((n_rows, alphas.size), math.inf)
-    panel_depth = np.arange(n_panels) // 2 + 1
-    side = np.arange(n_panels) % 2
-    for k in range(alphas.size):
-        rows = np.flatnonzero(finite[:, k])
-        used = panel_depth[None, :] <= depth[k, rows][:, side]
-        ck = np.where(used, c[k, rows], -np.inf)
-        top = ck.max(axis=1)
-        weight = np.exp(ck - top[:, None])
-        # Every row sums all 2 * _MAX_DEPTH panel slots, unused ones as
-        # zeros, so its sum does not depend on the depths of other rows.
-        mass = weight.sum(axis=1)
-        value = top + np.log(mass)
-        if not np.all(np.isfinite(value)):
-            raise QuadratureError("kernel quadrature produced a non-finite value")
-        gap = (np.where(used, err[k, rows], 0.0) * weight).sum(axis=1) / mass
-        if np.any(gap**2 > ERROR_TOL):
-            raise QuadratureError(
-                f"estimated relative error {np.max(gap) ** 2:.1e} exceeds "
-                f"{ERROR_TOL:g}; the integrand is too sharply peaked for the panels"
-            )
-        out[rows, k] = value
+    # Every finite pair sums all 2 * _MAX_DEPTH panel slots, unused ones as
+    # zeros, so its sum does not depend on the depths of other pairs.
+    rows, ks = np.nonzero(finite)
+    used = _PANEL_DEPTH <= depth[rows, ks][:, _PANEL_SIDE]
+    ck = np.where(used, c[rows, ks], -np.inf)
+    top = ck.max(axis=1)
+    weight = np.exp(ck - top[:, None])
+    mass = weight.sum(axis=1)
+    value = top + np.log(mass)
+    if not np.all(np.isfinite(value)):
+        raise QuadratureError("kernel quadrature produced a non-finite value")
+    gap = (np.where(used, err[rows, ks], 0.0) * weight).sum(axis=1) / mass
+    if np.any(gap**2 > ERROR_TOL):
+        raise QuadratureError(
+            f"estimated relative error {np.max(gap) ** 2:.1e} exceeds "
+            f"{ERROR_TOL:g}; the integrand is too sharply peaked for the panels"
+        )
+    out = np.full((n_rows, n_alphas), math.inf)
+    out[rows, ks] = value
     return out
 
 

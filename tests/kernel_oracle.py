@@ -1,12 +1,17 @@
-"""The row loop and log-integrand of `kernel.log_kernel` as nmshrink wrote
-them before the Gamma ratios became one table per kernel call; kept as a
-test oracle.
+"""The row loop of `kernel.log_kernel` as nmshrink wrote it before the
+Gamma ratios became one table per kernel call and before the bookkeeping of
+a depth step covered all exponents at once; kept as a test oracle.
 
-Both functions are copied unchanged: `_shared_log_integrand` evaluates
-gammaln(x + xi_nu) and, in the far branch, betaln for every (row, column,
-panel, node), and `_log_kernel_rows` hands it the rows themselves.
-`per_column_integrand()` runs the library's evaluator with this loop in
-place of its own, so the two share only the panel sums and tail tests.
+The quadrature functions are copied unchanged.  `_shared_log_integrand`
+evaluates gammaln(x + xi_nu) and, in the far branch, betaln for every (row,
+column, panel, node), and `_log_kernel_rows` hands it the rows themselves.
+For each exponent in turn the row loop then takes its panel terms
+(`_panel_terms`), its tail depths (`_tail_depths`) and, after the last
+depth step, its log-sum-exp with the non-finite and error-estimate checks.  The finiteness
+test is the analytic one, from the two factors kept in `condition_oracle`.
+`per_column_integrand()` runs the library's `log_kernel` (argument checks
+and row blocks) with this loop in place of its own, so the two share only
+the panel grid, its weights and the tolerances.
 """
 
 from __future__ import annotations
@@ -16,22 +21,33 @@ import math
 from unittest import mock
 
 import numpy as np
+from condition_oracle import small_t_finite, tail_finite
 from scipy.special import betaln, gammaln
 
 from nmshrink import kernel
 from nmshrink.kernel import (
     _FAR_ARGUMENT,
+    _GL_W,
     _INITIAL_DEPTH,
     _LOG_JAC,
+    _LOG_T,
+    _LOW_W,
     _MAX_DEPTH,
     _T,
     ERROR_TOL,
     MAX_TOTAL_NODES,
+    REMAINDER_TOL,
     QuadratureError,
-    _panel_terms,
-    _tail_depths,
-    kernel_is_finite,
 )
+
+
+def kernel_is_finite(alpha, beta, g, xi0, xi):
+    """Analytic finiteness of K(alpha, beta, g, xi0, xi), broadcast over a
+    stack of xi (..., N) and an array of alpha."""
+    xi = np.asarray(xi, dtype=float)
+    n_positive = np.count_nonzero(xi > 0, axis=-1)
+    small = small_t_finite(alpha, g, n_positive if xi0 == 0 else 0)
+    return (xi0 >= 0) & small & tail_finite(alpha, beta, g, xi.sum(axis=-1))
 
 
 def _shared_log_integrand(beta, g, xi0, xi, panels) -> np.ndarray:
@@ -52,6 +68,34 @@ def _shared_log_integrand(beta, g, xi0, xi, panels) -> np.ndarray:
                 ratio[:, far] = np.where(b > 0, betaln(x_far, b) - gammaln(b), 0.0)
         out += ratio
     return out
+
+
+def _panel_terms(shared: np.ndarray, alpha: float, panels):
+    """Log contribution of each panel and the gap between its 64-node and
+    32-node sums, relative to the 64-node sum."""
+    lf = shared + (alpha - 1.0) * _LOG_T[panels]
+    peak = lf.max(axis=-1)
+    f = np.exp(lf - peak[..., None])
+    full = (f * _GL_W).sum(axis=-1)
+    low = (f[..., 1::2] * _LOW_W).sum(axis=-1)
+    return peak + np.log(full), np.abs(full - low) / full
+
+
+def _tail_depths(c: np.ndarray, reach: int) -> np.ndarray:
+    """First depth >= 6 of each side at which the tail may stop, or 0 where
+    none up to `reach` qualifies; c holds the rows' panel contributions."""
+    n_rows = c.shape[0]
+    by_side = c[:, : 2 * reach].reshape(n_rows, reach, 2)
+    first = by_side[:, :_INITIAL_DEPTH].reshape(n_rows, -1)
+    top = first.max(axis=1)
+    initial = top + np.log(np.exp(first - top[:, None]).sum(axis=1))
+    # step[:, j] compares depth j + 2 with depth j + 1
+    step = by_side[:, 1:] - by_side[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        remainder = by_side[:, 1:] + step - np.log(-np.expm1(step))
+    ok = (step < 0) & (remainder <= initial[:, None, None] + math.log(REMAINDER_TOL))
+    ok[:, : _INITIAL_DEPTH - 2] = False
+    return np.where(ok.any(axis=1), ok.argmax(axis=1) + 2, 0)
 
 
 def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
@@ -109,6 +153,6 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
 @contextlib.contextmanager
 def per_column_integrand():
     """Within the block, every kernel of nmshrink.kernel is evaluated by the
-    row loop and per-column integrand above."""
+    per-exponent row loop and per-column integrand above."""
     with mock.patch.object(kernel, "_log_kernel_rows", _log_kernel_rows):
         yield

@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, exit codes, reproducibility."""
 
+import io
 import json
 import os
 import subprocess
@@ -15,7 +16,14 @@ from hypothesis import strategies as st
 import nmshrink.cli as cli
 from nmshrink import audit, estimators
 from nmshrink.cli import _audit_scenario, _g_from_doc, build_parser, main
-from nmshrink.kernel import ConditionError, QuadratureError
+from nmshrink.kernel import ConditionError, GChoice, QuadratureError
+from nmshrink.model import read_counts_csv
+
+
+def _savetxt_bytes(values) -> str:
+    buf = io.StringIO()
+    np.savetxt(buf, values, fmt="%.17g", delimiter=",")
+    return buf.getvalue()
 
 
 def write(path, text):
@@ -51,6 +59,23 @@ class TestEstimate:
         assert main(["estimate", "--estimator", "umvu", "--r", "8", "--in", counts_csv]) == 0
         line = capsys.readouterr().out.splitlines()[1]
         assert line.split(",")[0] == "0.16666666666666666"
+
+    @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (1, 1), (50, 4)])
+    def test_output_bytes_are_savetxt_bytes(self, shape):
+        # Exact zeros among values from 1e-300 to 1e5.
+        rng = np.random.default_rng(list(shape))
+        values = 10.0 ** rng.uniform(-300.0, 5.0, size=shape)
+        values[rng.random(shape) < 0.3] = 0.0
+        values.flat[0] = 1e-300
+        assert cli._matrix_to_csv(values) == _savetxt_bytes(values)
+
+    def test_hb_estimate_prints_savetxt_bytes(self, counts_csv, capsys):
+        argv = ["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14",
+                "--in", counts_csv]
+        assert main(argv) == 0
+        want = estimators.hb(read_counts_csv(counts_csv), 8.0, 14.0, 1.0,
+                             GChoice.constant_one())
+        assert capsys.readouterr().out == _savetxt_bytes(want)
 
     def test_ragged_csv_exit_2(self, tmp_path, capsys):
         src = write(tmp_path / "bad.csv", "1,2\n3\n")
@@ -626,6 +651,21 @@ class TestRepro:
         assert main(["repro", "tables", "--reps", "5", "--dry-run"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["config"]["outdir"].endswith("envout")
+
+
+class TestVersion:
+    def test_cli_and_manifest_report_the_pyproject_version(self, tmp_path, capsys):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+            version = tomllib.load(f)["project"]["version"]
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"nmshrink {version} (")
+        out = tmp_path / "repro"
+        assert main(["repro", "tables", "--reps", "2", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["nmshrink"].startswith(f"nmshrink {version} (")
 
 
 class TestPersistedConfig:

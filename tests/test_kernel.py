@@ -367,12 +367,13 @@ def _mixed_rows(seed: int, n_rows: int, n_cols: int) -> np.ndarray:
 
 
 # The one-pass regimes plus a row alone, stacks whose rows share most of
-# their values, rows with zero entries, and the far branch (t + xi0 > 1e6,
-# with xi >= 1e5).
+# their values, rows with zero entries, the far branch (t + xi0 > 1e6,
+# with xi >= 1e5), and rows whose K(alpha + 1) diverges next to rows whose
+# tails grow deep.
 TABLE_REGIMES = ORACLE_REGIMES + [
     _regime("one row", 14.0, 1.0, G1, 1.0, [[17, 2.5, 31, 0, 4.37]]),
     _tables_regime("ii", reps=300),
-    _regime("repeated mixed values, two row blocks", 9.0, 1.0, G1, 2.0,
+    _regime("repeated mixed values, several row blocks", 9.0, 1.0, G1, 2.0,
             _mixed_rows(1, 400, 7)),
     _regime("zero entries", 4.0, 0.3, G1, 0.0,
             [[0, 3, 0], [0, 0, 7], [2.5, 0, 0], [0, 3, 7]]),
@@ -380,12 +381,16 @@ TABLE_REGIMES = ORACLE_REGIMES + [
             [[1e5, 0.0], [7.0, 1e5], [8.0, 0.0], [1e5, 1e5 + 0.5]]),
     _regime("far branch, xi0 = 2e6", 2.0, 1.0, G1, 2e6,
             [[1e5, 3.0], [0.0, 2.5], [1e5, 1e5 + 0.5], [3.0, 1e5]]),
+    _regime("beta = 0, K(alpha + 1) diverges on some rows", 6.5, 0.0, G1, 1.0,
+            [[7.0, 0.0], [30.0, 0.0], [3.0, 4.0], [9.0, 0.0], [1.0, 7.0]]),
 ]
 
 
 class TestValueTable:
-    """One log-gamma table per kernel call gives the bits of the per-column
-    integrand it replaced (kernel_oracle)."""
+    """One log-gamma table per kernel call, and one pass of bookkeeping per
+    depth step over every (row, exponent) pair, give the bits of the
+    per-column integrand and per-exponent row loop they replaced
+    (kernel_oracle)."""
 
     @pytest.mark.parametrize("alpha, beta, g, xi0, rows", TABLE_REGIMES)
     def test_bit_identical_to_per_column_integrand(self, alpha, beta, g, xi0, rows):
