@@ -36,6 +36,7 @@ from .kernel import (
     GChoice,
     PriorSpec,
     QuadratureError,
+    _ratio,
     log_kernel,
     posterior_proper,
     quadrature_settings,
@@ -411,13 +412,14 @@ def _cmd_kernel_eval(args) -> int:
     xi = np.asarray(_real(doc, "xi"))
     if xi.ndim != 1:
         raise ValueError("xi must be a list of numbers")
-    log_den, log_num = log_kernel([alpha, alpha + 1.0], beta, g, xi0, xi)
-    with np.errstate(over="ignore", invalid="ignore"):
-        delta = np.exp(log_num - log_den)
+    logk = log_kernel([alpha, alpha + 1.0], beta, g, xi0, xi)
+    # inf - inf where both kernels diverge: delta is NaN, written as null.
+    with np.errstate(invalid="ignore"):
+        delta = _ratio(logk)
     out = {
-        "log_K": float(log_den),
-        "log_K_alpha_plus_1": float(log_num),
-        "delta": float(delta),
+        "log_K": float(logk[0]),
+        "log_K_alpha_plus_1": float(logk[1]),
+        "delta": delta,
     }
     _write_text(args.out, _to_json(out) + "\n")
     return EXIT_OK

@@ -22,7 +22,7 @@ from .kernel import (
     delta_nu,
     require_hb_assumptions,
 )
-from .model import CountMatrix
+from .model import CountMatrix, GeneralizedDirichlet
 
 __all__ = [
     "umvu",
@@ -136,15 +136,13 @@ def dirichlet_posterior_mean(
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    a = np.asarray(a, dtype=float)
-    if a.shape != (x.m,):
+    weights = GeneralizedDirichlet(a0, a)
+    if weights.a.shape != (x.m,):
         raise ValueError("a must have length m")
-    if not np.all(np.isfinite(a) & (a > 0)):
-        raise ValueError("all a_i must be positive and finite")
-    if not r + a0 > 0:
+    if not r + weights.a0 > 0:
         raise ConditionError("posterior mean requires r + a0 > 0")
-    denom = r + a0 + x.col_sums.astype(float) + a.sum()
-    return (x.x.astype(float) + a[:, None]) / denom[..., None, :]
+    denom = r + weights.a0 + x.col_sums.astype(float) + weights.a_dot
+    return (x.x.astype(float) + weights.a[:, None]) / denom[..., None, :]
 
 
 def hb_posterior_mean(x: CountMatrix, r: float, prior: PriorSpec) -> np.ndarray:

@@ -29,8 +29,9 @@ after the loop.
 
 Conditioning on counts only shifts the parameters (a0 -> r + a0,
 a_nu -> x_nu + a_nu), so the same chain targets prior and posterior.  The
-sampler is restricted to the constant mixing weight g = 1; other weights
-break conjugacy and are covered by the deterministic kernel quadrature.
+sampler is restricted to the constant mixing weight g = 1 (any GChoice with
+c = -1); other weights break conjugacy and are covered by the deterministic
+kernel quadrature.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ import numpy as np
 
 from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError
 from .kernel import kernel_finite, posterior_proper
-from .model import CountMatrix, make_rng
+from .model import CountMatrix, GeneralizedDirichlet, make_rng
 
 __all__ = [
     "ChainConfig",
@@ -172,8 +173,9 @@ def run_prior(
 ) -> Chain:
     """Chain targeting the joint prior; refuses improper configurations."""
     a_cols = np.asarray(a_cols, dtype=float)
-    if a_cols.ndim != 2 or not np.all(np.isfinite(a_cols) & (a_cols > 0)):
-        raise ValueError("a_cols must be a positive finite m x N matrix")
+    if a_cols.ndim != 2:
+        raise ValueError("a_cols must be an m x N matrix")
+    GeneralizedDirichlet(a0, a_cols.ravel())  # refuses nonpositive or infinite weights
     if not joint_prior_proper(alpha, beta, a0, a_cols):
         raise ConditionError(
             "joint prior is improper: need a0 >= 0 and "
@@ -194,10 +196,10 @@ def run_posterior(
         raise ValueError("r must be positive")
     if prior.m != x.m:
         raise ValueError("prior dimension does not match the count matrix")
-    if prior.g.kind != "constant_one":
+    if prior.g.small_t_exponent != 0.0:
         raise ConditionError(
-            "the sampler requires the constant mixing weight; other weights "
-            "break conjugacy (use the kernel quadrature instead)"
+            "the sampler requires the constant mixing weight (c = -1); other "
+            "weights break conjugacy (use the kernel quadrature instead)"
         )
     if not posterior_proper(prior, x.n_columns, r):
         raise ConditionError("posterior is improper for this prior and r")

@@ -6,7 +6,9 @@ The kernel is
         = int_0^inf t^(alpha-1) e^(-beta t) g(t)
               prod_nu Gamma(t + xi0) / Gamma(t + xi0 + xi_nu) dt
 
-for alpha > 0, beta >= 0, xi0 >= 0 and a nonnegative vector xi.  Ratios
+for alpha > 0, beta >= 0, xi0 >= 0 and a nonnegative vector xi, with the
+mixing weight g(t) = (t / (1 + kappa t))^(c+1) of `GChoice`.  Its c = -1
+member is g = 1, whose log is a zero array, taken without log passes.  Ratios
 K(alpha+1, ...)/K(alpha, ...) are the shrinkage amounts added to estimator
 denominators, so K must be evaluated to high relative accuracy across count
 regimes where the Gamma ratios overflow naively.
@@ -60,6 +62,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model import GeneralizedDirichlet
 
 __all__ = [
     "GChoice",
@@ -143,56 +147,45 @@ class ConditionError(ValueError):
 
 @dataclass(frozen=True)
 class GChoice:
-    """Mixing-weight function g(t) on (0, inf).
+    """Mixing weight g(t) = (t / (1 + kappa t))^(c+1) on (0, inf).
 
-    Two variants:
-      * ``constant_one``: g(t) = 1 (nonincreasing).
-      * ``komaki``: g(t) = (t / (1 + kappa t))^(c+1), bounded for c+1 >= 0;
-        strictly increasing whenever c+1 > 0, so it is flagged as not
-        nonincreasing and dominance checkers requiring monotone g reject it.
+    Bounded for c + 1 >= 0 and kappa > 0.  Its c = -1 member is the constant
+    g = 1 (``constant_one``, whatever kappa), the only nonincreasing one:
+    for c + 1 > 0, g is strictly increasing, so dominance checks requiring
+    monotone g reject it.
     """
 
-    kind: str
-    c: float = 0.0
-    kappa: float = 1.0
+    c: float
+    kappa: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant_one", "komaki"):
-            raise ValueError(f"unknown g variant: {self.kind!r}")
-        if self.kind == "komaki":
-            if not self.c + 1.0 >= 0:
-                raise ValueError("komaki exponent c+1 must be >= 0 (boundedness)")
-            if not self.kappa > 0:
-                raise ValueError("komaki kappa must be positive")
+        if not self.c + 1.0 >= 0:
+            raise ValueError("komaki exponent c+1 must be >= 0 (boundedness)")
+        if not self.kappa > 0:
+            raise ValueError("komaki kappa must be positive")
 
     @classmethod
     def constant_one(cls) -> "GChoice":
-        return cls("constant_one")
+        return cls(-1.0, 1.0)
 
     @classmethod
     def komaki(cls, c: float, kappa: float) -> "GChoice":
-        return cls("komaki", float(c), float(kappa))
+        return cls(float(c), float(kappa))
 
     def log_g(self, t: np.ndarray) -> np.ndarray:
-        if self.kind == "constant_one":
+        q = self.small_t_exponent
+        if q == 0.0:
             return np.zeros_like(t)
-        return (self.c + 1.0) * (np.log(t) - np.log1p(self.kappa * t))
+        return q * (np.log(t) - np.log1p(self.kappa * t))
 
     @property
     def nonincreasing(self) -> bool:
-        if self.kind == "constant_one":
-            return True
-        return self.c + 1.0 == 0.0
+        return self.small_t_exponent == 0.0
 
     @property
     def small_t_exponent(self) -> float:
-        """Power q such that g(t) ~ t^q as t -> 0."""
-        return 0.0 if self.kind == "constant_one" else self.c + 1.0
-
-    def label(self) -> str:
-        if self.kind == "constant_one":
-            return "g1"
-        return f"komaki(c={self.c:g},kappa={self.kappa:g})"
+        """Power q = c + 1 such that g(t) ~ t^q as t -> 0."""
+        return self.c + 1.0
 
 
 @dataclass(frozen=True)
@@ -210,15 +203,11 @@ class PriorSpec:
             raise ValueError("alpha must be positive")
         if not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 1 or a.size == 0 or not np.all(np.isfinite(a) & (a > 0)):
-            raise ValueError("a must be a vector of positive finite reals")
-        a = np.array(a, copy=True)
-        a.flags.writeable = False
+        weights = GeneralizedDirichlet(self.a0, self.a)
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "a0", float(self.a0))
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a0", weights.a0)
+        object.__setattr__(self, "a", weights.a)
 
     @property
     def a_dot(self) -> float:
@@ -232,7 +221,7 @@ class PriorSpec:
 def tail_finite(alpha: float, beta: float, g: GChoice, total: float) -> bool:
     """Whether int_1^inf t^(alpha - total - 1) e^(-beta t) g(t) dt converges.
 
-    Both g variants have a positive finite limit at infinity, so only the
+    g has the positive finite limit kappa^-(c+1) at infinity, so only the
     power matters when beta = 0.
     """
     return beta > 0 or alpha < total

@@ -294,12 +294,10 @@ def gen_dirichlet_sample(
     a0: float, a: np.ndarray, rng: np.random.Generator
 ) -> ProbColumn:
     """Draw a ProbColumn whose (p0, p) is Dirichlet(a0, a_1, ..., a_m)."""
-    if not a0 > 0:
+    weights = GeneralizedDirichlet(a0, a)
+    if not weights.is_proper:
         raise ValueError("a0 must be positive for sampling")
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a) & (a > 0)):
-        raise ValueError("all a_i must be positive and finite")
-    alpha = np.concatenate(([a0], a))
+    alpha = np.concatenate(([weights.a0], weights.a))
     # Tiny shape parameters can underflow a coordinate to exact zero.
     for _ in range(100):
         draw = rng.dirichlet(alpha)
@@ -312,14 +310,14 @@ def gen_dirichlet_log_pdf(p: ProbColumn, a0: float, a: np.ndarray) -> float:
     """Log density of the (a0, a) Dirichlet at p (requires a0 > 0)."""
     from scipy.special import gammaln
 
-    a = np.asarray(a, dtype=float)
-    if a.shape != (p.m,):
+    weights = GeneralizedDirichlet(a0, a)
+    if weights.a.shape != (p.m,):
         raise ValueError("a has wrong length")
-    if not a0 > 0 or not np.all(np.isfinite(a) & (a > 0)):
-        raise ValueError("density is normalizable only for positive finite parameters")
-    a_dot = float(a.sum())
+    if not weights.is_proper:
+        raise ValueError("density is normalizable only for a0 > 0")
+    a0, a = weights.a0, weights.a
     return float(
-        gammaln(a0 + a_dot)
+        gammaln(a0 + weights.a_dot)
         - gammaln(a0)
         - gammaln(a).sum()
         + (a0 - 1.0) * np.log(p.p0)

@@ -141,7 +141,7 @@ def posterior_chain(
     """
     if prior.m != x.m:
         raise ValueError("prior dimension does not match the count matrix")
-    if prior.g.kind != "constant_one":
+    if prior.g.c != -1.0:
         raise ConditionError(
             "the sampler requires the constant mixing weight; other weights "
             "break conjugacy (use the kernel quadrature instead)"

@@ -143,6 +143,16 @@ class TestKernelEval:
             np.exp(doc["log_K_alpha_plus_1"] - doc["log_K"])
         )
 
+    def test_delta_has_the_library_ratio_bits(self, tmp_path, capsys):
+        # A case where exp of the difference rounds differently in NumPy.
+        from nmshrink.kernel import delta_hb
+
+        spec = {"alpha": 14, "beta": 1, "g": "g1", "xi0": 1, "xi": [52, 57, 39]}
+        assert main(["kernel-eval", "--in", write(tmp_path / "k.json", json.dumps(spec))]) == 0
+        delta = json.loads(capsys.readouterr().out)["delta"]
+        assert delta == delta_hb(14, 1, GChoice.constant_one(), 8, 7, np.array([45, 50, 32]))
+        assert delta == 1.2872542726960294
+
     def test_komaki_spec(self, tmp_path, capsys):
         spec = {
             "alpha": 3, "beta": 0.5,
@@ -395,6 +405,17 @@ class TestGibbsDiag:
             ["gibbs-diag", "--counts", counts_csv, "--prior", src, "--r", "4"]
         )
         assert code == 4
+
+    def test_constant_komaki_weight_is_g1(self, counts_csv, tmp_path, capsys):
+        outs = []
+        for g in ("g1", {"kind": "komaki", "c": -1, "kappa": 2}):
+            prior = {"alpha": 6, "beta": 1, "g": g, "a0": 0.5, "a": [1, 1, 1]}
+            src = write(tmp_path / "prior.json", json.dumps(prior))
+            code = main(["gibbs-diag", "--counts", counts_csv, "--prior", src,
+                         "--r", "4", "--iters", "500", "--burn-in", "50"])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
 
 class TestRiskSim:
@@ -985,6 +1006,17 @@ class TestColdImports:
         for argv, code, loaded in seen:
             assert code == 0, argv
             assert not loaded, argv
+
+    def test_parallel_case_table_loads_scipy_special_before_forking(self, tmp_path):
+        # Workers forked after the import inherit it instead of each paying it.
+        proc = self.fresh(
+            "import sys; from nmshrink.risklab import case_table; "
+            "case_table('iii', reps=4, seed=0, jobs=2); "
+            "print('scipy.special' in sys.modules)",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
     def test_hb_loads_scipy_special_and_prints_the_same_bytes(self, inputs, capsys,
                                                              monkeypatch):

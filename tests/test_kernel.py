@@ -58,6 +58,36 @@ class TestGChoice:
             GChoice.komaki(0.0, 0.0)
 
 
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
+class TestConstantKomaki:
+    """komaki(-1, kappa) is g = 1 whatever kappa: every kernel value and
+    estimate has the bits of constant_one."""
+
+    Z = np.array([[10, 0, 3], [45, 50, 32], [0, 0, 0], [1, 2, 3]])
+
+    def test_log_kernel(self, kappa):
+        g, alphas, xi = GChoice.komaki(-1.0, kappa), [6.0, 7.0], self.Z + 0.5
+        for beta, xi0 in [(1.0, 1.0), (0.0, 0.0), (0.5, 2.5)]:
+            assert np.array_equal(log_kernel(alphas, beta, g, xi0, xi),
+                                  log_kernel(alphas, beta, G1, xi0, xi))
+
+    def test_ratios(self, kappa):
+        g, z = GChoice.komaki(-1.0, kappa), self.Z[1:]
+        assert np.array_equal(delta_hb(14.0, 1.0, g, 8.0, 7, z),
+                              delta_hb(14.0, 1.0, G1, 8.0, 7, z))
+        nu = np.arange(3)
+        assert np.array_equal(delta_nu(6.0, 1.0, g, 4.0, 0.5, 3.0, z[:, None, :], nu),
+                              delta_nu(6.0, 1.0, G1, 4.0, 0.5, 3.0, z[:, None, :], nu))
+
+    def test_hb_estimate(self, kappa):
+        from nmshrink.estimators import hb
+        from nmshrink.model import CountMatrix
+
+        x = CountMatrix(np.stack([np.tile(row, (7, 1)) for row in self.Z]))
+        assert np.array_equal(hb(x, 8.0, 14.0, 1.0, GChoice.komaki(-1.0, kappa)),
+                              hb(x, 8.0, 14.0, 1.0, G1))
+
+
 class TestLogKernel:
     def test_trivial_exponential_integral(self):
         # xi = 0 leaves int t^0 e^-t dt = 1 for any xi0
