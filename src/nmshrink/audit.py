@@ -28,7 +28,7 @@ from .kernel import (
     tail_finite,
 )
 from .model import GeneralizedDirichlet
-from .risklab import benchmark_scenarios
+from .risklab import CASES, benchmark_scenarios
 
 __all__ = [
     "ShrinkageRuleReport",
@@ -207,12 +207,12 @@ def dominance_table() -> list[dict]:
     empirical Bayes (EB0), pooled empirical Bayes (EB), and hierarchical
     Bayes (HB, g = 1 and beta = 1 as in the risk tables) estimators, each
     evaluated at n = N.  EB0 and EB share the one empirical Bayes condition.
-    The (r, m, N, alpha) of a case are those of its truths in
-    `risklab.benchmark_scenarios`.
+    Rows follow `risklab.CASES`; the (r, m, N, alpha) of a case are those
+    of its truths in `risklab.benchmark_scenarios`.
     """
     g1 = GChoice.constant_one()
     rows = []
-    for name in ("i", "ii", "iii"):
+    for name in CASES:
         sc = benchmark_scenarios(name)[0]
         r, m, n = sc.params.r, sc.params.m, sc.params.n_columns
         eb = eb_dominance_conditions(m, r).holds

@@ -11,6 +11,9 @@ NMSHRINK_OUTDIR supplies the default output directory for `repro`.
 later call in the same process (parsing does not change a parser, and
 argparse looks up sys.stdout/sys.stderr when it prints).  `build_parser`
 still returns a fresh parser on each call.
+
+Cases and estimator kinds come from `risklab`; `_rows_to_csv` writes every
+table, Table 1's +/- verdicts included.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from .kernel import (
     quadrature_settings,
 )
 from .model import ModelParams, read_counts_csv
-from .risklab import case_table, compare, loss_columns, make_estimator
+from .risklab import CASES, ESTIMATOR_KINDS, POSITIVE_KINDS, case_table, compare
+from .risklab import loss_columns, make_estimator
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -58,12 +62,6 @@ def _version_string() -> str:
         f"nmshrink {__version__} (quadrature: {q['rule']}, {q['substitution']}, "
         f"node cap {q['node_cap']}, error tolerance {q['error_tol']:g})"
     )
-
-
-def _g_from_args(args) -> GChoice:
-    if args.g == "g1":
-        return GChoice.constant_one()
-    return GChoice.komaki(args.g_c, args.g_kappa)
 
 
 def _real(doc: dict, key: str):
@@ -86,7 +84,7 @@ def _count(doc: dict, key: str, default=None) -> int:
 
 
 def _g_from_doc(doc) -> GChoice:
-    if doc is None or doc == "g1" or doc == {"kind": "constant_one"}:
+    if doc is None or doc == "g1":
         return GChoice.constant_one()
     if isinstance(doc, dict):
         if doc.get("kind") in ("constant_one", "g1"):
@@ -195,7 +193,7 @@ def _estimators(names: list[str], args, m: int) -> dict:
     a = _parse_vector(args.a) if args.a else np.ones(m)
     if a.shape != (m,):
         raise ValueError(f"--a needs m = {m} entries, got {a.size}")
-    g = _g_from_args(args)
+    g = _g_from_doc({"kind": args.g, "c": args.g_c, "kappa": args.g_kappa})
     return {
         name: make_estimator(
             name, alpha=args.alpha, beta=args.beta, g=g, a0=args.a0, a=a
@@ -234,17 +232,21 @@ def _cmd_estimate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _cell(v) -> str:
+    """A table cell: 17 significant digits for a float, + or - for a verdict."""
+    if isinstance(v, float):
+        return _FLOAT_FMT % v
+    if isinstance(v, bool):
+        return "+" if v else "-"
+    return v
+
+
 def _rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     for row in rows:
-        writer.writerow(
-            {
-                k: (_FLOAT_FMT % v if isinstance(v, float) else v)
-                for k, v in row.items()
-            }
-        )
+        writer.writerow({k: _cell(v) for k, v in row.items()})
     return buf.getvalue()
 
 
@@ -256,7 +258,6 @@ _SCENARIO_OPTIONS = ("scenario", "reps", "seed", "jobs", "out", "dry_run")
 def _cmd_risk_sim(args) -> int:
     if (args.scenario is None) == (args.truth is None):
         raise ValueError("give exactly one of --scenario or --truth")
-    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
     if args.scenario is not None:
         defaults = vars(_parser().parse_args(["risk-sim"]))
         ignored = [
@@ -269,17 +270,19 @@ def _cmd_risk_sim(args) -> int:
                 f"--scenario runs the paper's estimators, loss and priors; "
                 f"it does not take {', '.join(ignored)}"
             )
-    # The KL-type loss is undefined at the exact zeros the others put at zero counts.
-    zeros = [name for name in names if name not in ("dir-pm", "hb-pm")]
-    if args.loss == "kl" and zeros:
-        raise ValueError(f"--loss kl needs dir-pm or hb-pm, not {', '.join(zeros)}")
-    if args.scenario is not None:
         if args.dry_run:
             return _print_dry_run(args)
         rows = case_table(args.scenario, reps=args.reps, seed=args.seed, jobs=args.jobs)
         _write_text(args.out, _rows_to_csv(rows))
         return EXIT_OK
 
+    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
+    # The KL-type loss is undefined at the exact zeros the others put at zero counts.
+    zeros = [name for name in names if name not in POSITIVE_KINDS]
+    if args.loss == "kl" and zeros:
+        raise ValueError(
+            f"--loss kl needs {' or '.join(POSITIVE_KINDS)}, not {', '.join(zeros)}"
+        )
     with open(args.truth) as f:
         truth = ModelParams.from_json(f.read())
     loss_columns(truth, args.n)
@@ -351,11 +354,8 @@ def _cmd_audit(args) -> int:
         if args.dry_run:
             return _print_dry_run(args)
         rows = audit_mod.dominance_table()
-        text = _to_json(rows)
-        _write_text(args.out, text + "\n")
-        if args.enforce and not all(
-            row["EB0"] and row["EB"] and row["HB"] for row in rows
-        ):
+        _write_text(args.out, _to_json(rows) + "\n")
+        if args.enforce and any(v is False for row in rows for v in row.values()):
             return EXIT_CONDITION
         return EXIT_OK
 
@@ -440,20 +440,13 @@ def _cmd_repro(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     started = time.time()
 
-    table1 = audit_mod.dominance_table()
-    with open(os.path.join(outdir, "table1.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["case", "EB0", "EB", "HB"])
-        for row in table1:
-            w.writerow(
-                [row["case"]]
-                + [("+" if row[k] else "-") for k in ("EB0", "EB", "HB")]
-            )
-
-    for idx, case in enumerate(("i", "ii", "iii"), start=2):
-        rows = case_table(case, reps=args.reps, seed=args.seed, jobs=args.jobs)
-        with open(os.path.join(outdir, f"table{idx}.csv"), "w") as f:
-            f.write(_rows_to_csv(rows))
+    sampling = {"reps": args.reps, "seed": args.seed, "jobs": args.jobs}
+    tables = [audit_mod.dominance_table] + [
+        functools.partial(case_table, case, **sampling) for case in CASES
+    ]
+    for idx, table in enumerate(tables, start=1):
+        with open(os.path.join(outdir, f"table{idx}.csv"), "w", newline="") as f:
+            f.write(_rows_to_csv(table()))
 
     import scipy
 
@@ -507,11 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("estimate", help="estimate probabilities from a counts CSV")
-    sp.add_argument(
-        "--estimator",
-        required=True,
-        choices=["umvu", "eb0", "eb", "hb", "dir-pm", "hb-pm"],
-    )
+    sp.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
     sp.add_argument("--r", type=_finite, required=True)
     sp.add_argument("--in", dest="infile", default=None, help="counts CSV (default stdin)")
     sp.add_argument("--header", action="store_true", help="counts CSV has a header row")
@@ -520,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=_cmd_estimate)
 
     sp = sub.add_parser("risk-sim", help="Monte Carlo risk comparison")
-    sp.add_argument("--scenario", choices=["i", "ii", "iii"], default=None)
+    sp.add_argument("--scenario", choices=list(CASES), default=None)
     sp.add_argument("--truth", default=None, help="ModelParams JSON file")
     sp.add_argument("--reps", type=_reps, default=1000)
     sp.add_argument("--seed", type=int, default=0)
@@ -584,7 +573,10 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     if argv and argv[0] == "--config":
         if len(argv) != 2:
             raise ValueError("--config takes exactly one JSON file")
-        argv = [str(a) for a in _read_json(argv[1])["argv"]]
+        argv = _read_json(argv[1])["argv"]
+        if not isinstance(argv, list):
+            raise ValueError(f"--config needs an argv list, got {argv!r}")
+        argv = [str(a) for a in argv]
     return _parser().parse_args(argv)
 
 

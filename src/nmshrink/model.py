@@ -147,11 +147,11 @@ class ModelParams:
     def from_json(cls, text: str) -> "ModelParams":
         doc = json.loads(text)
         try:
-            r = doc["r"]
-            columns = doc["columns"]
+            r = float(doc["r"])
+            columns = tuple(ProbColumn(np.asarray(c, dtype=float)) for c in doc["columns"])
         except (KeyError, TypeError) as exc:
             raise ValueError("expected a JSON object {r, columns}") from exc
-        return cls(float(r), tuple(ProbColumn(np.asarray(c, dtype=float)) for c in columns))
+        return cls(r, columns)
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,9 @@ def _open_maybe(path_or_file, mode: str):
 def read_counts_csv(path_or_file, header: bool = False) -> CountMatrix:
     """Read an m x N integer count matrix from CSV (m rows, N columns).
 
-    Raises ValueError naming the offending row on ragged or non-integer input.
+    Blank lines are skipped; with `header`, so is the first record that is
+    not blank.  Raises ValueError naming the offending row on ragged or
+    non-integer input.
     """
     f, close = _open_maybe(path_or_file, "r")
     try:
@@ -343,7 +345,8 @@ def read_counts_csv(path_or_file, header: bool = False) -> CountMatrix:
         for lineno, rec in enumerate(csv.reader(f), start=1):
             if not rec or (len(rec) == 1 and rec[0].strip() == ""):
                 continue
-            if header and lineno == 1:
+            if header:
+                header = False
                 continue
             if width is None:
                 width = len(rec)

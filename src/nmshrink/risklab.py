@@ -8,6 +8,9 @@ replications of a case's three truths, which share r, m and N, into one
 (reps, m, N) CountMatrix, so each estimator runs once per case; each truth's
 loss and risks come from its own slice.  `compare` is the one-truth batch.
 
+The benchmark cases (`CASES`) and the estimator kinds (`ESTIMATOR_KINDS`,
+`POSITIVE_KINDS`) are stated here once; the CLI and `audit` read them.
+
 The summation-by-parts identity check is exact for every shape: its test
 functions depend on column nu only through (X_{i,nu}, colsum_nu), so both
 sides are sums over the law of those two counts alone.
@@ -41,6 +44,9 @@ __all__ = [
     "benchmark_scenarios",
     "case_table",
     "make_estimator",
+    "CASES",
+    "ESTIMATOR_KINDS",
+    "POSITIVE_KINDS",
 ]
 
 # An estimator maps counts (an m x N CountMatrix or a (..., m, N) stack) and
@@ -270,6 +276,13 @@ def compare(
     )["truth"]
 
 
+# The kinds `make_estimator` builds, and the posterior means among them,
+# whose estimates are strictly positive; the others put exact zeros at zero
+# counts, where the KL-type loss is undefined.
+ESTIMATOR_KINDS = ("umvu", "eb0", "eb", "hb", "dir-pm", "hb-pm")
+POSITIVE_KINDS = ("dir-pm", "hb-pm")
+
+
 def make_estimator(
     kind: str,
     alpha: float | None = None,
@@ -278,16 +291,11 @@ def make_estimator(
     a0: float | None = None,
     a: np.ndarray | None = None,
 ) -> Estimator:
-    """Estimator callable (counts, r) -> matrix from a name and hyperparameters.
-
-    Kinds: umvu | eb0 | eb | hb | dir-pm | hb-pm.
-    """
-    if kind == "umvu":
-        return est.umvu
-    if kind == "eb0":
-        return est.eb0
-    if kind == "eb":
-        return est.eb
+    """Estimator callable (counts, r) -> matrix from a kind, one of
+    `ESTIMATOR_KINDS`, and hyperparameters."""
+    closed_form = {"umvu": est.umvu, "eb0": est.eb0, "eb": est.eb}
+    if kind in closed_form:
+        return closed_form[kind]
     if kind == "hb":
         if alpha is None:
             raise ValueError("hb needs alpha")
@@ -313,22 +321,21 @@ def _cols(*columns) -> np.ndarray:
     return np.column_stack([np.asarray(c, dtype=float) for c in columns])
 
 
-def scenario_presets() -> list[Scenario]:
-    """The nine benchmark truths, grouped in three cases.
+# The benchmark cases by name: the r of the case's three truths (built in
+# `_presets`) and the HB alpha of its risk table.
+CASES = {"i": (8.0, 14.0), "ii": (4.0, 6.0), "iii": (2.0, 6.0)}
 
-    Case i:   (r, m, N) = (8, 7, 3), alpha = 14.
-    Case ii:  (r, m, N) = (4, 3, 7), alpha = 6.
-    Case iii: (r, m, N) = (2, 1, 7), alpha = 6 (negative binomial columns).
-    """
-    return list(_presets())
+
+def scenario_presets() -> list[Scenario]:
+    """The nine benchmark truths, three per case of `CASES`, in its order."""
+    return [sc for truths in _presets().values() for sc in truths]
 
 
 @cache
-def _presets() -> tuple[Scenario, ...]:
+def _presets() -> dict[str, tuple[Scenario, ...]]:
     # Built once per process: the truths are validated on construction and
     # are immutable, so every caller shares them.
-    ones7 = np.ones(7)
-    A = ones7 / 8.0
+    A = np.ones(7) / 8.0
     B = np.array([1, 1, 1, 1, 2, 2, 2]) / 12.0
     C = np.array([2, 2, 2, 2, 1, 1, 1]) / 12.0
     D = np.ones(3) / 4.0
@@ -338,34 +345,29 @@ def _presets() -> tuple[Scenario, ...]:
     third = np.array([1.0 / 3.0])
     two_thirds = np.array([2.0 / 3.0])
 
-    presets = [
-        ("i-1", 8.0, 14.0, _cols(A, A, A)),
-        ("i-2", 8.0, 14.0, _cols(B, A, B)),
-        ("i-3", 8.0, 14.0, _cols(B, A, C)),
-        ("ii-1", 4.0, 6.0, _cols(*[D] * 7)),
-        ("ii-2", 4.0, 6.0, _cols(E, E, D, D, D, E, E)),
-        ("ii-3", 4.0, 6.0, _cols(E, E, D, D, D, F, F)),
-        ("iii-1", 2.0, 6.0, _cols(*[half] * 7)),
-        ("iii-2", 2.0, 6.0, _cols(third, third, half, half, half, third, third)),
-        (
-            "iii-3",
-            2.0,
-            6.0,
-            _cols(third, third, half, half, half, two_thirds, two_thirds),
-        ),
-    ]
-    return tuple(
-        Scenario(name, ModelParams.from_matrix(r, mat), alpha)
-        for name, r, alpha, mat in presets
-    )
+    columns = {
+        "i": [(A, A, A), (B, A, B), (B, A, C)],
+        "ii": [[D] * 7, (E, E, D, D, D, E, E), (E, E, D, D, D, F, F)],
+        "iii": [
+            [half] * 7,
+            (third, third, half, half, half, third, third),
+            (third, third, half, half, half, two_thirds, two_thirds),
+        ],
+    }
+    return {
+        case: tuple(
+            Scenario(f"{case}-{k}", ModelParams.from_matrix(r, _cols(*cols)), alpha)
+            for k, cols in enumerate(columns[case], start=1)
+        )
+        for case, (r, alpha) in CASES.items()
+    }
 
 
 def benchmark_scenarios(case: str) -> list[Scenario]:
-    """The three truths of one case ("i", "ii" or "iii")."""
-    out = [s for s in scenario_presets() if s.name.split("-")[0] == case]
-    if not out:
+    """The three truths of one case, a key of `CASES`."""
+    if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
-    return out
+    return list(_presets()[case])
 
 
 def case_table(

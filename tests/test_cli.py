@@ -1,5 +1,6 @@
 """Command-line harness: subcommands, exit codes, reproducibility."""
 
+import csv
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nmshrink.cli as cli
-from nmshrink import audit, estimators
+from nmshrink import audit, estimators, risklab
 from nmshrink.cli import _audit_scenario, _g_from_doc, build_parser, main
 from nmshrink.kernel import ConditionError, GChoice, QuadratureError
 from nmshrink.model import read_counts_csv
@@ -207,6 +208,7 @@ class TestAudit:
         rows = json.loads(capsys.readouterr().out)
         flags = [(r["EB0"], r["EB"], r["HB"]) for r in rows]
         assert flags == [(True, True, True), (False, False, True), (False, False, False)]
+        assert [r["case"] for r in rows] == list(risklab.CASES)
 
     def test_enforce_exit_4(self, tmp_path, capsys):
         scenario = {"kind": "eb", "m": 3, "r": 4}
@@ -478,6 +480,20 @@ class TestRiskSim:
         assert captured.out == ""
         assert "umvu, eb" in captured.err
 
+    @pytest.mark.parametrize("kind", risklab.ESTIMATOR_KINDS)
+    def test_kl_loss_refuses_exactly_the_kinds_with_zeros(self, tmp_path, capsys, kind):
+        from nmshrink.model import ModelParams
+
+        truth = ModelParams.from_matrix(5.0, np.full((2, 2), 0.2))
+        src = write(tmp_path / "truth.json", truth.to_json())
+        code = main(
+            ["risk-sim", "--truth", src, "--loss", "kl", "--estimators", kind,
+             "--alpha", "3", "--a0", "1", "--dry-run"]
+        )
+        refused = kind not in risklab.POSITIVE_KINDS
+        assert code == (2 if refused else 0)
+        assert ("--loss kl needs dir-pm or hb-pm" in capsys.readouterr().err) == refused
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_condition_violation_exit_4(self, tmp_path, capsys, jobs):
         from nmshrink.model import ModelParams
@@ -609,7 +625,19 @@ BAD_INPUT = [
      "argument --reps: need at least 2 replications, got '1'"),
     (["repro", "tables", "--reps", "0", "--out", "{out}"],
      "argument --reps: must be a positive integer, got '0'"),
+    (["risk-sim", "--truth", "{null_r}", "--estimators", "umvu"],
+     "expected a JSON object {r, columns}"),
+    (["risk-sim", "--truth", "{list_r}", "--estimators", "umvu"],
+     "expected a JSON object {r, columns}"),
+    (["risk-sim", "--truth", "{scalar_columns}", "--estimators", "umvu"],
+     "expected a JSON object {r, columns}"),
 ]
+# Truth documents of the right keys whose values ModelParams cannot take.
+MALFORMED_TRUTHS = {
+    "null_r": '{"r": null, "columns": [[0.2, 0.2]]}',
+    "list_r": '{"r": [5], "columns": [[0.2, 0.2]]}',
+    "scalar_columns": '{"r": 5, "columns": 5}',
+}
 
 
 class TestBadInput:
@@ -623,7 +651,10 @@ class TestBadInput:
         truth = write(tmp_path / "truth.json",
                       ModelParams.from_matrix(5.0, np.full((2, 2), 0.2)).to_json())
         out = tmp_path / "out"
-        argv = [a.format(counts=counts_csv, truth=truth, out=out) for a in template]
+        malformed = {name: write(tmp_path / f"{name}.json", text)
+                     for name, text in MALFORMED_TRUTHS.items()}
+        argv = [a.format(counts=counts_csv, truth=truth, out=out, **malformed)
+                for a in template]
         try:
             code = main(argv + ["--dry-run"] * dry_run)
         except SystemExit as exc:  # argparse refuses a flag's value
@@ -649,6 +680,16 @@ class TestRepro:
         assert manifest["seed"] == 5 and manifest["reps"] == 12
         assert manifest["versions"]["scipy"] == scipy.__version__
         assert (out / "table1.csv").read_text().splitlines()[1] == "i,+,+,+"
+
+    def test_tables_follow_the_case_table(self, tmp_path):
+        out = tmp_path / "repro"
+        assert main(["repro", "tables", "--reps", "2", "--out", str(out)]) == 0
+        with open(out / "table1.csv", newline="") as f:
+            assert [row["case"] for row in csv.DictReader(f)] == list(risklab.CASES)
+        for idx, case in enumerate(risklab.CASES, start=2):
+            with open(out / f"table{idx}.csv", newline="") as f:
+                truths = [row["truth"] for row in csv.DictReader(f)]
+            assert truths == [sc.name for sc in risklab.benchmark_scenarios(case)]
 
     def test_idempotent_tables(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -706,6 +747,13 @@ class TestPersistedConfig:
         cfg = write(tmp_path / "run.json", json.dumps({"args": []}))
         assert main(["--config", cfg]) == 2
         assert main(["--config", cfg, "extra"]) == 2
+
+    @pytest.mark.parametrize("argv", [None, 5, "estimate", {"estimate": 1}])
+    def test_argv_that_is_not_a_list_exit_2(self, tmp_path, capsys, argv):
+        cfg = write(tmp_path / "run.json", json.dumps({"argv": argv}))
+        assert main(["--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--config needs an argv list" in captured.err
 
 
 # Parses covering every subcommand: defaults, --dry-run, prior flags.
@@ -767,6 +815,19 @@ class TestDryRunConfig:
         assert config["spec"] == json.loads(PARSE_FILES["k.json"])
         assert main(["repro", "tables", "--out", "d", "--dry-run"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["outdir"] == "d"
+
+
+class TestChoicesFromTheRiskLab:
+    @staticmethod
+    def choices(command, dest):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        return list(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+    def test_estimator_choices_are_the_kinds(self):
+        assert self.choices("estimate", "estimator") == list(risklab.ESTIMATOR_KINDS)
+
+    def test_scenario_choices_are_the_cases(self):
+        assert self.choices("risk-sim", "scenario") == list(risklab.CASES)
 
 
 class TestParserReuse:

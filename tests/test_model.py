@@ -91,6 +91,15 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams.from_json("[1, 2, 3]")
 
+    @pytest.mark.parametrize("text", [
+        '{"r": null, "columns": [[0.2, 0.3]]}',
+        '{"r": [5], "columns": [[0.2, 0.3]]}',
+        '{"r": 5, "columns": 5}',
+    ])
+    def test_values_of_the_wrong_type_are_value_errors(self, text):
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            ModelParams.from_json(text)
+
 
 class TestCountMatrix:
     def test_sums(self):
@@ -126,6 +135,10 @@ class TestCountMatrix:
         assert text.splitlines()[0] == "c1,c2"
         back = read_counts_csv(io.StringIO(text), header=True)
         np.testing.assert_array_equal(back.x, x.x)
+
+    def test_header_is_the_first_record_that_is_not_blank(self):
+        back = read_counts_csv(io.StringIO("\nc1,c2\n3,0\n\n2,1\n"), header=True)
+        np.testing.assert_array_equal(back.x, [[3, 0], [2, 1]])
 
     def test_ragged_csv_reports_row(self):
         with pytest.raises(ValueError, match="row 3"):

@@ -213,6 +213,25 @@ class TestScenarios:
         with pytest.raises(ValueError):
             benchmark_scenarios("iv")
 
+    @pytest.mark.parametrize("case", risklab.CASES)
+    def test_truths_share_the_case_r_and_alpha(self, case):
+        truths = benchmark_scenarios(case)
+        assert [sc.name for sc in truths] == [f"{case}-{k}" for k in (1, 2, 3)]
+        assert {(sc.params.r, sc.alpha_hb) for sc in truths} == {risklab.CASES[case]}
+
+
+class TestEstimatorKinds:
+    @pytest.mark.parametrize("kind", risklab.ESTIMATOR_KINDS)
+    def test_every_kind_builds_from_full_hyperparameters(self, kind):
+        x = CountMatrix(np.array([[3, 0, 1], [2, 1, 0], [0, 4, 2]]))
+        fn = make_estimator(kind, alpha=6.0, beta=1.0, g=G1, a0=1.0, a=np.ones(3))
+        d = fn(x, 4.0)
+        assert d.shape == (3, 3) and np.all(np.isfinite(d))
+        assert np.all(d > 0) == (kind in risklab.POSITIVE_KINDS)
+
+    def test_positive_kinds_are_kinds(self):
+        assert set(risklab.POSITIVE_KINDS) < set(risklab.ESTIMATOR_KINDS)
+
 
 class TestSampling:
     def test_sample_counts_shape(self):
