@@ -12,8 +12,8 @@ later call in the same process (parsing does not change a parser, and
 argparse looks up sys.stdout/sys.stderr when it prints).  `build_parser`
 still returns a fresh parser on each call.
 
-Cases and estimator kinds come from `risklab`; `_rows_to_csv` writes every
-table, Table 1's +/- verdicts included.
+Cases and estimator kinds come from `risklab`, JSON document numbers from
+`model.json_numbers`; `_rows_to_csv` writes every table, +/- verdicts too.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .kernel import (
     posterior_proper,
     quadrature_settings,
 )
-from .model import ModelParams, read_counts_csv
+from .model import ModelParams, json_numbers, read_counts_csv
 from .risklab import CASES, ESTIMATOR_KINDS, POSITIVE_KINDS, case_table, compare
 from .risklab import loss_columns, make_estimator
 
@@ -64,22 +64,14 @@ def _version_string() -> str:
     )
 
 
-def _real(doc: dict, key: str):
-    """doc[key] as a float, or a float array for a list, of finite numbers."""
+def _count(doc: dict, key: str) -> int:
+    """doc[key] as a positive integer; 7.0 is accepted, 7.5, 0, -4 and true are not."""
     try:
-        out = np.asarray(doc[key], dtype=float)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"{key} must be numeric, got {doc[key]!r}") from exc
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{key} must be finite, got {doc[key]!r}")
-    return float(out) if out.ndim == 0 else out
-
-
-def _count(doc: dict, key: str, default=None) -> int:
-    """doc[key] as a positive integer; 7.5, 0, -4 and true are rejected."""
-    value = doc[key] if default is None or key in doc else default
-    if type(value) not in (int, float) or not value >= 1 or value % 1:
-        raise ValueError(f"{key} must be a positive integer, got {value!r}")
+        value = json_numbers(doc, key)
+    except ValueError:
+        value = 0.0
+    if not value >= 1 or value % 1:
+        raise ValueError(f"{key} must be a positive integer, got {doc[key]!r}")
     return int(value)
 
 
@@ -90,12 +82,13 @@ def _g_from_doc(doc) -> GChoice:
         if doc.get("kind") in ("constant_one", "g1"):
             return GChoice.constant_one()
         if doc.get("kind") == "komaki":
-            return GChoice.komaki(_real(doc, "c"), _real(doc, "kappa"))
+            return GChoice.komaki(json_numbers(doc, "c"), json_numbers(doc, "kappa"))
     raise ValueError(f"unrecognized g specification: {doc!r}")
 
 
 def _prior_from_doc(doc: dict) -> PriorSpec:
-    alpha, beta, a0, a = (_real(doc, key) for key in ("alpha", "beta", "a0", "a"))
+    alpha, beta, a0 = (json_numbers(doc, key) for key in ("alpha", "beta", "a0"))
+    a = json_numbers(doc, "a", ndim=1)
     return PriorSpec(alpha, beta, _g_from_doc(doc.get("g")), a0, a)
 
 
@@ -153,15 +146,19 @@ def _finite(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """A count flag's value; argparse refuses one below 1 as it refuses 'abc'."""
+def _positive_int(text: str, least: int = 1) -> int:
+    """A count flag's value; argparse refuses one below `least` as it refuses 'abc'."""
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        value = least - 1
+    if value < least:
+        sign = "positive" if least else "nonnegative"
+        raise argparse.ArgumentTypeError(f"must be a {sign} integer, got {text!r}")
     return value
+
+
+_nonnegative_int = functools.partial(_positive_int, least=0)
 
 
 def _reps(text: str) -> int:
@@ -319,29 +316,30 @@ def _cmd_risk_sim(args) -> int:
 
 
 def _audit_scenario(doc: dict) -> dict:
-    kind = doc.get("kind")
+    kind, num = doc.get("kind"), functools.partial(json_numbers, doc)
     if kind == "prior":
         prior, n_cols = _prior_from_doc(doc), _count(doc, "n_columns")
         verdict = audit_mod.check_prior_propriety(prior, n_cols)
         out = {"kind": kind, "prior_proper": verdict.holds, "reasons": verdict.text}
         if "r" in doc:
-            r = _real(doc, "r")
+            r = num("r")
             if not r > 0:
                 raise ValueError(f"r must be positive, got {r:g}")
             out["posterior_proper"] = posterior_proper(prior, n_cols, r)
         return out
     if kind == "eb":
-        verdict = audit_mod.eb_dominance_conditions(_count(doc, "m"), _real(doc, "r"))
+        verdict = audit_mod.eb_dominance_conditions(_count(doc, "m"), num("r"))
     elif kind == "hb":
         n = _count(doc, "n")
         verdict = audit_mod.hb_dominance_conditions(
-            _real(doc, "alpha"), _real(doc, "beta"), _g_from_doc(doc.get("g")),
-            _real(doc, "r"), _count(doc, "m"), n, _count(doc, "n_columns", n),
+            num("alpha"), num("beta"), _g_from_doc(doc.get("g")),
+            num("r"), _count(doc, "m"), n,
+            _count(doc, "n_columns") if "n_columns" in doc else n,
         )
     elif kind == "kl":
         verdict = audit_mod.kl_dominance_conditions(
-            _real(doc, "alpha"), _real(doc, "beta"), _g_from_doc(doc.get("g")),
-            _real(doc, "a0"), _real(doc, "a"), _real(doc, "r"), _count(doc, "n"),
+            num("alpha"), num("beta"), _g_from_doc(doc.get("g")),
+            num("a0"), num("a", ndim=1), num("r"), _count(doc, "n"),
             _count(doc, "n_columns"),
         )
     else:
@@ -378,12 +376,12 @@ def _cmd_audit(args) -> int:
 def _cmd_gibbs_diag(args) -> int:
     counts = read_counts_csv(args.counts, header=args.header)
     prior = _prior_from_doc(_read_json(args.prior))
-    if args.dry_run:
-        return _print_dry_run(args, shape=[counts.m, counts.n_columns])
-
     cfg = ChainConfig(
         n_iter=args.iters, burn_in=args.burn_in, seed=args.seed, thin=args.thin
     )
+    if args.dry_run:
+        return _print_dry_run(args, shape=[counts.m, counts.n_columns])
+
     chain = run_posterior(counts, args.r, prior, cfg)
     report = {
         "posterior_mean_p": chain.posterior_mean_p().tolist(),
@@ -407,11 +405,8 @@ def _cmd_kernel_eval(args) -> int:
     doc = _read_json(args.infile)
     if args.dry_run:
         return _print_dry_run(args, spec=doc)
-    alpha, beta, xi0 = _real(doc, "alpha"), _real(doc, "beta"), _real(doc, "xi0")
-    g = _g_from_doc(doc.get("g"))
-    xi = np.asarray(_real(doc, "xi"))
-    if xi.ndim != 1:
-        raise ValueError("xi must be a list of numbers")
+    alpha, beta, xi0 = (json_numbers(doc, key) for key in ("alpha", "beta", "xi0"))
+    g, xi = _g_from_doc(doc.get("g")), json_numbers(doc, "xi", ndim=1)
     logk = log_kernel([alpha, alpha + 1.0], beta, g, xi0, xi)
     # inf - inf where both kernels diverge: delta is NaN, written as null.
     with np.errstate(invalid="ignore"):
@@ -432,8 +427,6 @@ def _cmd_kernel_eval(args) -> int:
 
 def _cmd_repro(args) -> int:
     outdir = args.out or os.environ.get("NMSHRINK_OUTDIR") or "."
-    if args.target != "tables":
-        raise ValueError(f"unknown repro target {args.target!r}")
     if args.dry_run:
         return _print_dry_run(args, outdir=outdir)
 
@@ -512,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scenario", choices=list(CASES), default=None)
     sp.add_argument("--truth", default=None, help="ModelParams JSON file")
     sp.add_argument("--reps", type=_reps, default=1000)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
     sp.add_argument("--loss", choices=["ss", "kl"], default="ss")
     sp.add_argument(
         "--estimators",
@@ -542,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--iters", type=int, default=100_000)
     sp.add_argument("--burn-in", type=int, default=50_000)
     sp.add_argument("--thin", type=int, default=1)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_nonnegative_int, default=0)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_gibbs_diag)
 
@@ -554,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("repro", help="rebuild the benchmark tables")
     sp.add_argument("target", choices=["tables"])
     sp.add_argument("--reps", type=_reps, default=1000)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=_nonnegative_int, default=42)
     sp.add_argument("--jobs", type=_positive_int, default=1)
     _add_common(sp)
     sp.set_defaults(fn=_cmd_repro)
@@ -592,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConditionError as exc:
         print(f"condition violation: {exc}", file=sys.stderr)
         return EXIT_CONDITION
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

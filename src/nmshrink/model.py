@@ -11,6 +11,7 @@ Poisson mixture with a Gamma(r, 1)-distributed intensity scale.
 
 Everything here is value-semantic: types are frozen dataclasses backed by
 read-only arrays, and samplers take an explicit `numpy.random.Generator`.
+`json_numbers` is the one reader of the numbers in JSON documents.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "make_rng",
     "read_counts_csv",
     "write_counts_csv",
+    "json_numbers",
 ]
 
 # Stored p0 must agree with 1 - sum(p) to this tolerance.
@@ -147,11 +149,28 @@ class ModelParams:
     def from_json(cls, text: str) -> "ModelParams":
         doc = json.loads(text)
         try:
-            r = float(doc["r"])
-            columns = tuple(ProbColumn(np.asarray(c, dtype=float)) for c in doc["columns"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError("expected a JSON object {r, columns}") from exc
-        return cls(r, columns)
+            r, columns = json_numbers(doc, "r"), json_numbers(doc, "columns", ndim=2)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"expected a JSON object {{r, columns}}: {exc}") from exc
+        return cls(r, tuple(ProbColumn(c) for c in columns))
+
+
+def json_numbers(doc: dict, key: str, ndim: int = 0):
+    """doc[key], a JSON number or an ndim-deep list of them, as a finite float
+    (ndim 0) or a float array of exactly ndim dimensions.  Booleans, strings,
+    null, wrongly nested or ragged lists and overflow raise ValueError."""
+    value = doc[key]
+    leaves = np.array(value, dtype=object)
+    if leaves.ndim != ndim or not all(type(v) in (int, float) for v in leaves.flat):
+        what = "a number" if ndim == 0 else f"a {ndim}-d list of numbers"
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    try:
+        out = leaves.astype(float)
+    except OverflowError:  # an int beyond any float
+        out = np.array(np.nan)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return float(out) if ndim == 0 else out
 
 
 @dataclass(frozen=True)

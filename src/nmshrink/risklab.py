@@ -89,8 +89,7 @@ def _estimate_blocks(d: np.ndarray, p: ModelParams, n: int):
     mat = p.matrix
     if d.shape[-2:] != mat.shape:
         raise ValueError("estimate and truth shapes differ")
-    if not 1 <= n <= p.n_columns:
-        raise ValueError("n out of range")
+    loss_columns(p, n)
     return d[..., :n], mat[:, :n]
 
 

@@ -242,7 +242,7 @@ class TestAudit:
              "m must be a positive integer"),
             ({"kind": "hb", "alpha": 14, "beta": 1, "r": 8, "m": -4, "n": 0},
              "must be a positive integer"),
-            ({"kind": "hb", "alpha": "nan", "beta": 1, "r": 8, "m": 7, "n": 3},
+            ({"kind": "hb", "alpha": float("nan"), "beta": 1, "r": 8, "m": 7, "n": 3},
              "alpha must be finite"),
             ({"kind": "prior", "alpha": 6, "beta": 1, "a0": 1.0, "a": [1, 1],
               "n_columns": 2, "r": -5}, "r must be positive"),
@@ -261,6 +261,33 @@ class TestAudit:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+
+    def test_table1_enforce_exit_4(self, capsys):
+        assert main(["audit", "--table1", "--enforce"]) == 4
+        rows = json.loads(capsys.readouterr().out)
+        assert rows == audit.dominance_table()
+
+    def test_table1_dry_run_computes_nothing(self, capsys, monkeypatch):
+        def no_table():
+            raise AssertionError("computed the table on a dry run")
+
+        monkeypatch.setattr(audit, "dominance_table", no_table)
+        assert main(["audit", "--table1", "--enforce", "--dry-run"]) == 0
+        assert json.loads(capsys.readouterr().out)["dry_run"] is True
+
+    @pytest.mark.parametrize(
+        "scenario, message",
+        [
+            ({"kind": "dominance", "m": 7, "r": 8}, "unknown audit kind 'dominance'"),
+            ({"kind": "hb", "alpha": 14, "beta": 1, "r": 8, "m": 7, "n": 3,
+              "g": {"kind": "g2"}}, "unrecognized g specification"),
+        ],
+    )
+    def test_unknown_kinds_exit_2(self, tmp_path, capsys, scenario, message):
+        src = write(tmp_path / "s.json", json.dumps(scenario))
+        assert main(["audit", "--in", src]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
 
     def test_integral_float_counts_are_accepted(self, tmp_path, capsys):
         docs = [{"kind": "eb", "m": m, "r": 4} for m in (7, 7.0)]
@@ -625,6 +652,20 @@ BAD_INPUT = [
      "argument --reps: need at least 2 replications, got '1'"),
     (["repro", "tables", "--reps", "0", "--out", "{out}"],
      "argument --reps: must be a positive integer, got '0'"),
+    (["repro", "tables", "--reps", "2", "--seed", "-1", "--out", "{out}"],
+     "argument --seed: must be a nonnegative integer, got '-1'"),
+    (["risk-sim", "--scenario", "i", "--reps", "2", "--seed", "-1", "--out", "{out}"],
+     "argument --seed: must be a nonnegative integer, got '-1'"),
+    (["gibbs-diag", "--counts", "{counts}", "--prior", "{prior}", "--r", "3",
+      "--seed", "-1", "--out", "{out}"],
+     "argument --seed: must be a nonnegative integer, got '-1'"),
+    (["gibbs-diag", "--counts", "{counts}", "--prior", "{prior}", "--r", "3",
+      "--thin", "0", "--out", "{out}"], "thin must be >= 1"),
+    (["gibbs-diag", "--counts", "{counts}", "--prior", "{prior}", "--r", "3",
+      "--iters", "10", "--burn-in", "10", "--out", "{out}"],
+     "need n_iter > burn_in >= 0"),
+    (["gibbs-diag", "--counts", "{counts}", "--prior", "{prior}", "--r", "3",
+      "--burn-in", "-1", "--out", "{out}"], "need n_iter > burn_in >= 0"),
     (["risk-sim", "--truth", "{null_r}", "--estimators", "umvu"],
      "expected a JSON object {r, columns}"),
     (["risk-sim", "--truth", "{list_r}", "--estimators", "umvu"],
@@ -650,10 +691,13 @@ class TestBadInput:
 
         truth = write(tmp_path / "truth.json",
                       ModelParams.from_matrix(5.0, np.full((2, 2), 0.2)).to_json())
+        prior = write(tmp_path / "prior.json", json.dumps(
+            {"alpha": 6, "beta": 1, "g": "g1", "a0": 0.5, "a": [1, 1, 1]}))
         out = tmp_path / "out"
         malformed = {name: write(tmp_path / f"{name}.json", text)
                      for name, text in MALFORMED_TRUTHS.items()}
-        argv = [a.format(counts=counts_csv, truth=truth, out=out, **malformed)
+        argv = [a.format(counts=counts_csv, truth=truth, prior=prior, out=out,
+                         **malformed)
                 for a in template]
         try:
             code = main(argv + ["--dry-run"] * dry_run)
@@ -663,6 +707,79 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
         assert not out.exists()
+
+
+KOMAKI = {"kind": "komaki", "c": 0.5, "kappa": 1}
+# A valid document of each kind the CLI reads, with an argv that reads its
+# numbers ({doc} is its path); each exits 0 as it stands.
+DOCUMENTS = {
+    "truth": (["risk-sim", "--truth", "{doc}", "--estimators", "umvu", "--dry-run"],
+              {"r": 5.0, "columns": [[0.2, 0.2], [0.2, 0.2]]}),
+    "prior": (["gibbs-diag", "--counts", "{counts}", "--prior", "{doc}", "--r", "3",
+               "--dry-run"],
+              {"alpha": 6.0, "beta": 1.0, "a0": 1.0, "a": [1, 1, 1], "g": KOMAKI}),
+    "audit prior": (["audit", "--in", "{doc}"],
+                    {"kind": "prior", "alpha": 6, "beta": 1, "a0": 1.0, "a": [1, 1, 1],
+                     "n_columns": 2, "r": 3, "g": KOMAKI}),
+    "audit eb": (["audit", "--in", "{doc}"], {"kind": "eb", "m": 7, "r": 8}),
+    "audit hb": (["audit", "--in", "{doc}"],
+                 {"kind": "hb", "alpha": 14, "beta": 1, "r": 8, "m": 7, "n": 3,
+                  "n_columns": 3, "g": KOMAKI}),
+    "audit kl": (["audit", "--in", "{doc}"],
+                 {"kind": "kl", "alpha": 5, "beta": 1, "a0": 1, "a": [1, 1, 1], "r": 5,
+                  "n": 3, "n_columns": 3, "g": KOMAKI}),
+    "kernel-eval": (["kernel-eval", "--in", "{doc}"],
+                    {"alpha": 6, "beta": 1, "xi0": 1, "xi": [3, 2, 4], "g": KOMAKI}),
+}
+# Every scalar field of every document, as a key path.
+SCALAR_FIELDS = [
+    (kind, path)
+    for kind, (_, doc) in DOCUMENTS.items()
+    for path in [(k,) for k, v in doc.items() if type(v) in (int, float)]
+    + ([("g", "c"), ("g", "kappa")] if "g" in doc else [])
+]
+
+
+class TestDocumentNumbers:
+    """A number in a JSON document is a JSON number: booleans, numeric
+    strings and one-element lists are refused as bad input (exit 2)."""
+
+    def run(self, tmp_path, counts, kind, doc):
+        argv = [a.format(doc=write(tmp_path / "doc.json", json.dumps(doc)), counts=counts)
+                for a in DOCUMENTS[kind][0]]
+        return main(argv)
+
+    @pytest.mark.parametrize("kind", DOCUMENTS)
+    def test_documents_are_valid(self, counts_csv, tmp_path, capsys, kind):
+        assert self.run(tmp_path, counts_csv, kind, DOCUMENTS[kind][1]) == 0
+
+    @pytest.mark.parametrize("bad", ["true", "numeric string", "one-element list"])
+    @pytest.mark.parametrize("kind, path", SCALAR_FIELDS,
+                             ids=[f"{k}:{'.'.join(p)}" for k, p in SCALAR_FIELDS])
+    def test_scalar_field_exit_2(self, counts_csv, tmp_path, capsys, kind, path, bad):
+        doc = json.loads(json.dumps(DOCUMENTS[kind][1]))
+        *outer, key = path
+        parent = doc[outer[0]] if outer else doc
+        parent[key] = {"true": True, "numeric string": str(parent[key]),
+                       "one-element list": [parent[key]]}[bad]
+        assert self.run(tmp_path, counts_csv, kind, doc) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad input" in captured.err
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("truth", "columns", [[0.2, True], [0.2, 0.2]]),
+        ("truth", "columns", [[0.2, 0.2], [0.2]]),
+        ("truth", "columns", [0.2, 0.2]),
+        ("prior", "a", [1, "1", 1]),
+        ("audit kl", "a", [[1, 1, 1]]),
+        ("kernel-eval", "xi", 3),
+        ("kernel-eval", "xi", [3, None, 4]),
+    ])
+    def test_list_field_exit_2(self, counts_csv, tmp_path, capsys, kind, key, value):
+        doc = {**DOCUMENTS[kind][1], key: value}
+        assert self.run(tmp_path, counts_csv, kind, doc) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad input" in captured.err
 
 
 class TestRepro:

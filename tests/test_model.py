@@ -17,6 +17,7 @@ from nmshrink.model import (
     ProbColumn,
     gen_dirichlet_log_pdf,
     gen_dirichlet_sample,
+    json_numbers,
     make_rng,
     nm_log_pmf,
     nm_moments,
@@ -95,10 +96,47 @@ class TestModelParams:
         '{"r": null, "columns": [[0.2, 0.3]]}',
         '{"r": [5], "columns": [[0.2, 0.3]]}',
         '{"r": 5, "columns": 5}',
+        '{"r": true, "columns": [[0.2, 0.3]]}',
+        '{"r": "5", "columns": [[0.2, 0.3]]}',
+        '{"r": 5, "columns": [["0.2", "0.3"]]}',
+        '{"r": 5, "columns": [[0.2, 0.3], [0.2]]}',
+        '{"r": 5, "columns": [0.2, 0.3]}',
+        '{"r": 5, "columns": [[0.2, NaN]]}',
     ])
     def test_values_of_the_wrong_type_are_value_errors(self, text):
         with pytest.raises(ValueError, match="expected a JSON object"):
             ModelParams.from_json(text)
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("value, ndim, want", [
+        (3, 0, 3.0),
+        (7.0, 0, 7.0),
+        (-0.5, 0, -0.5),
+        ([1, 2.5], 1, [1.0, 2.5]),
+        ([], 1, []),
+        ([[0.2, 0.3], [0.1, 0.4]], 2, [[0.2, 0.3], [0.1, 0.4]]),
+    ])
+    def test_numbers_are_read_exactly(self, value, ndim, want):
+        got = json_numbers({"k": value}, "k", ndim)
+        if ndim == 0:
+            assert type(got) is float and got == want
+        else:
+            assert got.dtype == float and got.ndim == ndim and got.tolist() == want
+
+    @pytest.mark.parametrize("value, ndim", [
+        (True, 0), ("5", 0), (None, 0), ({"v": 1}, 0), ([3], 0), (3, 1), ([[1]], 1),
+        ([1, False], 1), ([1, "2"], 1), ([[1, 2], [3]], 2), ([[1, 2], 3], 2),
+        ([], 2), ([1, 2], 2), (10**400, 0), ([1, 10**400], 1), (math.inf, 0),
+        (math.nan, 0), ([[0.1, -math.inf]], 2),
+    ])
+    def test_anything_else_is_a_value_error(self, value, ndim):
+        with pytest.raises(ValueError, match="^k must be"):
+            json_numbers({"k": value}, "k", ndim)
+
+    def test_missing_key_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            json_numbers({}, "k")
 
 
 class TestCountMatrix:

@@ -71,10 +71,16 @@ class TestLosses:
 
     def test_n_validation(self):
         truth = truth_1x1()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be in 1..1, got 0"):
             loss_ss(np.array([[0.1]]), truth, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be in 1..1, got 2"):
             loss_ss(np.array([[0.1]]), truth, 2)
+
+    @pytest.mark.parametrize("loss", [loss_ss, loss_kl])
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (3, 2, 1)])
+    def test_estimate_of_the_wrong_shape(self, loss, shape):
+        with pytest.raises(ValueError, match="estimate and truth shapes differ"):
+            loss(np.full(shape, 0.1), truth_1x1(), 1)
 
     def test_kl_requires_positive_entries(self):
         truth = truth_1x1()
@@ -130,6 +136,25 @@ class TestRiskMc:
 
         with pytest.raises(RuntimeError, match=r"replication \d+"):
             compare({"bad": broken}, truth_1x1(), reps=60, seed=0)
+
+    def test_failure_on_stacks_only_is_named(self):
+        def scalar_only(x, r):
+            if x.x.ndim > 2:
+                raise ValueError("no stacks")
+            return np.zeros(x.x.shape)
+
+        with pytest.raises(RuntimeError, match="failed on a stack of replications "
+                                               "but on none alone"):
+            compare({"scalar": scalar_only}, truth_1x1(), reps=4, seed=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"reps": 1}, "need at least 2 replications"),
+        ({"loss": "l1"}, "unknown loss 'l1'"),
+        ({"reference": "EB"}, "reference 'EB' not among the estimators"),
+    ])
+    def test_refuses_bad_arguments(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            compare({"U": make_estimator("umvu")}, truth_1x1(), **{"reps": 4, **kwargs})
 
     def test_condition_and_quadrature_errors_keep_their_class(self):
         bad_r = ModelParams.from_matrix(1.5, np.full((2, 2), 0.2))
