@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 2 malformed input, 3 numerical failure,
 4 propriety/dominance condition violation.  JSON output is strict: a
-non-finite number (a divergent kernel, say) is written as null.  Every
-subcommand accepts --dry-run, which validates inputs and prints the
-resolved configuration without computing.  The environment variable
-NMSHRINK_OUTDIR supplies the default output directory for `repro`.
+non-finite number (a divergent kernel, say) is written as null.  Each `_cmd_*`
+reads and checks all its inputs, then returns `(resolved, run)`; `main` prints
+the options and `resolved` on --dry-run, or else returns `run()`: only the
+library's own checks wait for a run.  NMSHRINK_OUTDIR is `repro`'s default --out.
 
 `main` parses with one parser, built by its first call and reused by every
 later call in the same process (parsing does not change a parser, and
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -127,14 +126,6 @@ def _write_text(path: str | None, text: str) -> None:
             f.write(text)
 
 
-def _print_dry_run(args, **resolved) -> int:
-    """Print the parsed options, keyed by destination name, and the values
-    the subcommand resolved from them."""
-    config = {k: v for k, v in vars(args).items() if k not in ("fn", "dry_run")}
-    print(_to_json({"dry_run": True, "config": {**config, **resolved}}, default=str))
-    return EXIT_OK
-
-
 def _finite(text: str) -> float:
     """A float flag's value; argparse refuses inf and nan as it refuses 'abc'."""
     try:
@@ -191,12 +182,8 @@ def _estimators(names: list[str], args, m: int) -> dict:
     if a.shape != (m,):
         raise ValueError(f"--a needs m = {m} entries, got {a.size}")
     g = _g_from_doc({"kind": args.g, "c": args.g_c, "kappa": args.g_kappa})
-    return {
-        name: make_estimator(
-            name, alpha=args.alpha, beta=args.beta, g=g, a0=args.a0, a=a
-        )
-        for name in names
-    }
+    prior = {"alpha": args.alpha, "beta": args.beta, "g": g, "a0": args.a0, "a": a}
+    return {name: make_estimator(name, **prior) for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +198,15 @@ def _matrix_to_csv(result: np.ndarray) -> str:
     return "".join(line % tuple(row) for row in result.tolist())
 
 
-def _cmd_estimate(args) -> int:
-    source = args.infile if args.infile else sys.stdin
-    counts = read_counts_csv(source, header=args.header)
+def _cmd_estimate(args):
+    counts = read_counts_csv(args.infile or sys.stdin, header=args.header)
     fn = _estimators([args.estimator], args, counts.m)[args.estimator]
-    if args.dry_run:
-        return _print_dry_run(args, shape=[counts.m, counts.n_columns])
 
-    result = fn(counts, args.r)
+    def run() -> int:
+        _write_text(args.out, _matrix_to_csv(fn(counts, args.r)))
+        return EXIT_OK
 
-    _write_text(args.out, _matrix_to_csv(result))
-    return EXIT_OK
+    return {"shape": [counts.m, counts.n_columns]}, run
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +237,7 @@ def _rows_to_csv(rows: list[dict]) -> str:
 _SCENARIO_OPTIONS = ("scenario", "reps", "seed", "jobs", "out", "dry_run")
 
 
-def _cmd_risk_sim(args) -> int:
+def _cmd_risk_sim(args):
     if (args.scenario is None) == (args.truth is None):
         raise ValueError("give exactly one of --scenario or --truth")
     if args.scenario is not None:
@@ -267,11 +252,13 @@ def _cmd_risk_sim(args) -> int:
                 f"--scenario runs the paper's estimators, loss and priors; "
                 f"it does not take {', '.join(ignored)}"
             )
-        if args.dry_run:
-            return _print_dry_run(args)
-        rows = case_table(args.scenario, reps=args.reps, seed=args.seed, jobs=args.jobs)
-        _write_text(args.out, _rows_to_csv(rows))
-        return EXIT_OK
+
+        def run() -> int:
+            rows = case_table(args.scenario, reps=args.reps, seed=args.seed, jobs=args.jobs)
+            _write_text(args.out, _rows_to_csv(rows))
+            return EXIT_OK
+
+        return {}, run
 
     names = [s.strip() for s in args.estimators.split(",") if s.strip()]
     # The KL-type loss is undefined at the exact zeros the others put at zero counts.
@@ -284,30 +271,31 @@ def _cmd_risk_sim(args) -> int:
         truth = ModelParams.from_json(f.read())
     loss_columns(truth, args.n)
     fns = _estimators(names, args, truth.m)
-    if args.dry_run:
-        return _print_dry_run(args, shape=[truth.m, truth.n_columns])
-    reference = names[0]
-    reports = compare(
-        fns,
-        truth,
-        loss=args.loss,
-        n=args.n,
-        reps=args.reps,
-        seed=args.seed,
-        reference=reference,
-        jobs=args.jobs,
-    )
-    rows = [
-        {
-            "estimator": name,
-            "risk": rep.risk,
-            "se": rep.mc_stderr,
-            "prial_vs_" + reference: rep.prial_vs_reference,
-        }
-        for name, rep in reports.items()
-    ]
-    _write_text(args.out, _rows_to_csv(rows))
-    return EXIT_OK
+
+    def run() -> int:
+        reports = compare(
+            fns,
+            truth,
+            loss=args.loss,
+            n=args.n,
+            reps=args.reps,
+            seed=args.seed,
+            reference=names[0],
+            jobs=args.jobs,
+        )
+        rows = [
+            {
+                "estimator": name,
+                "risk": rep.risk,
+                "se": rep.mc_stderr,
+                "prial_vs_" + names[0]: rep.prial_vs_reference,
+            }
+            for name, rep in reports.items()
+        ]
+        _write_text(args.out, _rows_to_csv(rows))
+        return EXIT_OK
+
+    return {"shape": [truth.m, truth.n_columns]}, run
 
 
 # ---------------------------------------------------------------------------
@@ -315,57 +303,60 @@ def _cmd_risk_sim(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _audit_scenario(doc: dict) -> dict:
+def _audit_check(doc: dict):
+    """An audit document's verdict as a function of no arguments: the
+    document's numbers are read now, its closed-form check runs when called."""
     kind, num = doc.get("kind"), functools.partial(json_numbers, doc)
     if kind == "prior":
         prior, n_cols = _prior_from_doc(doc), _count(doc, "n_columns")
-        verdict = audit_mod.check_prior_propriety(prior, n_cols)
-        out = {"kind": kind, "prior_proper": verdict.holds, "reasons": verdict.text}
-        if "r" in doc:
-            r = num("r")
-            if not r > 0:
-                raise ValueError(f"r must be positive, got {r:g}")
-            out["posterior_proper"] = posterior_proper(prior, n_cols, r)
-        return out
+        r = num("r") if "r" in doc else None
+        if r is not None and not r > 0:
+            raise ValueError(f"r must be positive, got {r:g}")
+        return functools.partial(_verdict, kind, prior, n_cols, r)
     if kind == "eb":
-        verdict = audit_mod.eb_dominance_conditions(_count(doc, "m"), num("r"))
-    elif kind == "hb":
-        n = _count(doc, "n")
-        verdict = audit_mod.hb_dominance_conditions(
-            num("alpha"), num("beta"), _g_from_doc(doc.get("g")),
-            num("r"), _count(doc, "m"), n,
-            _count(doc, "n_columns") if "n_columns" in doc else n,
+        return functools.partial(_verdict, kind, _count(doc, "m"), num("r"))
+    if kind == "hb":
+        return functools.partial(
+            _verdict, kind, num("alpha"), num("beta"), _g_from_doc(doc.get("g")),
+            num("r"), _count(doc, "m"), _count(doc, "n"),
+            _count(doc, "n_columns") if "n_columns" in doc else None,
         )
-    elif kind == "kl":
-        verdict = audit_mod.kl_dominance_conditions(
-            num("alpha"), num("beta"), _g_from_doc(doc.get("g")),
+    if kind == "kl":
+        return functools.partial(
+            _verdict, kind, num("alpha"), num("beta"), _g_from_doc(doc.get("g")),
             num("a0"), num("a", ndim=1), num("r"), _count(doc, "n"),
             _count(doc, "n_columns"),
         )
-    else:
-        raise ValueError(f"unknown audit kind {kind!r}; use prior|eb|hb|kl")
-    return {"kind": kind, "holds": verdict.holds, **dataclasses.asdict(verdict)}
+    raise ValueError(f"unknown audit kind {kind!r}; use prior|eb|hb|kl")
 
 
-def _cmd_audit(args) -> int:
-    if args.table1:
-        if args.dry_run:
-            return _print_dry_run(args)
-        rows = audit_mod.dominance_table()
-        _write_text(args.out, _to_json(rows) + "\n")
+def _verdict(kind: str, *numbers) -> dict:
+    """The verdict document of an audit kind's closed-form check."""
+    if kind == "prior":
+        prior, n_cols, r = numbers
+        verdict = audit_mod.check_prior_propriety(prior, n_cols)
+        out = {"kind": kind, "prior_proper": verdict.holds, "reasons": verdict.text}
+        if r is not None:
+            out["posterior_proper"] = posterior_proper(prior, n_cols, r)
+        return out
+    verdict = getattr(audit_mod, f"{kind}_dominance_conditions")(*numbers)
+    return {"kind": kind, "holds": verdict.holds, **vars(verdict)}
+
+
+def _cmd_audit(args):
+    doc = None if args.table1 else _read_json(args.infile)
+    verdicts = audit_mod.dominance_table if doc is None else _audit_check(doc)
+
+    def run() -> int:
+        out = verdicts()
+        _write_text(args.out, _to_json(out) + "\n")
+        # Any False verdict fails: an improper posterior has an improper prior.
+        rows = out if doc is None else [out]
         if args.enforce and any(v is False for row in rows for v in row.values()):
             return EXIT_CONDITION
         return EXIT_OK
 
-    doc = _read_json(args.infile)
-    if args.dry_run:
-        return _print_dry_run(args, scenario=doc)
-    verdict = _audit_scenario(doc)
-    _write_text(args.out, _to_json(verdict) + "\n")
-    failed = verdict.get("holds") is False or verdict.get("prior_proper") is False
-    if args.enforce and failed:
-        return EXIT_CONDITION
-    return EXIT_OK
+    return {} if doc is None else {"scenario": doc}, run
 
 
 # ---------------------------------------------------------------------------
@@ -373,27 +364,30 @@ def _cmd_audit(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gibbs_diag(args) -> int:
+def _cmd_gibbs_diag(args):
     counts = read_counts_csv(args.counts, header=args.header)
     prior = _prior_from_doc(_read_json(args.prior))
+    if prior.m != counts.m:
+        raise ValueError(f"prior a needs m = {counts.m} entries, got {prior.m}")
     cfg = ChainConfig(
         n_iter=args.iters, burn_in=args.burn_in, seed=args.seed, thin=args.thin
     )
-    if args.dry_run:
-        return _print_dry_run(args, shape=[counts.m, counts.n_columns])
 
-    chain = run_posterior(counts, args.r, prior, cfg)
-    report = {
-        "posterior_mean_p": chain.posterior_mean_p().tolist(),
-        "posterior_mean_t": float(chain.t.mean()),
-        "ess_t": chain.ess_t(),
-        "delta_ss": mcmc_delta_estimates(chain, "ss"),
-        "delta_kl": [
-            mcmc_delta_estimates(chain, "kl", nu) for nu in range(counts.n_columns)
-        ],
-    }
-    _write_text(args.out, _to_json(report) + "\n")
-    return EXIT_OK
+    def run() -> int:
+        chain = run_posterior(counts, args.r, prior, cfg)
+        report = {
+            "posterior_mean_p": chain.posterior_mean_p().tolist(),
+            "posterior_mean_t": float(chain.t.mean()),
+            "ess_t": chain.ess_t(),
+            "delta_ss": mcmc_delta_estimates(chain, "ss"),
+            "delta_kl": [
+                mcmc_delta_estimates(chain, "kl", nu) for nu in range(counts.n_columns)
+            ],
+        }
+        _write_text(args.out, _to_json(report) + "\n")
+        return EXIT_OK
+
+    return {"shape": [counts.m, counts.n_columns]}, run
 
 
 # ---------------------------------------------------------------------------
@@ -401,23 +395,25 @@ def _cmd_gibbs_diag(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_kernel_eval(args) -> int:
+def _cmd_kernel_eval(args):
     doc = _read_json(args.infile)
-    if args.dry_run:
-        return _print_dry_run(args, spec=doc)
     alpha, beta, xi0 = (json_numbers(doc, key) for key in ("alpha", "beta", "xi0"))
     g, xi = _g_from_doc(doc.get("g")), json_numbers(doc, "xi", ndim=1)
-    logk = log_kernel([alpha, alpha + 1.0], beta, g, xi0, xi)
-    # inf - inf where both kernels diverge: delta is NaN, written as null.
-    with np.errstate(invalid="ignore"):
-        delta = _ratio(logk)
-    out = {
-        "log_K": float(logk[0]),
-        "log_K_alpha_plus_1": float(logk[1]),
-        "delta": delta,
-    }
-    _write_text(args.out, _to_json(out) + "\n")
-    return EXIT_OK
+
+    def run() -> int:
+        logk = log_kernel([alpha, alpha + 1.0], beta, g, xi0, xi)
+        # inf - inf where both kernels diverge: delta is NaN, written as null.
+        with np.errstate(invalid="ignore"):
+            delta = _ratio(logk)
+        out = {
+            "log_K": float(logk[0]),
+            "log_K_alpha_plus_1": float(logk[1]),
+            "delta": delta,
+        }
+        _write_text(args.out, _to_json(out) + "\n")
+        return EXIT_OK
+
+    return {"spec": doc}, run
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +421,12 @@ def _cmd_kernel_eval(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_repro(args) -> int:
+def _cmd_repro(args):
     outdir = args.out or os.environ.get("NMSHRINK_OUTDIR") or "."
-    if args.dry_run:
-        return _print_dry_run(args, outdir=outdir)
+    return {"outdir": outdir}, functools.partial(_repro_tables, args, outdir)
 
+
+def _repro_tables(args, outdir: str) -> int:
     os.makedirs(outdir, exist_ok=True)
     started = time.time()
 
@@ -574,11 +571,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = _parse_args(argv)
-        return args.fn(args)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        resolved, run = args.fn(args)
+        if not args.dry_run:
+            return run()
+        config = {k: v for k, v in vars(args).items() if k not in ("fn", "dry_run")}
+        print(_to_json({"dry_run": True, "config": {**config, **resolved}}, default=str))
+        return EXIT_OK
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -163,6 +163,8 @@ class GChoice:
             raise ValueError("komaki exponent c+1 must be >= 0 (boundedness)")
         if not self.kappa > 0:
             raise ValueError("komaki kappa must be positive")
+        if not (math.isfinite(self.c) and math.isfinite(self.kappa)):
+            raise ValueError("komaki c and kappa must be finite")
 
     @classmethod
     def constant_one(cls) -> "GChoice":
@@ -203,6 +205,8 @@ class PriorSpec:
             raise ValueError("alpha must be positive")
         if not self.beta >= 0:
             raise ValueError("beta must be nonnegative")
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         weights = GeneralizedDirichlet(self.a0, self.a)
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
@@ -444,6 +448,9 @@ def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
         raise ValueError("xi must be a nonempty vector")
     if np.any(xi < 0):
         raise ValueError("xi entries must be nonnegative")
+    if not (np.isfinite(alphas).all() and math.isfinite(beta) and math.isfinite(xi0)
+            and np.isfinite(xi).all()):
+        raise ValueError("alpha, beta, xi0 and xi must be finite")
 
     rows = xi.reshape(-1, xi.shape[-1])
     out = np.concatenate(

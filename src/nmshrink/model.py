@@ -232,6 +232,8 @@ class GeneralizedDirichlet:
             raise ValueError("a must be a nonempty 1-d vector")
         if not np.all(np.isfinite(a) & (a > 0)):
             raise ValueError("all a_i must be positive and finite")
+        if not np.isfinite(self.a0):
+            raise ValueError(f"a0 must be finite, got {self.a0!r}")
         object.__setattr__(self, "a0", float(self.a0))
         object.__setattr__(self, "a", _readonly(a))
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import estimators as est
 from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError
-from .model import CountMatrix, ModelParams, ProbColumn, make_rng, nm_log_pmf, nm_sample
+from .model import CountMatrix, GeneralizedDirichlet, ModelParams, ProbColumn, make_rng
+from .model import nm_log_pmf, nm_sample
 
 __all__ = [
     "Scenario",
@@ -302,7 +303,8 @@ def make_estimator(
     if kind == "dir-pm":
         if a0 is None or a is None:
             raise ValueError("dir-pm needs a0 and a")
-        return partial(est.dirichlet_posterior_mean, a0=a0, a=np.asarray(a, dtype=float))
+        weights = GeneralizedDirichlet(a0, a)  # refused when built, as hb-pm's prior is
+        return partial(est.dirichlet_posterior_mean, a0=weights.a0, a=weights.a)
     if kind == "hb-pm":
         if alpha is None or a0 is None or a is None:
             raise ValueError("hb-pm needs alpha, a0 and a")

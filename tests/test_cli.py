@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import nmshrink.cli as cli
 from nmshrink import audit, estimators, risklab
-from nmshrink.cli import _audit_scenario, _g_from_doc, build_parser, main
+from nmshrink.cli import _audit_check, _g_from_doc, build_parser, main
 from nmshrink.kernel import ConditionError, GChoice, QuadratureError
 from nmshrink.model import read_counts_csv
 
@@ -275,17 +275,19 @@ class TestAudit:
         assert main(["audit", "--table1", "--enforce", "--dry-run"]) == 0
         assert json.loads(capsys.readouterr().out)["dry_run"] is True
 
+    @pytest.mark.parametrize("dry_run", [False, True])
     @pytest.mark.parametrize(
         "scenario, message",
         [
             ({"kind": "dominance", "m": 7, "r": 8}, "unknown audit kind 'dominance'"),
+            ({"kind": "foo"}, "unknown audit kind 'foo'"),
             ({"kind": "hb", "alpha": 14, "beta": 1, "r": 8, "m": 7, "n": 3,
               "g": {"kind": "g2"}}, "unrecognized g specification"),
         ],
     )
-    def test_unknown_kinds_exit_2(self, tmp_path, capsys, scenario, message):
+    def test_unknown_kinds_exit_2(self, tmp_path, capsys, scenario, message, dry_run):
         src = write(tmp_path / "s.json", json.dumps(scenario))
-        assert main(["audit", "--in", src]) == 2
+        assert main(["audit", "--in", src] + ["--dry-run"] * dry_run) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
@@ -346,7 +348,7 @@ class TestAuditConditions:
     # r = m with alpha <= N: only the small-t part of validity fails
     @example({"kind": "hb", "alpha": 2, "beta": 1, "r": 3, "m": 3, "n": 7})
     def test_hb_holds_is_all_conditions(self, doc):
-        verdict = _audit_scenario(doc)
+        verdict = _audit_check(doc)()
         expected = audit.hb_dominance_conditions(
             doc["alpha"], doc["beta"], _g_from_doc(doc.get("g")), doc["r"], doc["m"],
             doc["n"], doc.get("n_columns"),
@@ -359,7 +361,7 @@ class TestAuditConditions:
     @example({"kind": "kl", "alpha": 3, "beta": 0, "g": "g1", "a0": -3.5,
               "a": [1, 1, 1], "r": 4, "n": 8, "n_columns": 1})
     def test_kl_holds_is_all_conditions(self, doc):
-        verdict = _audit_scenario(doc)
+        verdict = _audit_check(doc)()
         expected = audit.kl_dominance_conditions(
             doc["alpha"], doc["beta"], _g_from_doc(doc["g"]), doc["a0"],
             np.array(doc["a"]), doc["r"], doc["n"], doc["n_columns"],
@@ -369,9 +371,9 @@ class TestAuditConditions:
     def test_small_t_failure_is_listed(self):
         # r = m with alpha <= N fails only the small-t part of the validity
         # assumptions; the breakdown must name that condition.
-        verdict = _audit_scenario(
+        verdict = _audit_check(
             {"kind": "hb", "alpha": 2, "beta": 1, "r": 3, "m": 3, "n": 7}
-        )
+        )()
         assert verdict["holds"] is False
         assert [k for k, ok in verdict["conditions"].items() if not ok] == [
             "delta_hb valid (r > m, or r = m with alpha + q0 > N; finite tail)"
@@ -632,6 +634,8 @@ BAD_INPUT = [
      "argument --r: must be a finite number"),
     (["estimate", "--estimator", "dir-pm", "--r", "3", "--a0", "1", "--a", "1,nan,1",
       "--in", "{counts}"], "entries must be finite"),
+    (["estimate", "--estimator", "dir-pm", "--r", "3", "--a0", "1", "--a", "1,-1,1",
+      "--in", "{counts}"], "all a_i must be positive"),
     (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "6", "--beta", "inf",
       "--in", "{counts}"], "argument --beta: must be a finite number"),
     (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "inf",
@@ -666,6 +670,9 @@ BAD_INPUT = [
      "need n_iter > burn_in >= 0"),
     (["gibbs-diag", "--counts", "{counts}", "--prior", "{prior}", "--r", "3",
       "--burn-in", "-1", "--out", "{out}"], "need n_iter > burn_in >= 0"),
+    # --header drops the first of the three count rows; the prior has three a_i
+    (["gibbs-diag", "--counts", "{counts}", "--header", "--prior", "{prior}", "--r", "3",
+      "--out", "{out}"], "prior a needs m = 2 entries, got 3"),
     (["risk-sim", "--truth", "{null_r}", "--estimators", "umvu"],
      "expected a JSON object {r, columns}"),
     (["risk-sim", "--truth", "{list_r}", "--estimators", "umvu"],
@@ -742,30 +749,38 @@ SCALAR_FIELDS = [
 
 class TestDocumentNumbers:
     """A number in a JSON document is a JSON number: booleans, numeric
-    strings and one-element lists are refused as bad input (exit 2)."""
+    strings and one-element lists are refused as bad input (exit 2), with
+    or without --dry-run."""
 
-    def run(self, tmp_path, counts, kind, doc):
+    def run(self, tmp_path, counts, kind, doc, dry_run=None):
+        """main on the document's argv as listed, or with --dry-run added
+        (dry_run True) or dropped (False)."""
         argv = [a.format(doc=write(tmp_path / "doc.json", json.dumps(doc)), counts=counts)
                 for a in DOCUMENTS[kind][0]]
+        if dry_run is not None:
+            argv = [a for a in argv if a != "--dry-run"] + ["--dry-run"] * dry_run
         return main(argv)
 
     @pytest.mark.parametrize("kind", DOCUMENTS)
     def test_documents_are_valid(self, counts_csv, tmp_path, capsys, kind):
         assert self.run(tmp_path, counts_csv, kind, DOCUMENTS[kind][1]) == 0
 
+    @pytest.mark.parametrize("dry_run", [False, True])
     @pytest.mark.parametrize("bad", ["true", "numeric string", "one-element list"])
     @pytest.mark.parametrize("kind, path", SCALAR_FIELDS,
                              ids=[f"{k}:{'.'.join(p)}" for k, p in SCALAR_FIELDS])
-    def test_scalar_field_exit_2(self, counts_csv, tmp_path, capsys, kind, path, bad):
+    def test_scalar_field_exit_2(self, counts_csv, tmp_path, capsys, kind, path, bad,
+                                 dry_run):
         doc = json.loads(json.dumps(DOCUMENTS[kind][1]))
         *outer, key = path
         parent = doc[outer[0]] if outer else doc
         parent[key] = {"true": True, "numeric string": str(parent[key]),
                        "one-element list": [parent[key]]}[bad]
-        assert self.run(tmp_path, counts_csv, kind, doc) == 2
+        assert self.run(tmp_path, counts_csv, kind, doc, dry_run) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "bad input" in captured.err
 
+    @pytest.mark.parametrize("dry_run", [False, True])
     @pytest.mark.parametrize("kind, key, value", [
         ("truth", "columns", [[0.2, True], [0.2, 0.2]]),
         ("truth", "columns", [[0.2, 0.2], [0.2]]),
@@ -775,9 +790,10 @@ class TestDocumentNumbers:
         ("kernel-eval", "xi", 3),
         ("kernel-eval", "xi", [3, None, 4]),
     ])
-    def test_list_field_exit_2(self, counts_csv, tmp_path, capsys, kind, key, value):
+    def test_list_field_exit_2(self, counts_csv, tmp_path, capsys, kind, key, value,
+                               dry_run):
         doc = {**DOCUMENTS[kind][1], key: value}
-        assert self.run(tmp_path, counts_csv, kind, doc) == 2
+        assert self.run(tmp_path, counts_csv, kind, doc, dry_run) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "bad input" in captured.err
 
@@ -1140,7 +1156,7 @@ NO_SPECIAL_PATHS = [
      "--dry-run"],
     ["risk-sim", "--scenario", "iii", "--dry-run"],
     ["audit", "--table1", "--dry-run"],
-    ["gibbs-diag", "--counts", "c.csv", "--prior", "p.json", "--r", "4", "--dry-run"],
+    ["gibbs-diag", "--counts", "c2.csv", "--prior", "p.json", "--r", "4", "--dry-run"],
     ["kernel-eval", "--in", "k.json", "--dry-run"],
     ["repro", "tables", "--dry-run"],
 ]

@@ -52,10 +52,16 @@ class TestGChoice:
         assert np.all(g.log_g(np.array([0.2, 2.0])) == 0.0)
 
     def test_komaki_validation(self):
-        with pytest.raises(ValueError):
-            GChoice.komaki(-1.5, 1.0)
-        with pytest.raises(ValueError):
-            GChoice.komaki(0.0, 0.0)
+        for c, kappa in [(-1.5, 1.0), (0.0, 0.0), (math.inf, 1.0), (0.0, math.inf)]:
+            with pytest.raises(ValueError):
+                GChoice.komaki(c, kappa)
+
+
+class TestPriorSpec:
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 1.0), (6.0, math.inf)])
+    def test_infinite_alpha_or_beta_refused(self, alpha, beta):
+        with pytest.raises(ValueError, match="alpha and beta must be finite"):
+            PriorSpec(alpha, beta, G1, 0.5, np.ones(3))
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
@@ -166,6 +172,17 @@ class TestLogKernel:
             log_kernel(1.0, 1.0, G1, -0.5, np.array([1.0]))
         with pytest.raises(ValueError):
             log_kernel(1.0, 1.0, G1, 1.0, np.array([-1.0]))
+        # Non-finite arguments are bad input, not a quadrature failure.
+        for alpha, beta, xi0, xi in [
+            (math.inf, 1.0, 1.0, [1.0]),
+            ([1.0, math.inf], 1.0, 1.0, [1.0]),
+            (1.0, math.inf, 1.0, [1.0]),
+            (1.0, 1.0, math.inf, [1.0]),
+            (1.0, 1.0, 1.0, [3.0, math.nan]),
+            (1.0, 1.0, 1.0, [[3.0, 2.0], [math.inf, 1.0]]),
+        ]:
+            with pytest.raises(ValueError, match="must be finite"):
+                log_kernel(alpha, beta, G1, xi0, np.array(xi))
 
 
 class TestDeltaHB:

@@ -310,18 +310,18 @@ class TestSampler:
 NAN_WEIGHTS = np.array([1.0, np.nan, 1.0])
 INF_WEIGHTS = np.array([1.0, np.inf, 1.0])
 
-# Every check on a Dirichlet weight vector, as a call on the weights.
+# Every check on Dirichlet weights, as a call on the weights a (and a0).
 WEIGHT_CHECKS = pytest.mark.parametrize(
     "build",
     [
-        lambda a: PriorSpec(6.0, 1.0, GChoice.constant_one(), 0.5, a),
-        lambda a: GeneralizedDirichlet(0.5, a),
-        lambda a: dirichlet_posterior_mean(CountMatrix(np.ones((3, 2), int)), 4.0,
-                                           0.5, a),
-        lambda a: run_prior(6.0, 1.0, 0.5, np.column_stack([a, a]),
-                            ChainConfig(20)),
-        lambda a: gen_dirichlet_sample(0.5, a, make_rng(0)),
-        lambda a: gen_dirichlet_log_pdf(ProbColumn(np.full(3, 0.2)), 0.5, a),
+        lambda a, a0=0.5: PriorSpec(6.0, 1.0, GChoice.constant_one(), a0, a),
+        lambda a, a0=0.5: GeneralizedDirichlet(a0, a),
+        lambda a, a0=0.5: dirichlet_posterior_mean(CountMatrix(np.ones((3, 2), int)),
+                                                   4.0, a0, a),
+        lambda a, a0=0.5: run_prior(6.0, 1.0, a0, np.column_stack([a, a]),
+                                    ChainConfig(20)),
+        lambda a, a0=0.5: gen_dirichlet_sample(a0, a, make_rng(0)),
+        lambda a, a0=0.5: gen_dirichlet_log_pdf(ProbColumn(np.full(3, 0.2)), a0, a),
     ],
     ids=["PriorSpec", "GeneralizedDirichlet", "dirichlet_posterior_mean",
          "run_prior", "gen_dirichlet_sample", "gen_dirichlet_log_pdf"],
@@ -346,6 +346,13 @@ class TestInfiniteWeights:
     def test_refused(self, build):
         with pytest.raises(ValueError, match="finite"):
             build(INF_WEIGHTS)
+
+    # a0 = inf made the Dirichlet posterior mean the zero matrix.
+    @WEIGHT_CHECKS
+    @pytest.mark.parametrize("a0", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_a0_refused(self, build, a0):
+        with pytest.raises(ValueError, match="a0 must be finite"):
+            build(np.ones(3), a0)
 
 
 class TestGeneralizedDirichlet:
