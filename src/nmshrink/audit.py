@@ -24,6 +24,7 @@ from .kernel import (
     hb_assumptions_hold,
     posterior_proper,
     prior_proper,
+    require_alpha_beta,
     small_t_finite,
     tail_finite,
 )
@@ -153,8 +154,7 @@ def hb_dominance_conditions(
     the assumptions involves the total number of columns N; pass `n_columns`
     when it differs from n (it only matters when beta = 0).
     """
-    if not (alpha > 0 and beta >= 0):
-        raise ValueError("alpha must be positive and beta nonnegative")
+    require_alpha_beta(alpha, beta)
     n_cols = n if n_columns is None else n_columns
     bound = min(n * (m - 2), n * m / 2 + beta * r)
     conditions = {

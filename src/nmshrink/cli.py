@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 malformed input, 3 numerical failure,
 4 propriety/dominance condition violation.  JSON output is strict: a
 non-finite number (a divergent kernel, say) is written as null.  Each `_cmd_*`
-reads and checks all its inputs, then returns `(resolved, run)`; `main` prints
+reads and checks all its inputs (alpha > 0 and beta >= 0 with
+`kernel.require_alpha_beta`), then returns `(resolved, run)`; `main` prints
 the options and `resolved` on --dry-run, or else returns `run()`: only the
 library's own checks wait for a run.  NMSHRINK_OUTDIR is `repro`'s default --out.
 
@@ -42,6 +43,7 @@ from .kernel import (
     log_kernel,
     posterior_proper,
     quadrature_settings,
+    require_alpha_beta,
 )
 from .model import ModelParams, json_numbers, read_counts_csv
 from .risklab import CASES, ESTIMATOR_KINDS, POSITIVE_KINDS, case_table, compare
@@ -316,16 +318,16 @@ def _audit_check(doc: dict):
     if kind == "eb":
         return functools.partial(_verdict, kind, _count(doc, "m"), num("r"))
     if kind == "hb":
-        return functools.partial(
-            _verdict, kind, num("alpha"), num("beta"), _g_from_doc(doc.get("g")),
-            num("r"), _count(doc, "m"), _count(doc, "n"),
-            _count(doc, "n_columns") if "n_columns" in doc else None,
-        )
+        alpha, beta = num("alpha"), num("beta")
+        require_alpha_beta(alpha, beta)
+        g, r, m, n = _g_from_doc(doc.get("g")), num("r"), _count(doc, "m"), _count(doc, "n")
+        n_cols = _count(doc, "n_columns") if "n_columns" in doc else None
+        return functools.partial(_verdict, kind, alpha, beta, g, r, m, n, n_cols)
     if kind == "kl":
+        prior = _prior_from_doc(doc)
+        spec = (prior.alpha, prior.beta, prior.g, prior.a0, prior.a, num("r"))
         return functools.partial(
-            _verdict, kind, num("alpha"), num("beta"), _g_from_doc(doc.get("g")),
-            num("a0"), num("a", ndim=1), num("r"), _count(doc, "n"),
-            _count(doc, "n_columns"),
+            _verdict, kind, *spec, _count(doc, "n"), _count(doc, "n_columns")
         )
     raise ValueError(f"unknown audit kind {kind!r}; use prior|eb|hb|kl")
 
@@ -398,6 +400,7 @@ def _cmd_gibbs_diag(args):
 def _cmd_kernel_eval(args):
     doc = _read_json(args.infile)
     alpha, beta, xi0 = (json_numbers(doc, key) for key in ("alpha", "beta", "xi0"))
+    require_alpha_beta(alpha, beta)
     g, xi = _g_from_doc(doc.get("g")), json_numbers(doc, "xi", ndim=1)
 
     def run() -> int:

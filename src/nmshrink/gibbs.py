@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError
-from .kernel import kernel_finite, posterior_proper
+from .kernel import kernel_finite, posterior_proper, require_alpha_beta
 from .model import CountMatrix, GeneralizedDirichlet, make_rng
 
 __all__ = [
@@ -172,6 +172,7 @@ def run_prior(
     cfg: ChainConfig,
 ) -> Chain:
     """Chain targeting the joint prior; refuses improper configurations."""
+    require_alpha_beta(alpha, beta)
     a_cols = np.asarray(a_cols, dtype=float)
     if a_cols.ndim != 2:
         raise ValueError("a_cols must be an m x N matrix")

@@ -6,12 +6,12 @@ The kernel is
         = int_0^inf t^(alpha-1) e^(-beta t) g(t)
               prod_nu Gamma(t + xi0) / Gamma(t + xi0 + xi_nu) dt
 
-for alpha > 0, beta >= 0, xi0 >= 0 and a nonnegative vector xi, with the
-mixing weight g(t) = (t / (1 + kappa t))^(c+1) of `GChoice`.  Its c = -1
-member is g = 1, whose log is a zero array, taken without log passes.  Ratios
-K(alpha+1, ...)/K(alpha, ...) are the shrinkage amounts added to estimator
-denominators, so K must be evaluated to high relative accuracy across count
-regimes where the Gamma ratios overflow naively.
+for alpha > 0 and beta >= 0, both finite (`require_alpha_beta`, checked first
+wherever they are taken), xi0 >= 0 and a nonnegative vector xi, with the
+mixing weight g(t) = (t / (1 + kappa t))^(c+1) of `GChoice`, whose c = -1
+member g = 1 has a zero log array, taken without log passes.  The ratios
+K(alpha+1, ...)/K(alpha, ...) are the estimators' shrinkage amounts, so K must
+be evaluated to high relative accuracy where naive Gamma ratios overflow.
 
 Strategy: substitute omega = t/(1+t) and split (0, 1) at 1/2 into two sides,
 each mapped to u in (0, 1/2] with its singular end at u = 0.  Every kernel
@@ -78,6 +78,7 @@ __all__ = [
     "prior_proper",
     "posterior_proper",
     "hb_assumptions_hold",
+    "require_alpha_beta",
     "require_hb_assumptions",
     "quadrature_settings",
 ]
@@ -201,12 +202,7 @@ class PriorSpec:
     a: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.beta >= 0:
-            raise ValueError("beta must be nonnegative")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
-            raise ValueError("alpha and beta must be finite")
+        require_alpha_beta(self.alpha, self.beta)
         weights = GeneralizedDirichlet(self.a0, self.a)
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "beta", float(self.beta))
@@ -220,6 +216,16 @@ class PriorSpec:
     @property
     def m(self) -> int:
         return self.a.size
+
+
+def require_alpha_beta(alpha, beta: float) -> None:
+    """Raise ValueError unless alpha > 0 (each of a sequence of exponents) and
+    beta >= 0, both finite: the shape and rate every hierarchical rule assumes."""
+    alphas = np.ravel(alpha).tolist()
+    if not (all(a > 0 for a in alphas) and beta >= 0):
+        raise ValueError("alpha must be positive and beta nonnegative")
+    if not all(math.isfinite(v) for v in (*alphas, beta)):
+        raise ValueError("alpha and beta must be finite")
 
 
 def tail_finite(alpha: float, beta: float, g: GChoice, total: float) -> bool:
@@ -287,7 +293,8 @@ def hb_assumptions_hold(
 def require_hb_assumptions(
     alpha: float, beta: float, g: GChoice, r: float, m: int, n_columns: int
 ) -> None:
-    """Raise ConditionError unless `hb_assumptions_hold`."""
+    """Raise as `require_alpha_beta`, then ConditionError unless `hb_assumptions_hold`."""
+    require_alpha_beta(alpha, beta)
     if not hb_assumptions_hold(alpha, beta, g, r, m, n_columns):
         raise ConditionError(
             "the hierarchical Bayes shrinkage ratio requires r > m with a finite "
@@ -437,10 +444,7 @@ def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
     alphas = np.asarray(alpha, dtype=float)
     if alphas.ndim > 1 or alphas.size == 0:
         raise ValueError("alpha must be a scalar or a nonempty 1-d sequence")
-    if not np.all(alphas > 0):
-        raise ValueError("alpha must be positive")
-    if not beta >= 0:
-        raise ValueError("beta must be nonnegative")
+    require_alpha_beta(alphas, beta)
     if not xi0 >= 0:
         raise ValueError("xi0 must be nonnegative")
     xi = np.asarray(xi, dtype=float)
@@ -448,9 +452,8 @@ def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
         raise ValueError("xi must be a nonempty vector")
     if np.any(xi < 0):
         raise ValueError("xi entries must be nonnegative")
-    if not (np.isfinite(alphas).all() and math.isfinite(beta) and math.isfinite(xi0)
-            and np.isfinite(xi).all()):
-        raise ValueError("alpha, beta, xi0 and xi must be finite")
+    if not (math.isfinite(xi0) and np.isfinite(xi).all()):
+        raise ValueError("xi0 and xi must be finite")
 
     rows = xi.reshape(-1, xi.shape[-1])
     out = np.concatenate(
@@ -511,6 +514,7 @@ def delta_nu(
     propriety (xi0 = r + a0 with the tail and small-t integrability
     conditions); always finite and positive under it.
     """
+    require_alpha_beta(alpha, beta)
     z = _counts(z)
     n_cols = z.shape[-1]
     nu = np.asarray(nu)

@@ -26,7 +26,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import estimators as est
-from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError
+from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError, require_alpha_beta
 from .model import CountMatrix, GeneralizedDirichlet, ModelParams, ProbColumn, make_rng
 from .model import nm_log_pmf, nm_sample
 
@@ -299,6 +299,7 @@ def make_estimator(
     if kind == "hb":
         if alpha is None:
             raise ValueError("hb needs alpha")
+        require_alpha_beta(alpha, beta)  # refused when built, as hb-pm's prior is
         return partial(est.hb, alpha=alpha, beta=beta, g=g or GChoice.constant_one())
     if kind == "dir-pm":
         if a0 is None or a is None:

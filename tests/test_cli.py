@@ -679,12 +679,31 @@ BAD_INPUT = [
      "expected a JSON object {r, columns}"),
     (["risk-sim", "--truth", "{scalar_columns}", "--estimators", "umvu"],
      "expected a JSON object {r, columns}"),
+    # alpha > 0 and beta >= 0 is one rule, checked before any condition
+    # (r = 8 > m = 3 here) on every path.
+    (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "-1", "--in", "{counts}"],
+     "alpha must be positive and beta nonnegative"),
+    (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "30", "--beta", "-1",
+      "--in", "{counts}"], "alpha must be positive and beta nonnegative"),
+    (["risk-sim", "--truth", "{truth}", "--estimators", "umvu,hb", "--alpha", "-1"],
+     "alpha must be positive and beta nonnegative"),
+    (["kernel-eval", "--in", "{kernel_alpha}"],
+     "alpha must be positive and beta nonnegative"),
+    (["audit", "--in", "{hb_beta}"], "alpha must be positive and beta nonnegative"),
+    (["audit", "--in", "{kl_a}"], "all a_i must be positive"),
 ]
 # Truth documents of the right keys whose values ModelParams cannot take.
 MALFORMED_TRUTHS = {
     "null_r": '{"r": null, "columns": [[0.2, 0.2]]}',
     "list_r": '{"r": [5], "columns": [[0.2, 0.2]]}',
     "scalar_columns": '{"r": 5, "columns": 5}',
+}
+# Documents whose hyperparameters the library refuses.
+REFUSED_HYPERPARAMETERS = {
+    "kernel_alpha": '{"alpha": -1, "beta": 1, "xi0": 1, "xi": [3, 2, 4]}',
+    "hb_beta": '{"kind": "hb", "alpha": 1, "beta": -0.1, "r": 8, "m": 7, "n": 3}',
+    "kl_a": '{"kind": "kl", "alpha": 5, "beta": 1, "a0": 1, "a": [1, -1, 1], "r": 5, '
+            '"n": 3, "n_columns": 3}',
 }
 
 
@@ -702,7 +721,7 @@ class TestBadInput:
             {"alpha": 6, "beta": 1, "g": "g1", "a0": 0.5, "a": [1, 1, 1]}))
         out = tmp_path / "out"
         malformed = {name: write(tmp_path / f"{name}.json", text)
-                     for name, text in MALFORMED_TRUTHS.items()}
+                     for name, text in {**MALFORMED_TRUTHS, **REFUSED_HYPERPARAMETERS}.items()}
         argv = [a.format(counts=counts_csv, truth=truth, prior=prior, out=out,
                          **malformed)
                 for a in template]

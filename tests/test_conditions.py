@@ -1,6 +1,8 @@
 """One finiteness predicate behind every propriety and validity condition,
 checked against the hand-written copies it replaced (condition_oracle)."""
 
+import math
+
 import condition_oracle as oracle
 import numpy as np
 import pytest
@@ -8,11 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nmshrink import kernel
-from nmshrink.audit import check_prior_propriety
+from nmshrink.audit import (
+    check_prior_propriety,
+    hb_dominance_conditions,
+    kl_dominance_conditions,
+)
 from nmshrink.estimators import hb
-from nmshrink.gibbs import joint_prior_proper
+from nmshrink.gibbs import ChainConfig, joint_prior_proper, run_prior
 from nmshrink.kernel import ConditionError, GChoice, PriorSpec
 from nmshrink.model import CountMatrix
+from nmshrink.risklab import make_estimator
 
 G_CHOICES = [
     GChoice.constant_one(),
@@ -113,3 +120,48 @@ class TestOnePredicate:
         with pytest.raises(ConditionError) as estimator:
             hb(CountMatrix(np.zeros((3, 2), dtype=int)), 2.0, 6.0, 1.0, g1)
         assert str(direct.value) == str(estimator.value)
+
+
+# Every entry point that takes the hierarchical shape alpha and rate beta as
+# numbers, called with otherwise valid arguments (r = 8 above m).
+X = CountMatrix(np.array([[3, 0], [2, 1], [0, 4]]))
+ALPHA_BETA_CALLS = {
+    "PriorSpec": lambda a, b, g: PriorSpec(a, b, g, 0.5, np.ones(3)),
+    "log_kernel": lambda a, b, g: kernel.log_kernel([a, a + 1], b, g, 1.0, [3.0, 5.0]),
+    "hb": lambda a, b, g: hb(X, 8.0, a, b, g),
+    "delta_hb": lambda a, b, g: kernel.delta_hb(a, b, g, 8.0, 3, np.array([5, 5])),
+    "delta_nu": lambda a, b, g: kernel.delta_nu(a, b, g, 8.0, 0.5, 3.0, [5, 5], 0),
+    "make_estimator": lambda a, b, g: make_estimator("hb", alpha=a, beta=b, g=g),
+    "hb_dominance_conditions": lambda a, b, g: hb_dominance_conditions(
+        a, b, g, 8, 7, 3
+    ),
+    "kl_dominance_conditions": lambda a, b, g: kl_dominance_conditions(
+        a, b, g, 1.0, np.ones(3), 8, 3, 3
+    ),
+    "run_prior": lambda a, b, g: run_prior(a, b, 0.5, np.ones((3, 2)), ChainConfig(10)),
+}
+RULE_SIGN = "alpha must be positive and beta nonnegative"
+RULE_FINITE = "alpha and beta must be finite"
+BAD_ALPHA_BETA = [
+    (0.0, 1.0, GChoice.constant_one(), RULE_SIGN),
+    (-1.0, 1.0, GChoice.constant_one(), RULE_SIGN),
+    (0.0, 1.0, GChoice.komaki(1.0, 1.0), RULE_SIGN),
+    (-1.0, 1.0, GChoice.komaki(1.0, 1.0), RULE_SIGN),
+    (14.0, -0.1, GChoice.constant_one(), RULE_SIGN),
+    (math.inf, 1.0, GChoice.constant_one(), RULE_FINITE),
+]
+
+
+class TestOneAlphaBetaRule:
+    """Bad hyperparameters are bad input (ValueError) on every entry point,
+    refused before any condition is tested (never a ConditionError)."""
+
+    @pytest.mark.parametrize("alpha, beta, g, message", BAD_ALPHA_BETA)
+    @pytest.mark.parametrize("name", sorted(ALPHA_BETA_CALLS))
+    def test_refused_by_the_rule(self, name, alpha, beta, g, message):
+        call = ALPHA_BETA_CALLS[name]
+        call(14.0, 1.0, g)  # the call's other arguments are valid
+        with pytest.raises(ValueError) as refused:
+            call(alpha, beta, g)
+        assert not isinstance(refused.value, ConditionError)
+        assert str(refused.value) == message
