@@ -13,47 +13,38 @@ member g = 1 has a zero log array, taken without log passes.  The ratios
 K(alpha+1, ...)/K(alpha, ...) are the estimators' shrinkage amounts, so K must
 be evaluated to high relative accuracy where naive Gamma ratios overflow.
 
-Strategy: substitute omega = t/(1+t) and split (0, 1) at 1/2 into two sides,
-each mapped to u in (0, 1/2] with its singular end at u = 0.  Every kernel
-uses the same grid: dyadic panels [2^-(d+1), 2^-d], d = 1, 2, ..., on both
-sides, each with the 64-point Gauss-Legendre rule.  The log-integrand is
-built from log-gamma differences (through betaln once t + xi0 > 1e6, where
-two log-gammas would cancel), and panels are combined by log-sum-exp.
+Strategy: substitute t = exp((pi/2) sinh s), which makes the integrand
+decay double exponentially in s at both ends (Takahasi & Mori 1974), and
+sum it by the trapezoid rule on |s| <= 4.5: 181 nodes at the first step
+h = 0.05, spanning t from about 2e-31 to 5e30.  Near either end the
+integrand in t is a power t^(p-1), and p is the exponent `kernel_finite`
+tests: alpha + (g exponent at 0), less the number of positive xi when
+xi0 = 0, at the lower end, and sum(xi) - alpha above for beta = 0.  The
+mass beyond each end node is added from that power.  The Gamma ratios are
+log-gamma differences evaluated in NumPy (`_log_gamma_ratio`), without
+forming either log-gamma, so no large argument cancels.
 
-One call evaluates a stack of xi rows for several exponents alpha: the
-integrand for alpha + 1 is the one for alpha times t, so each node is
-computed once for all exponents.  The Gamma ratios are computed once for
-each distinct xi value of the call and shared by every row that holds that
-value; each entry is the same floating-point operation a row alone would
-make, so a row's bits do not depend on the rows it shares a table with.
-Each (row, alpha) pair starts at depth 6 and grows its own tail depth per
-side until the geometric remainder estimate is below 1e-13 of the integral,
-within 2^14 nodes.  It then sums only its own panels, in a fixed order, so
-its value does not depend on the other rows or exponents of the call.
-A depth step takes the panel terms one exponent at a time, so the
-temporaries of a pass grow with the row block only, not with the number of
-exponents.  The rest of the step works on every (row, alpha) pair at once:
-the tail-depth search, the depth update and the test for settled rows, and
-after the last step one log-sum-exp with its non-finite and error-estimate
-checks.  For the one to three rows of a single estimate these small array
-operations cost about as much as the node work, so they run once per step
-rather than once per exponent.
+One call evaluates a stack of xi rows for several exponents alpha on the
+same nodes.  The Gamma ratios are computed once for each distinct xi value
+of the call and shared by every row that holds that value; each row adds
+its columns in ascending order of xi, and each table entry is the same
+floating-point operation a row alone would make, so a row's bits depend
+neither on the rows it shares a table with nor on the order of its columns.
 Divergence is decided analytically per exponent and reported as +inf; the
 quadrature never runs on a divergent integral.  That analytic test,
 `kernel_finite`, is also every propriety and validity condition of the
 package, each at its smallest admissible xi.
 
-Each panel's 64-point sum is compared with an interpolatory 32-point rule on
-every other node of the same panel.  With e the summed differences relative
-to the integral, the error estimate is e^2: the 64-point Gauss rule is exact
-to four times the degree of the 32-point rule, so on these panels, where the
-integrand is analytic, its error is of order e^4, and squaring keeps a
-margin.  (Against an independent quadrature of the sharp peaks at
-alpha = 1600 to 12800, beta = 1, the measured error stayed below it.)
-Rounding in the log-gamma differences, about 1e-16 of their size, is not
-part of the estimate.  A kernel whose estimate exceeds 1e-10, that runs out
-of nodes, or that evaluates to a non-finite number raises QuadratureError
-rather than returning a silently wrong value.
+The h sum is compared with its 2h subset, every other node.  With e their
+relative gap, the error estimate is e^2, since the error of the rule falls
+about as the square of the step's error when h halves, plus the end nodes'
+share of the sum, which bounds the error of the end corrections.  Each
+(row, alpha) pair whose estimate exceeds 1e-10 halves h, and only its own
+sum counts, so its value does not depend on the other rows or exponents of
+the call.  Rounding in the log-gamma differences, about 1e-16 of their
+size, is not part of the estimate.  A kernel whose estimate still exceeds
+1e-10 within 2^14 nodes, or that evaluates to a non-finite number, raises
+QuadratureError rather than returning a silently wrong value.
 """
 
 from __future__ import annotations
@@ -83,59 +74,39 @@ __all__ = [
     "quadrature_settings",
 ]
 
-GL_NODE_COUNT = 64
+# Nodes t = exp((pi/2) sinh s) at s = -DE_SPAN + k h, first with h = DE_STEP.
+DE_STEP = 0.05
+DE_SPAN = 4.5
 MAX_TOTAL_NODES = 2**14
-# Panels per side that fit in the node budget.
-_MAX_DEPTH = MAX_TOTAL_NODES // (2 * GL_NODE_COUNT)
-_INITIAL_DEPTH = 6
-# Tail growth stops once the estimated remainder is below this fraction.
-REMAINDER_TOL = 1e-13
 # Largest accepted relative error estimate of one kernel.
 ERROR_TOL = 1e-10
-# Above this argument a difference of log-gammas loses digits to
-# cancellation, while betaln switches to an asymptotic expansion.
-_FAR_ARGUMENT = 1e6
+# Intervals at the first level; each further level halves h.
+_COARSE = round(2 * DE_SPAN / DE_STEP)
+_MAX_LEVEL = ((MAX_TOTAL_NODES - 1) // _COARSE).bit_length() - 1
 # Rows evaluated together: smaller blocks keep the temporaries in cache,
-# larger ones spread the fixed cost of a call over more rows.  hb on the
-# nine 1000-replication risk-table stacks took 573 and 671 ms at 64 rows,
-# 657 and 758 at 128, 698 and 822 at 32, 891 and 896 at 256 (medians of 5
-# interleaved repeats, two sessions, 2-core Xeon).
-_ROW_BLOCK = 64
-
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODE_COUNT)
+# larger ones spread the fixed cost of a call over more rows.  The HB
+# kernels of the three 3000-row risk-table case batches took 62-69 ms in
+# all at 128 rows, 68-91 at 256 and 80-107 at 64 (best of 5, three
+# interleaved rounds, 2-core Xeon).
+_ROW_BLOCK = 128
 
 
-def _embedded_weights() -> np.ndarray:
-    """Interpolatory weights on every other Gauss-Legendre node, exact to
-    degree 31 (all positive)."""
-    nodes = _GL_X[1::2]
-    moments = np.zeros(nodes.size)
-    moments[0] = 2.0
-    vander = np.polynomial.legendre.legvander(nodes, nodes.size - 1)
-    return np.linalg.solve(vander.T, moments)
+def _node_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t, log t and log((dt/ds) / t) at the nodes of the finest level; level
+    L takes every 2^(_MAX_LEVEL - L)-th of them."""
+    s = np.linspace(-DE_SPAN, DE_SPAN, _COARSE * 2**_MAX_LEVEL + 1)
+    log_t = 0.5 * math.pi * np.sinh(s)
+    return np.exp(log_t), log_t, np.log(0.5 * math.pi * np.cosh(s))
 
 
-_LOW_W = _embedded_weights()
-
-
-def _panel_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """t, log t and log(dt/du * half-width) at the nodes of every panel.
-
-    Panel p = 2 (d - 1) + side covers u in [2^-(d+1), 2^-d]; side 0 maps
-    u to t = u/(1-u) and side 1 to t = (1-u)/u, and dt/du = (1+t)^2 on both.
-    """
-    depth = np.arange(1, _MAX_DEPTH + 1, dtype=float)
-    half = 0.25 * 2.0**-depth
-    u = 3.0 * half[:, None] + half[:, None] * _GL_X[None, :]
-    t = np.stack([u / (1.0 - u), (1.0 - u) / u], axis=1).reshape(-1, GL_NODE_COUNT)
-    log_jac = 2.0 * np.log1p(t) + np.repeat(np.log(half), 2)[:, None]
-    return t, np.log(t), log_jac
-
-
-_T, _LOG_T, _LOG_JAC = _panel_grid()
-# Depth and side of each panel slot.
-_PANEL_DEPTH = np.arange(2 * _MAX_DEPTH) // 2 + 1
-_PANEL_SIDE = np.arange(2 * _MAX_DEPTH) % 2
+_T, _LOG_T, _LOG_DS = _node_grid()
+# (dt/ds) / t at either end of the node range.
+_END_DS = 0.5 * math.pi * math.cosh(DE_SPAN)
+# Below this argument the log-gamma ratio is shifted up by the recurrence,
+# whose eight factors `_rising8` multiplies.
+_SHIFT = 8
+# B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of ln Gamma.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 class QuadratureError(RuntimeError):
@@ -304,128 +275,129 @@ def require_hb_assumptions(
 
 def quadrature_settings() -> dict:
     return {
-        "rule": f"{GL_NODE_COUNT}-node Gauss-Legendre on dyadic panels",
-        "substitution": "omega = t/(1+t)",
-        "initial_depth": _INITIAL_DEPTH,
+        "rule": f"exp-sinh trapezoid, h = {DE_STEP:g} halved per kernel as needed",
+        "substitution": f"t = exp((pi/2) sinh s), |s| <= {DE_SPAN:g}",
         "node_cap": MAX_TOTAL_NODES,
-        "remainder_tol": REMAINDER_TOL,
-        "error_estimate": "squared relative gap between the 64-node rule and "
-        "a 32-node rule on alternate nodes",
+        "error_estimate": "squared relative gap between the h and 2h sums, "
+        "plus the end nodes' share of the sum",
         "error_tol": ERROR_TOL,
     }
 
 
-def _shared_log_integrand(beta, g, xi0, values, index, panels) -> np.ndarray:
-    """Log-integrand without its t^(alpha-1) factor, plus the log Jacobian
-    and half-width, on a slice of panels: (R, P, 64) for rows xi (R, N)
-    given as distinct values (U,) and xi = values[index]."""
-    from scipy.special import betaln, gammaln
+def _stirling_tail(z: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 for z >= 8, to 7 terms."""
+    w = 1.0 / z
+    w2 = w * w
+    out = _STIRLING[-1] * w2
+    for coef in _STIRLING[-2:0:-1]:
+        out += coef
+        out *= w2
+    out += _STIRLING[0]
+    out *= w
+    return out
 
-    t = _T[panels]
-    x = t + xi0
-    ratio = gammaln(x) - gammaln(x + values[:, None, None])
-    far = x > _FAR_ARGUMENT
-    if far.any():
-        b = values[:, None]
-        with np.errstate(invalid="ignore"):
-            ratio[:, far] = np.where(b > 0, betaln(x[far], b) - gammaln(b), 0.0)
-    out = np.empty((index.shape[0],) + t.shape)
-    out[...] = _LOG_JAC[panels] - beta * t + g.log_g(t)
+
+def _rising8(w: np.ndarray) -> np.ndarray:
+    """w (w + 1) ... (w + 7), as four pairs (w + k)(w + 7 - k) = u + k (7 - k)."""
+    u = w * (w + 7.0)
+    return u * (u + 6.0) * (u + 10.0) * (u + 12.0)
+
+
+def _log_gamma_ratio(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Table (U, n) of ln Gamma(x) - ln Gamma(x + xi) for ascending x (n,) > 0
+    and xi (U,) >= 0.
+
+    From x >= 8 the Stirling series gives the difference without forming
+    either log-gamma: xi - xi ln x - (x + xi - 1/2) log1p(xi/x) + c(x) -
+    c(x + xi).  Below 8 it is taken at x + 8 and the recurrence adds
+    log prod_{k<8} (1 + xi/(x + k)), a ratio of two rising factorials.
+    Each entry is its own sequence of operations, so it does not depend on
+    the other entries of the table, and xi = 0 gives exactly 0.
+    """
+    n_small = np.searchsorted(x, _SHIFT)
+    y = x.copy()
+    y[:n_small] += _SHIFT
+    b = xi[:, None]
+    z = np.empty((xi.size + 1, x.size))
+    z[0] = y
+    np.add(y, b, out=z[1:])
+    c = _stirling_tail(z)
+    out = c[0] - c[1:]
+    out += b
+    out -= b * np.log(y)
+    out -= ((y - 0.5) + b) * np.log1p(b / y)
+    if n_small:
+        x = x[:n_small]
+        out[:, :n_small] += np.log(_rising8(x + b) / _rising8(x))
+    return out
+
+
+def _shared_log_integrand(beta, g, xi0, xi, nodes) -> np.ndarray:
+    """Log of the integrand in s without its t^alpha factor, log(t'(s)/t) -
+    beta t + log g(t) plus the Gamma ratios, on a slice of the node grid:
+    (R, n) for rows xi (R, N).
+
+    The Gamma ratios are computed once per distinct xi value, and each row
+    adds its columns in ascending order of xi, so a row's bits depend neither
+    on the rows it shares the table with nor on the order of its columns.
+    """
+    t = _T[nodes]
+    values, index = np.unique(xi, return_inverse=True)
+    index = np.sort(index.reshape(xi.shape), axis=1)
+    ratio = _log_gamma_ratio(t + xi0, values)
+    out = np.empty((xi.shape[0], t.size))
+    out[...] = _LOG_DS[nodes] - beta * t + g.log_g(t)
     for column in index.T:
         out += ratio[column]
     return out
 
 
-def _panel_terms(shared: np.ndarray, alpha: float, panels):
-    """Log contribution of each panel and the gap between its 64-node and
-    32-node sums, relative to the 64-node sum."""
-    lf = shared + (alpha - 1.0) * _LOG_T[panels]
-    peak = lf.max(axis=-1)
-    f = np.exp(lf - peak[..., None])
-    full = (f * _GL_W).sum(axis=-1)
-    low = (f[..., 1::2] * _LOW_W).sum(axis=-1)
-    return peak + np.log(full), np.abs(full - low) / full
-
-
-def _tail_depths(c: np.ndarray, reach: int) -> np.ndarray:
-    """First depth >= 6 of each side at which the tail may stop, or 0 where
-    none up to `reach` qualifies; c holds the rows' panel contributions."""
-    n_rows = c.shape[0]
-    by_side = c[:, : 2 * reach].reshape(n_rows, reach, 2)
-    first = by_side[:, :_INITIAL_DEPTH].reshape(n_rows, -1)
-    top = first.max(axis=1)
-    initial = top + np.log(np.exp(first - top[:, None]).sum(axis=1))
-    # step[:, j] compares depth j + 2 with depth j + 1
-    step = by_side[:, 1:] - by_side[:, :-1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        remainder = by_side[:, 1:] + step - np.log(-np.expm1(step))
-    ok = (step < 0) & (remainder <= initial[:, None, None] + math.log(REMAINDER_TOL))
-    ok[:, : _INITIAL_DEPTH - 2] = False
-    return np.where(ok.any(axis=1), ok.argmax(axis=1) + 2, 0)
-
-
 def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
-    """log K for rows xi (R, N) and exponents alphas (K,): shape (R, K)."""
-    n_rows, n_alphas, n_panels = xi.shape[0], alphas.size, 2 * _MAX_DEPTH
-    finite = kernel_is_finite(alphas[None, :], beta, g, xi0, xi[:, None, :])
-    finite = np.broadcast_to(finite, (n_rows, n_alphas))
-    # One (row, exponent) pair per kernel: its panel sums, their 64/32-node
-    # gaps and its tail depth per side.
-    c = np.full((n_rows, n_alphas, n_panels), -np.inf)
-    err = np.zeros_like(c)
-    depth = np.zeros((n_rows, n_alphas, 2), dtype=int)
-    todo = np.flatnonzero(finite.any(axis=1))
-    # Rows still growing their tails, as indices into the distinct values.
-    # One row shares its table with no other: its own values are the table.
-    if todo.size > 1:
-        values, index = np.unique(xi[todo], return_inverse=True)
-    else:
-        values, index = xi[todo].ravel(), np.arange(todo.size * xi.shape[1])
-    index = index.reshape(todo.size, xi.shape[1])
-    done = 0
-    while todo.size:
-        reach = min(_MAX_DEPTH, max(_INITIAL_DEPTH, 2 * done))
-        panels = slice(2 * done, 2 * reach)
-        shared = _shared_log_integrand(beta, g, xi0, values, index, panels)
-        for k, alpha in enumerate(alphas):
-            c[todo, k, panels], err[todo, k, panels] = _panel_terms(shared, alpha, panels)
-        reached = depth[todo]
-        found = _tail_depths(c[todo].reshape(-1, n_panels), reach)
-        reached = np.where(reached > 0, reached, found.reshape(reached.shape))
-        depth[todo] = reached
-        settled = ((reached > 0).all(axis=2) | ~finite[todo]).all(axis=1)
-        done = reach
-        if done == _MAX_DEPTH and not settled.all():
-            raise QuadratureError(
-                f"node budget {MAX_TOTAL_NODES} exceeded; integral is too close "
-                "to divergence for the panel grid"
-            )
-        todo, index = todo[~settled], index[~settled]
-        if todo.size and settled.any():
-            # Deeper panels need the values of the remaining rows only.
-            held = np.zeros(values.size, dtype=bool)
-            held[index] = True
-            values, index = values[held], (np.cumsum(held) - 1)[index]
+    """log K for rows xi (R, N) and exponents alphas (K,): shape (R, K).
 
-    # Every finite pair sums all 2 * _MAX_DEPTH panel slots, unused ones as
-    # zeros, so its sum does not depend on the depths of other pairs.
-    rows, ks = np.nonzero(finite)
-    used = _PANEL_DEPTH <= depth[rows, ks][:, _PANEL_SIDE]
-    ck = np.where(used, c[rows, ks], -np.inf)
-    top = ck.max(axis=1)
-    weight = np.exp(ck - top[:, None])
-    mass = weight.sum(axis=1)
-    value = top + np.log(mass)
-    if not np.all(np.isfinite(value)):
-        raise QuadratureError("kernel quadrature produced a non-finite value")
-    gap = (np.where(used, err[rows, ks], 0.0) * weight).sum(axis=1) / mass
-    if np.any(gap**2 > ERROR_TOL):
+    Each (row, alpha) pair starts at step h = DE_STEP and halves it until its
+    error estimate is within ERROR_TOL; its value is its own node sum at the
+    step it stops at, whatever the other rows and exponents need.
+    """
+    n_positive = np.count_nonzero(xi > 0, axis=1)[:, None]
+    total = xi.sum(axis=1)[:, None]
+    out = np.full((xi.shape[0], alphas.size), math.inf)
+    finite = kernel_finite(alphas, beta, g, xi0, n_positive, total)
+    rows, ks = np.nonzero(np.broadcast_to(finite, out.shape))
+    # Near either end the integrand in t is a power t^(p - 1), with the
+    # exponent p that kernel_finite tests for positivity, so the mass beyond
+    # the last node is F(end) / (p t'(s)/t) in s.  Above it is added only for
+    # beta = 0: otherwise e^(-beta t) has already ended the tail.
+    p_low = alphas[ks] + g.small_t_exponent - (n_positive[rows, 0] if xi0 == 0 else 0)
+    p_high = total[rows, 0] - alphas[ks] if beta == 0 else np.full(rows.size, math.inf)
+    for level in range(_MAX_LEVEL + 1):
+        if not rows.size:
+            break
+        nodes = slice(None, None, 2 ** (_MAX_LEVEL - level))
+        held, at = np.unique(rows, return_inverse=True)
+        lf = _shared_log_integrand(beta, g, xi0, xi[held], nodes)[at]
+        lf += alphas[ks, None] * _LOG_T[nodes]
+        peak = lf.max(axis=1)
+        lf -= peak[:, None]
+        f = np.exp(lf, out=lf)
+        full = f.sum(axis=1)
+        low, high = f[:, 0], f[:, -1]
+        # Trapezoid sum on [-DE_SPAN, DE_SPAN] plus the two remainders.
+        sums = DE_STEP / 2**level * (full - 0.5 * (low + high))
+        value = peak + np.log(sums + (low / p_low + high / p_high) / _END_DS)
+        if not np.all(np.isfinite(value)):
+            raise QuadratureError("kernel quadrature produced a non-finite value")
+        gap = (full - 2.0 * f[:, ::2].sum(axis=1)) / full
+        estimate = gap**2 + (low + high) / full
+        ok = estimate <= ERROR_TOL
+        out[rows[ok], ks[ok]] = value[ok]
+        rows, ks, p_low, p_high = rows[~ok], ks[~ok], p_low[~ok], p_high[~ok]
+    if rows.size:
         raise QuadratureError(
-            f"estimated relative error {np.max(gap) ** 2:.1e} exceeds "
-            f"{ERROR_TOL:g}; the integrand is too sharply peaked for the panels"
+            f"estimated relative error {estimate.max():.1e} exceeds {ERROR_TOL:g} "
+            f"within the node budget {MAX_TOTAL_NODES}; the integrand is too "
+            "sharply peaked or too close to divergence"
         )
-    out = np.full((n_rows, n_alphas), math.inf)
-    out[rows, ks] = value
     return out
 
 

@@ -220,10 +220,6 @@ def _batch_risks(
         # Imported here: serial runs need no multiprocessing machinery.
         from concurrent.futures import ProcessPoolExecutor
 
-        # Loaded before the pool forks its workers, so they inherit it: each
-        # worker of each pool would otherwise import it anew (about 0.3 s).
-        import scipy.special  # noqa: F401
-
         # At most reps chunks: an empty one would have no matrix to stack.
         chunks = [range(k, reps, jobs) for k in range(min(jobs, reps))]
         losses = np.empty((len(truths), reps, len(named)))

@@ -1,44 +1,74 @@
-"""The row loop of `kernel.log_kernel` as nmshrink wrote it before the
-Gamma ratios became one table per kernel call and before the bookkeeping of
-a depth step covered all exponents at once; kept as a test oracle.
+"""The dyadic Gauss-Legendre panel rule that `kernel.log_kernel` used before
+its double-exponential rule, kept as a test oracle with its own grid.
 
-The quadrature functions are copied unchanged.  `_shared_log_integrand`
-evaluates gammaln(x + xi_nu) and, in the far branch, betaln for every (row,
-column, panel, node), and `_log_kernel_rows` hands it the rows themselves.
-For each exponent in turn the row loop then takes its panel terms
-(`_panel_terms`), its tail depths (`_tail_depths`) and, after the last
-depth step, its log-sum-exp with the non-finite and error-estimate checks.  The finiteness
-test is the analytic one, from the two factors kept in `condition_oracle`.
-`per_column_integrand()` runs the library's `log_kernel` (argument checks
-and row blocks) with this loop in place of its own, so the two share only
-the panel grid, its weights and the tolerances.
+The integral is taken on omega = t/(1+t), split at 1/2 into two sides, each
+covered by dyadic panels [2^-(d+1), 2^-d] with the 64-point Gauss-Legendre
+rule.  Each row evaluates gammaln(x + xi_nu) and, once t + xi0 > 1e6 where
+two log-gammas would cancel, betaln for every (column, panel, node).  For
+each exponent in turn a row grows its tail depth per side until the
+geometric remainder estimate is below 1e-13 of the integral, within 2^14
+nodes, and sums its panels by log-sum-exp.  Each panel's 64-point sum is
+compared with an interpolatory 32-point rule on every other node; the
+squared relative gap is the error estimate.  The finiteness test is the
+analytic one, from the two factors kept in `condition_oracle`.  It shares
+no quadrature code with the library: `panel_log_kernel` takes the
+arguments of `log_kernel`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-from unittest import mock
 
 import numpy as np
 from condition_oracle import small_t_finite, tail_finite
 from scipy.special import betaln, gammaln
 
-from nmshrink import kernel
-from nmshrink.kernel import (
-    _FAR_ARGUMENT,
-    _GL_W,
-    _INITIAL_DEPTH,
-    _LOG_JAC,
-    _LOG_T,
-    _LOW_W,
-    _MAX_DEPTH,
-    _T,
-    ERROR_TOL,
-    MAX_TOTAL_NODES,
-    REMAINDER_TOL,
-    QuadratureError,
-)
+from nmshrink.kernel import QuadratureError
+
+GL_NODE_COUNT = 64
+MAX_TOTAL_NODES = 2**14
+# Panels per side that fit in the node budget.
+_MAX_DEPTH = MAX_TOTAL_NODES // (2 * GL_NODE_COUNT)
+_INITIAL_DEPTH = 6
+# Tail growth stops once the estimated remainder is below this fraction.
+REMAINDER_TOL = 1e-13
+# Largest accepted relative error estimate of one kernel.
+ERROR_TOL = 1e-10
+# Above this argument a difference of log-gammas loses digits to
+# cancellation, while betaln switches to an asymptotic expansion.
+_FAR_ARGUMENT = 1e6
+
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_NODE_COUNT)
+
+
+def _embedded_weights() -> np.ndarray:
+    """Interpolatory weights on every other Gauss-Legendre node, exact to
+    degree 31 (all positive)."""
+    nodes = _GL_X[1::2]
+    moments = np.zeros(nodes.size)
+    moments[0] = 2.0
+    vander = np.polynomial.legendre.legvander(nodes, nodes.size - 1)
+    return np.linalg.solve(vander.T, moments)
+
+
+_LOW_W = _embedded_weights()
+
+
+def _panel_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t, log t and log(dt/du * half-width) at the nodes of every panel.
+
+    Panel p = 2 (d - 1) + side covers u in [2^-(d+1), 2^-d]; side 0 maps
+    u to t = u/(1-u) and side 1 to t = (1-u)/u, and dt/du = (1+t)^2 on both.
+    """
+    depth = np.arange(1, _MAX_DEPTH + 1, dtype=float)
+    half = 0.25 * 2.0**-depth
+    u = 3.0 * half[:, None] + half[:, None] * _GL_X[None, :]
+    t = np.stack([u / (1.0 - u), (1.0 - u) / u], axis=1).reshape(-1, GL_NODE_COUNT)
+    log_jac = 2.0 * np.log1p(t) + np.repeat(np.log(half), 2)[:, None]
+    return t, np.log(t), log_jac
+
+
+_T, _LOG_T, _LOG_JAC = _panel_grid()
 
 
 def kernel_is_finite(alpha, beta, g, xi0, xi):
@@ -150,9 +180,12 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
     return out
 
 
-@contextlib.contextmanager
-def per_column_integrand():
-    """Within the block, every kernel of nmshrink.kernel is evaluated by the
-    per-exponent row loop and per-column integrand above."""
-    with mock.patch.object(kernel, "_log_kernel_rows", _log_kernel_rows):
-        yield
+def panel_log_kernel(alpha, beta, g, xi0, xi):
+    """log K by the panel rule, with the shapes of `log_kernel`: xi (..., N)
+    and alpha a scalar or a 1-d sequence give xi.shape[:-1] + shape(alpha)."""
+    alphas = np.asarray(alpha, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    rows = xi.reshape(-1, xi.shape[-1])
+    out = _log_kernel_rows(alphas.ravel(), float(beta), g, float(xi0), rows)
+    out = out.reshape(xi.shape[:-1] + alphas.shape)
+    return float(out) if out.ndim == 0 else out

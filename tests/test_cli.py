@@ -181,7 +181,7 @@ class TestKernelEval:
         assert doc == {"log_K": None, "log_K_alpha_plus_1": None, "delta": None}
 
     def test_too_sharp_peak_exit_3(self, tmp_path, capsys):
-        spec = {"alpha": 1600, "beta": 1, "g": "g1", "xi0": 1, "xi": [10, 12, 9]}
+        spec = {"alpha": 20000, "beta": 1, "g": "g1", "xi0": 1, "xi": [10, 12, 9]}
         assert main(["kernel-eval", "--in", write(tmp_path / "k.json", json.dumps(spec))]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
@@ -1020,7 +1020,7 @@ class TestParserReuse:
 
         bad = write(tmp_path / "bad.csv", "1,2\n3\n")
         sharp = write(tmp_path / "k.json", json.dumps(
-            {"alpha": 1600, "beta": 1, "g": "g1", "xi0": 1, "xi": [10, 12, 9]}
+            {"alpha": 20000, "beta": 1, "g": "g1", "xi0": 1, "xi": [10, 12, 9]}
         ))
         truth = write(tmp_path / "truth.json",
                       ModelParams.from_matrix(1.5, np.full((2, 3), 0.2)).to_json())
@@ -1158,8 +1158,8 @@ for argv in json.load(open("argv.json")):
 sys.stderr.write(json.dumps(seen))
 """
 
-# Paths that evaluate no special function: each one must leave scipy.special
-# unloaded, in the order listed, in one fresh interpreter.
+# Every path leaves scipy.special unloaded, the hierarchical rules and the
+# kernel included, in the order listed, in one fresh interpreter.
 NO_SPECIAL_PATHS = [
     ["--version"],
     ["estimate", "--estimator", "umvu", "--r", "8", "--in", "c.csv"],
@@ -1178,6 +1178,12 @@ NO_SPECIAL_PATHS = [
     ["gibbs-diag", "--counts", "c2.csv", "--prior", "p.json", "--r", "4", "--dry-run"],
     ["kernel-eval", "--in", "k.json", "--dry-run"],
     ["repro", "tables", "--dry-run"],
+    ["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14", "--in", "c.csv"],
+    ["estimate", "--estimator", "hb-pm", "--r", "8", "--alpha", "14", "--a0", "-3",
+     "--a", "0.5,0.5,0.5", "--in", "c.csv"],
+    ["kernel-eval", "--in", "k.json"],
+    ["risk-sim", "--scenario", "iii", "--reps", "3"],
+    ["repro", "tables", "--reps", "2", "--out", "tables"],
 ]
 
 
@@ -1220,8 +1226,7 @@ class TestColdImports:
             assert code == 0, argv
             assert not loaded, argv
 
-    def test_parallel_case_table_loads_scipy_special_before_forking(self, tmp_path):
-        # Workers forked after the import inherit it instead of each paying it.
+    def test_parallel_case_table_leaves_scipy_special_unloaded(self, tmp_path):
         proc = self.fresh(
             "import sys; from nmshrink.risklab import case_table; "
             "case_table('iii', reps=4, seed=0, jobs=2); "
@@ -1229,15 +1234,15 @@ class TestColdImports:
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "True"
+        assert proc.stdout.strip() == "False"
 
-    def test_hb_loads_scipy_special_and_prints_the_same_bytes(self, inputs, capsys,
-                                                             monkeypatch):
+    def test_hb_leaves_scipy_special_unloaded_and_prints_the_same_bytes(
+            self, inputs, capsys, monkeypatch):
         argv = ["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14",
                 "--in", "c.csv"]
         write(inputs / "argv.json", json.dumps([argv]))
         proc = self.fresh(COLD_RUNNER, inputs)
-        assert json.loads(proc.stderr.splitlines()[-1]) == [[argv, 0, True]]
+        assert json.loads(proc.stderr.splitlines()[-1]) == [[argv, 0, False]]
         monkeypatch.chdir(inputs)
         assert main(argv) == 0
         assert proc.stdout == capsys.readouterr().out

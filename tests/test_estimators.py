@@ -18,6 +18,7 @@ from nmshrink.estimators import (
 )
 from nmshrink.kernel import ConditionError, GChoice, PriorSpec, delta_hb, delta_nu
 from nmshrink.model import CountMatrix, ProbColumn, make_rng, nm_sample
+from nmshrink.risklab import CASES, _sample_stack, benchmark_scenarios
 
 G1 = GChoice.constant_one()
 
@@ -155,12 +156,16 @@ class TestHb:
         np.testing.assert_allclose(out[:, 0], out[:, 2])
 
     def test_column_permutation_equivariance(self):
-        rng = make_rng(2)
-        x = CountMatrix(rng.integers(0, 6, size=(7, 3)))
-        perm = [2, 0, 1]
-        out = hb(x, 8.0, 14.0, 1.0, G1)
-        out_perm = hb(CountMatrix(x.x[:, perm]), 8.0, 14.0, 1.0, G1)
-        np.testing.assert_allclose(out_perm, out[:, perm], rtol=1e-12)
+        # Bitwise, on the three risk-table case batches: the 1000 seed-42
+        # replications of each of a case's three truths.
+        for case, (r, alpha) in CASES.items():
+            x = np.concatenate([_sample_stack(sc.params, 42, range(1000))
+                                for sc in benchmark_scenarios(case)])
+            out = hb(CountMatrix(x), r, alpha, 1.0, G1)
+            n_cols = x.shape[-1]
+            for perm in (np.roll(np.arange(n_cols), 1), np.arange(n_cols)[::-1]):
+                out_perm = hb(CountMatrix(x[..., perm]), r, alpha, 1.0, G1)
+                assert np.array_equal(out_perm, out[..., perm]), case
 
     def test_matches_delta_formula(self):
         x = counts([[3, 1, 2], [2, 0, 1], [0, 5, 4]])

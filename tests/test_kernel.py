@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 from adaptive_kernel import adaptive_log_kernel, adaptive_ratio
-from kernel_oracle import per_column_integrand
+from kernel_oracle import panel_log_kernel
 
 from nmshrink.kernel import (
     ConditionError,
     GChoice,
     PriorSpec,
     QuadratureError,
+    _log_gamma_ratio,
     delta_hb,
     delta_nu,
     kernel_is_finite,
@@ -350,6 +351,17 @@ class TestOnePassEvaluator:
             want = adaptive_ratio(alpha, beta, g, xi0, row)
             assert math.exp(num - den) == pytest.approx(want, rel=ORACLE_RTOL)
 
+    @pytest.mark.parametrize("alpha, beta, g, xi0, rows", ORACLE_REGIMES)
+    def test_batched_ratios_match_panel_oracle(self, alpha, beta, g, xi0, rows):
+        logk = log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows)
+        want = panel_log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows)
+        np.testing.assert_allclose(logk[:, 0], want[:, 0], rtol=ORACLE_RTOL, atol=ORACLE_RTOL)
+        finite = np.isfinite(want[:, 1])
+        assert np.array_equal(np.isfinite(logk[:, 1]), finite)
+        np.testing.assert_allclose(np.exp(logk[finite, 1] - logk[finite, 0]),
+                                   np.exp(want[finite, 1] - want[finite, 0]),
+                                   rtol=ORACLE_RTOL)
+
     def test_row_is_bit_identical_alone_and_in_any_batch(self):
         # beta = 0 mixes rows that stop at depth 6 with rows whose tails
         # grow far deeper, and a row whose alpha + 1 kernel diverges.
@@ -376,6 +388,19 @@ class TestOnePassEvaluator:
             assert den == pytest.approx(want, rel=ORACLE_RTOL, abs=ORACLE_RTOL)
             assert den == log_kernel(alpha, 0.0, G1, 1.0, np.array(xi))
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.5, 0.6, 0.7])
+    def test_end_remainders_match_closed_forms(self, alpha):
+        # Gamma(t+1)/Gamma(t+2) = 1/(1+t): with beta = 0 the lower end has
+        # power alpha and the upper end 1 - alpha, and K(alpha) =
+        # int t^(alpha-1)/(1+t) dt = pi/sin(pi alpha).  Gamma(t)/Gamma(t+1)
+        # = 1/t at xi0 = 0, beta = 1: the lower end has power alpha, and
+        # K(alpha + 1) = int t^alpha e^-t / t dt = Gamma(alpha).
+        want = math.log(math.pi / math.sin(math.pi * alpha))
+        got = log_kernel(alpha, 0.0, G1, 1.0, np.array([1.0]))
+        assert got == pytest.approx(want, rel=ORACLE_RTOL, abs=ORACLE_RTOL)
+        got = log_kernel(alpha + 1.0, 1.0, G1, 0.0, np.array([1.0]))
+        assert got == pytest.approx(math.lgamma(alpha), rel=ORACLE_RTOL, abs=ORACLE_RTOL)
+
     def test_near_divergence_raises_in_a_batch(self):
         rows = np.array([[3.0], [5.0]])
         with pytest.raises(QuadratureError):
@@ -384,10 +409,10 @@ class TestOnePassEvaluator:
             log_kernel([1.9999999, 2.9999999], 0.0, G1, 1.0, np.array([3.0]))
 
     def test_sharp_peak_raises_instead_of_a_wrong_value(self):
-        # Far beyond what one 64-node panel resolves: the error estimate fires.
+        # Far beyond what the node budget resolves: the error estimate fires.
         with pytest.raises(QuadratureError, match="estimated relative error"):
             log_kernel(20000.0, 1.0, G1, 1.0, np.array([10.0, 12.0, 9.0]))
-        # A peak the panels still resolve passes, and is right.
+        # A peak a few halvings of h resolve passes, and is right.
         want = adaptive_log_kernel(400.0, 1.0, G1, 1.0, np.array([10.0, 12.0, 9.0]))
         got = log_kernel(400.0, 1.0, G1, 1.0, np.array([10.0, 12.0, 9.0]))
         assert got == pytest.approx(want, rel=1e-13)
@@ -414,9 +439,9 @@ def _mixed_rows(seed: int, n_rows: int, n_cols: int) -> np.ndarray:
 
 
 # The one-pass regimes plus a row alone, stacks whose rows share most of
-# their values, rows with zero entries, the far branch (t + xi0 > 1e6,
-# with xi >= 1e5), and rows whose K(alpha + 1) diverges next to rows whose
-# tails grow deep.
+# their values, rows with zero entries, large arguments (xi >= 1e5 or
+# t + xi0 > 1e6), and rows whose K(alpha + 1) diverges next to rows that
+# halve h.
 TABLE_REGIMES = ORACLE_REGIMES + [
     _regime("one row", 14.0, 1.0, G1, 1.0, [[17, 2.5, 31, 0, 4.37]]),
     _tables_regime("ii", reps=300),
@@ -424,47 +449,82 @@ TABLE_REGIMES = ORACLE_REGIMES + [
             _mixed_rows(1, 400, 7)),
     _regime("zero entries", 4.0, 0.3, G1, 0.0,
             [[0, 3, 0], [0, 0, 7], [2.5, 0, 0], [0, 3, 7]]),
-    _regime("far branch, beta = 0", 6.5, 0.0, G1, 1.0,
+    _regime("large xi, beta = 0", 6.5, 0.0, G1, 1.0,
             [[1e5, 0.0], [7.0, 1e5], [8.0, 0.0], [1e5, 1e5 + 0.5]]),
-    _regime("far branch, xi0 = 2e6", 2.0, 1.0, G1, 2e6,
+    _regime("large xi0 = 2e6", 2.0, 1.0, G1, 2e6,
             [[1e5, 3.0], [0.0, 2.5], [1e5, 1e5 + 0.5], [3.0, 1e5]]),
     _regime("beta = 0, K(alpha + 1) diverges on some rows", 6.5, 0.0, G1, 1.0,
             [[7.0, 0.0], [30.0, 0.0], [3.0, 4.0], [9.0, 0.0], [1.0, 7.0]]),
+    _regime("sharp peaks halve h", 400.0, 1.0, G1, 1.0,
+            [[10.0, 12.0, 9.0], [3.0, 2.0, 1.0], [10.0, 12.0, 9.0]]),
 ]
 
 
 class TestValueTable:
-    """One log-gamma table per kernel call, and one pass of bookkeeping per
-    depth step over every (row, exponent) pair, give the bits of the
-    per-column integrand and per-exponent row loop they replaced
-    (kernel_oracle)."""
+    """One log-gamma table per kernel call, with each row's columns added in
+    ascending order of xi: a row's bits depend neither on the rows it shares
+    the table with nor on the order of its columns, and its value is the
+    panel oracle's."""
 
     @pytest.mark.parametrize("alpha, beta, g, xi0, rows", TABLE_REGIMES)
-    def test_bit_identical_to_per_column_integrand(self, alpha, beta, g, xi0, rows):
+    def test_each_row_has_its_bits_alone(self, alpha, beta, g, xi0, rows):
         got = log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows)
-        with per_column_integrand():
-            want = log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows)
-        assert np.array_equal(got, want)
+        alone = np.array([log_kernel([alpha, alpha + 1.0], beta, g, xi0, row)
+                          for row in rows])
+        assert np.array_equal(got, alone)
+        flipped = log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows[:, ::-1])
+        assert np.array_equal(flipped, got)
 
-    def test_slow_tail_ratio_is_bit_identical(self):
+    @pytest.mark.parametrize("alpha, beta, g, xi0, rows", TABLE_REGIMES)
+    def test_matches_panel_oracle(self, alpha, beta, g, xi0, rows):
+        got = log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows)
+        want = panel_log_kernel([alpha, alpha + 1.0], beta, g, xi0, rows)
+        assert np.array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=ORACLE_RTOL,
+                                   atol=ORACLE_RTOL)
+
+    def test_slow_tail_ratio_matches_panel_oracle(self):
         got = delta_hb(6.5, 0.0, G1, 8.0, 7, np.array([1]))
-        with per_column_integrand():
-            want = delta_hb(6.5, 0.0, G1, 8.0, 7, np.array([1]))
-        assert got == want
+        den, num = panel_log_kernel([6.5, 7.5], 0.0, G1, 1.0, np.array([8.0]))
+        assert got == pytest.approx(math.exp(num - den), rel=ORACLE_RTOL)
 
     def test_row_bits_do_not_depend_on_its_table_mates(self):
-        # beta = 0: [1, 7] grows its tail far past the other rows, so the
-        # table shrinks under it; the others share none, some or all of
-        # its values.
-        row = np.array([1.0, 7.0])
+        # beta = 0: K(7.5) of [1, 6.8] is close enough to divergence that it
+        # halves h five times where the other rows do not, and the others
+        # share none, some or all of its values.
+        row = np.array([1.0, 6.8])
         mates = [
-            [[1.0, 7.0]],
-            [[7.0, 1.0], [1.0, 1.0]],
+            [[1.0, 6.8]],
+            [[6.8, 1.0], [1.0, 1.0]],
             [[30.0, 2.5], [40.0, 0.37]],
-            [[7.0, 30.0], [1.0, 40.0], [1e5, 0.0]],
+            [[6.8, 30.0], [1.0, 40.0], [1e5, 0.0]],
         ]
         alone = log_kernel([6.5, 7.5], 0.0, G1, 1.0, row)
         for others in mates:
             batch = np.vstack([others, row, others])
             got = log_kernel([6.5, 7.5], 0.0, G1, 1.0, batch)
             assert np.array_equal(got[len(others)], alone)
+
+
+class TestLogGammaRatio:
+    """The NumPy log-gamma differences against mpmath at 50 digits."""
+
+    def test_within_16_ulp_of_the_larger_log_gamma(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        x = np.concatenate([np.logspace(-31, 31, 63), 1.37 * np.logspace(-31, 31, 63),
+                            [0.5, 1.0, 2.5, 7.0, 7.999, 8.0, 8.001, 15.5, 100.0]])
+        x = np.unique(x)
+        xi = np.unique(np.concatenate([[0.0], np.logspace(-6, 7, 27), [0.5, 1.0, 7.0, 4096.5]]))
+        got = _log_gamma_ratio(x, xi)
+        assert np.all(got[xi == 0] == 0.0)
+        log_gamma_x = [mpmath.loggamma(mpmath.mpf(v)) for v in x]
+        worst = 0.0
+        for j, b in enumerate(xi):
+            for i, v in enumerate(x):
+                shifted = mpmath.loggamma(mpmath.mpf(v) + mpmath.mpf(b))
+                err = abs(mpmath.mpf(got[j, i]) - (log_gamma_x[i] - shifted))
+                scale = max(1.0, abs(float(log_gamma_x[i])), abs(float(shifted)))
+                worst = max(worst, float(err) / np.spacing(scale))
+        assert worst <= 16
