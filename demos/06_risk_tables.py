@@ -58,9 +58,9 @@ for name, rep in reports.items():
 # The summation-by-parts identity behind the risk analysis, checked exactly,
 # also on a full benchmark truth (case i-1: m = 7, N = 3).
 p = ModelParams.from_matrix(2.0, np.array([[0.4]]))
-rep = hudson_check("indicator", 2.0, p, 0, 0, tol=1e-8)
+rep = hudson_check("indicator", p, 0, 0, tol=1e-8)
 print(f"\nsummation-by-parts identity: lhs={rep.lhs:.10f} rhs={rep.rhs:.10f}")
 case_i1 = scenario_presets()[0].params
 for kind in ("indicator", "linear-in-one-count"):
-    rep = hudson_check(kind, case_i1.r, case_i1, 6, 2, tol=1e-8)
+    rep = hudson_check(kind, case_i1, 6, 2, tol=1e-8)
     print(f"  i-1, {kind}: lhs={rep.lhs:.10f} rhs={rep.rhs:.10f} passed={rep.passed}")

@@ -441,8 +441,6 @@ def _repro_tables(args, outdir: str) -> int:
         with open(os.path.join(outdir, f"table{idx}.csv"), "w", newline="") as f:
             f.write(_rows_to_csv(table()))
 
-    import scipy
-
     manifest = {
         "target": "tables",
         "seed": args.seed,
@@ -452,7 +450,6 @@ def _repro_tables(args, outdir: str) -> int:
         "versions": {
             "nmshrink": _version_string(),
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "quadrature": quadrature_settings(),

@@ -20,9 +20,9 @@ h = 0.05, spanning t from about 2e-31 to 5e30.  Near either end the
 integrand in t is a power t^(p-1), and p is the exponent `kernel_finite`
 tests: alpha + (g exponent at 0), less the number of positive xi when
 xi0 = 0, at the lower end, and sum(xi) - alpha above for beta = 0.  The
-mass beyond each end node is added from that power.  The Gamma ratios are
-log-gamma differences evaluated in NumPy (`_log_gamma_ratio`), without
-forming either log-gamma, so no large argument cancels.
+mass beyond each end node is added from that power.  The Gamma ratios come
+from `model._log_gamma_ratio`, the package's one log-gamma: it gives each
+difference without forming either term, so no large argument cancels.
 
 One call evaluates a stack of xi rows for several exponents alpha on the
 same nodes.  The Gamma ratios are computed once for each distinct xi value
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GeneralizedDirichlet
+from .model import GeneralizedDirichlet, _log_gamma_ratio
 
 __all__ = [
     "GChoice",
@@ -102,11 +102,6 @@ def _node_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _T, _LOG_T, _LOG_DS = _node_grid()
 # (dt/ds) / t at either end of the node range.
 _END_DS = 0.5 * math.pi * math.cosh(DE_SPAN)
-# Below this argument the log-gamma ratio is shifted up by the recurrence,
-# whose eight factors `_rising8` multiplies.
-_SHIFT = 8
-# B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of ln Gamma.
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 class QuadratureError(RuntimeError):
@@ -282,54 +277,6 @@ def quadrature_settings() -> dict:
         "plus the end nodes' share of the sum",
         "error_tol": ERROR_TOL,
     }
-
-
-def _stirling_tail(z: np.ndarray) -> np.ndarray:
-    """ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 for z >= 8, to 7 terms."""
-    w = 1.0 / z
-    w2 = w * w
-    out = _STIRLING[-1] * w2
-    for coef in _STIRLING[-2:0:-1]:
-        out += coef
-        out *= w2
-    out += _STIRLING[0]
-    out *= w
-    return out
-
-
-def _rising8(w: np.ndarray) -> np.ndarray:
-    """w (w + 1) ... (w + 7), as four pairs (w + k)(w + 7 - k) = u + k (7 - k)."""
-    u = w * (w + 7.0)
-    return u * (u + 6.0) * (u + 10.0) * (u + 12.0)
-
-
-def _log_gamma_ratio(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Table (U, n) of ln Gamma(x) - ln Gamma(x + xi) for ascending x (n,) > 0
-    and xi (U,) >= 0.
-
-    From x >= 8 the Stirling series gives the difference without forming
-    either log-gamma: xi - xi ln x - (x + xi - 1/2) log1p(xi/x) + c(x) -
-    c(x + xi).  Below 8 it is taken at x + 8 and the recurrence adds
-    log prod_{k<8} (1 + xi/(x + k)), a ratio of two rising factorials.
-    Each entry is its own sequence of operations, so it does not depend on
-    the other entries of the table, and xi = 0 gives exactly 0.
-    """
-    n_small = np.searchsorted(x, _SHIFT)
-    y = x.copy()
-    y[:n_small] += _SHIFT
-    b = xi[:, None]
-    z = np.empty((xi.size + 1, x.size))
-    z[0] = y
-    np.add(y, b, out=z[1:])
-    c = _stirling_tail(z)
-    out = c[0] - c[1:]
-    out += b
-    out -= b * np.log(y)
-    out -= ((y - 0.5) + b) * np.log1p(b / y)
-    if n_small:
-        x = x[:n_small]
-        out[:, :n_small] += np.log(_rising8(x + b) / _rising8(x))
-    return out
 
 
 def _shared_log_integrand(beta, g, xi0, xi, nodes) -> np.ndarray:

@@ -11,7 +11,8 @@ Poisson mixture with a Gamma(r, 1)-distributed intensity scale.
 
 Everything here is value-semantic: types are frozen dataclasses backed by
 read-only arrays, and samplers take an explicit `numpy.random.Generator`.
-`json_numbers` is the one reader of the numbers in JSON documents.
+`json_numbers` is the one reader of the numbers in JSON documents, and
+`_log_gamma_ratio` the one log-gamma, of the mass and the kernel alike.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "nm_sample",
     "nm_moments",
     "gen_dirichlet_sample",
-    "gen_dirichlet_log_pdf",
     "make_rng",
     "read_counts_csv",
     "write_counts_csv",
@@ -44,6 +44,11 @@ __all__ = [
 P0_CONSISTENCY_TOL = 1e-12
 # Probabilities at or below this would break the p_i/p0 mixture rates.
 P_DEGENERATE = 1e-300
+# Below this argument the log-gamma ratio is shifted up by the recurrence,
+# whose eight factors `_rising8` multiplies.
+_SHIFT = 8
+# B_2k / (2k (2k - 1)), k = 1..7: the Stirling series of ln Gamma.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -179,6 +184,7 @@ class CountMatrix:
 
     A stack of matrices, shape (..., m, N), is held the same way: `col_sums`
     then has shape (..., N) and `grand_sum` is an array of shape (...).
+    Each matrix must total below 2^53, so every sum is exact as a float too.
     """
 
     x: np.ndarray
@@ -193,15 +199,19 @@ class CountMatrix:
             rounded = np.rint(np.asarray(x, dtype=float))
             if not np.array_equal(rounded, np.asarray(x, dtype=float)):
                 raise ValueError("counts must be integers")
-            x = rounded.astype(np.int64)
-        else:
-            x = x.astype(np.int64)
+            x = rounded
         if np.any(x < 0):
             raise ValueError("counts must be nonnegative")
-        col_sums = x.sum(axis=-2)
+        # Float sums cannot wrap: below 2^53 every partial sum is an integer
+        # they hold exactly, and a total of 2^53 or more sums to at least 2^53.
+        col_sums = x.sum(axis=-2, dtype=float)
         grand_sum = col_sums.sum(axis=-1)
+        if grand_sum.max() >= 2.0**53:
+            raise ValueError("the counts of a matrix must total below 2^53")
+        x = x.astype(np.int64, copy=False)  # `_readonly` copies it
         object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "col_sums", _readonly(col_sums))
+        object.__setattr__(self, "col_sums", _readonly(col_sums.astype(np.int64)))
+        grand_sum = grand_sum.astype(np.int64)
         object.__setattr__(
             self, "grand_sum", int(grand_sum) if x.ndim == 2 else _readonly(grand_sum)
         )
@@ -246,29 +256,88 @@ class GeneralizedDirichlet:
         return self.a0 > 0
 
 
+def _stirling_tail(z: np.ndarray) -> np.ndarray:
+    """ln Gamma(z) - (z - 1/2) ln z + z - ln(2 pi)/2 for z >= 8, to 7 terms."""
+    w = 1.0 / z
+    w2 = w * w
+    out = _STIRLING[-1] * w2
+    for coef in _STIRLING[-2:0:-1]:
+        out += coef
+        out *= w2
+    out += _STIRLING[0]
+    out *= w
+    return out
+
+
+def _rising8(w: np.ndarray) -> np.ndarray:
+    """w (w + 1) ... (w + 7), as four pairs (w + k)(w + 7 - k) = u + k (7 - k)."""
+    u = w * (w + 7.0)
+    return u * (u + 6.0) * (u + 10.0) * (u + 12.0)
+
+
+def _log_gamma_ratio(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Table (U, n) of ln Gamma(x) - ln Gamma(x + xi) for ascending x (n,) > 0
+    and xi (U,) >= 0.
+
+    From x >= 8 the Stirling series gives the difference without forming
+    either log-gamma: xi - xi ln x - (x + xi - 1/2) log1p(xi/x) + c(x) -
+    c(x + xi).  Below 8 it is taken at x + 8 and the recurrence adds
+    log prod_{k<8} (1 + xi/(x + k)), a ratio of two rising factorials.
+    Each entry is its own sequence of operations, so it does not depend on
+    the other entries of the table, and xi = 0 gives exactly 0.
+    """
+    n_small = np.searchsorted(x, _SHIFT)
+    y = x.copy()
+    y[:n_small] += _SHIFT
+    b = xi[:, None]
+    z = np.empty((xi.size + 1, x.size))
+    z[0] = y
+    np.add(y, b, out=z[1:])
+    c = _stirling_tail(z)
+    out = c[0] - c[1:]
+    out += b
+    out -= b * np.log(y)
+    out -= ((y - 0.5) + b) * np.log1p(b / y)
+    if n_small:
+        x = x[:n_small]
+        out[:, :n_small] += np.log(_rising8(x + b) / _rising8(x))
+    return out
+
+
+def _log_gamma_ratio_at(x0: float, k: np.ndarray) -> np.ndarray:
+    """ln Gamma(x0) - ln Gamma(x0 + k) at each count of the int64 array k,
+    from a table of 0..max(k) when that is shorter than k (as in sums over a
+    support); an entry's bits do not depend on the table it is in."""
+    top = int(k.max(initial=0))
+    if top < k.size:
+        return _log_gamma_ratio(np.array([x0]), np.arange(top + 1.0))[k, 0]
+    return _log_gamma_ratio(np.array([x0]), k.ravel().astype(float)).reshape(k.shape)
+
+
 def nm_log_pmf(x: np.ndarray, r: float, p: ProbColumn):
     """Log mass of NM_m(r, p) at each count vector of x.
 
     x is one count vector, shape (m,), giving a float, or a (..., m) stack
     of them, giving one value per vector; each vector of a stack gets
-    exactly the value it gets alone.  Computed via log-gamma so large
-    counts cannot overflow.
+    exactly the value it gets alone.  The log-gamma terms are differences
+    from `_log_gamma_ratio`, ln Gamma(r + x_.) - ln Gamma(r) = -ratio(r, x_.)
+    and -ln x_i! = ratio(1, x_i), so large counts cannot overflow and a zero
+    count adds exactly 0.
     """
-    from scipy.special import gammaln
-
     x = np.asarray(x)
     if x.ndim == 0 or x.shape[-1] != p.m:
         raise ValueError(f"count vectors have shape {x.shape}, expected (..., {p.m})")
     if np.any(x < 0) or not np.all(np.equal(np.mod(x, 1), 0)):
         raise ValueError("counts must be nonnegative integers")
+    if np.any(x.sum(axis=-1, dtype=float) >= 2.0**53):  # as in CountMatrix
+        raise ValueError("the counts of a vector must total below 2^53")
     if not r > 0:
         raise ValueError("r must be positive")
     # C order: each vector's sums then run over contiguous memory, as alone.
     x = x.astype(np.int64, order="C")
     out = (
-        gammaln(r + x.sum(axis=-1))
-        - gammaln(r)
-        - gammaln(x + 1.0).sum(axis=-1)
+        _log_gamma_ratio_at(1.0, x).sum(axis=-1)
+        - _log_gamma_ratio_at(float(r), x.sum(axis=-1))
         + r * np.log(p.p0)
         + (x * np.log(p.p)).sum(axis=-1)
     )
@@ -327,25 +396,6 @@ def gen_dirichlet_sample(
     raise RuntimeError("dirichlet sampling kept producing degenerate draws")
 
 
-def gen_dirichlet_log_pdf(p: ProbColumn, a0: float, a: np.ndarray) -> float:
-    """Log density of the (a0, a) Dirichlet at p (requires a0 > 0)."""
-    from scipy.special import gammaln
-
-    weights = GeneralizedDirichlet(a0, a)
-    if weights.a.shape != (p.m,):
-        raise ValueError("a has wrong length")
-    if not weights.is_proper:
-        raise ValueError("density is normalizable only for a0 > 0")
-    a0, a = weights.a0, weights.a
-    return float(
-        gammaln(a0 + weights.a_dot)
-        - gammaln(a0)
-        - gammaln(a).sum()
-        + (a0 - 1.0) * np.log(p.p0)
-        + (a - 1.0) @ np.log(p.p)
-    )
-
-
 def _open_maybe(path_or_file, mode: str):
     if isinstance(path_or_file, (str, Path)):
         return open(path_or_file, mode, newline=""), True
@@ -356,8 +406,8 @@ def read_counts_csv(path_or_file, header: bool = False) -> CountMatrix:
     """Read an m x N integer count matrix from CSV (m rows, N columns).
 
     Blank lines are skipped; with `header`, so is the first record that is
-    not blank.  Raises ValueError naming the offending row on ragged or
-    non-integer input.
+    not blank.  Raises ValueError naming the offending row on ragged input
+    or an entry that is not a 64-bit integer.
     """
     f, close = _open_maybe(path_or_file, "r")
     try:
@@ -376,12 +426,12 @@ def read_counts_csv(path_or_file, header: bool = False) -> CountMatrix:
                     f"row {lineno}: expected {width} fields, got {len(rec)}"
                 )
             try:
-                rows.append([int(v) for v in rec])
-            except ValueError as exc:
-                raise ValueError(f"row {lineno}: non-integer entry") from exc
+                rows.append(np.array([int(v) for v in rec], dtype=np.int64))
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"row {lineno}: entry not a 64-bit integer") from exc
         if not rows:
             raise ValueError("empty counts file")
-        return CountMatrix(np.array(rows, dtype=np.int64))
+        return CountMatrix(np.array(rows))
     finally:
         if close:
             f.close()

@@ -419,10 +419,15 @@ def _h_values(h_kind: str, xi: np.ndarray, colsum: np.ndarray, r: float):
 
 
 def _nbinom_sf(k: int, r: float, p0: float) -> float:
-    """P(X > k) for X negative binomial with size r and success probability p0."""
-    from scipy.special import betainc
-
-    return float(betainc(k + 1.0, r, 1.0 - p0))
+    """Upper bound on P(X > k), X negative binomial with size r and success
+    probability p0: for j > k, pmf(j + 1)/pmf(j) = (1 - p0)(r + j)/(j + 1)
+    moves monotonically to 1 - p0, so it is at most rho = (1 - p0) max(1,
+    (r + k + 1)/(k + 2)), and the tail at most pmf(k + 1)/(1 - rho), or inf."""
+    rho = (1.0 - p0) * max(1.0, (r + k + 1.0) / (k + 2.0))
+    if rho >= 1.0:
+        return math.inf
+    log_pmf = nm_log_pmf(np.array([k + 1]), r, ProbColumn(np.array([1.0 - p0])))
+    return math.exp(log_pmf) / (1.0 - rho)
 
 
 # Column sums per block of the Hudson sums: a block holds at most this many
@@ -447,12 +452,7 @@ def _column_cap(r: float, p0: float, p_inu: float, tol: float) -> int:
 
 
 def hudson_check(
-    h_kind: str,
-    r: float,
-    p: ModelParams,
-    i: int,
-    nu: int,
-    tol: float = 1e-8,
+    h_kind: str, p: ModelParams, i: int, nu: int, tol: float = 1e-8
 ) -> HudsonReport:
     """Check the summation-by-parts identity
     E[h(X)/p_{i,nu}] = E[(r + colsum_nu)/(X_{i,nu} + 1) h(X + e_{i,nu})].
@@ -462,22 +462,23 @@ def hudson_check(
     needs h to depend on X only through (X_{i,nu}, colsum_nu), as each kind
     does: the other columns then sum out and, by aggregation,
     (X_{i,nu}, colsum_nu - X_{i,nu}) is NM_2(r, (p_{i,nu}, sum of the other
-    p_{j,nu})), or NM_1(r, p_{i,nu}) when m = 1.  Both sides are exact sums
-    over that law, truncated at a column sum whose tail is analytically
-    bounded below tol/10, for every m and N.
+    p_{j,nu})), or NM_1(r, p_{i,nu}) when m = 1, with r = p.r.  Both sides
+    are exact sums over that law, truncated at a column sum whose tail is
+    below tol/10 for every m and N: the column sum is negative binomial, and
+    its tail is bounded by a geometric series from the mass at the cap.
     """
-    truth = ModelParams(r, p.columns)
-    if not (0 <= i < truth.m and 0 <= nu < truth.n_columns):
+    r = p.r
+    if not (0 <= i < p.m and 0 <= nu < p.n_columns):
         raise ValueError("index out of range")
-    col = truth.columns[nu]
+    col = p.columns[nu]
     p_inu = float(col.p[i])
     cap = _column_cap(r, col.p0, p_inu, tol)
-    if truth.m > 1:
+    if p.m > 1:
         pair = ProbColumn(np.array([p_inu, np.delete(col.p, i).sum()]))
     lhs = rhs = 0.0
     for start in range(0, cap + 1, _SUM_BLOCK):
         stop = min(start + _SUM_BLOCK, cap + 1)
-        if truth.m == 1:
+        if p.m == 1:
             xi = colsum = np.arange(start, stop)
             log_pmf = nm_log_pmf(xi[:, None], r, col)
         else:

@@ -8,6 +8,9 @@ copy of the pmf formula) and sums both sides of the identity over it.  The
 helpers are copied unchanged alongside the branch, so the oracle does not
 lean on the library's versions.  `enumerate_sides` is the branch lifted
 into a function returning (lhs, rhs).
+
+`column_cap` is the one-column cap of `risklab._column_cap` as it was
+while `_nbinom_sf` was the exact tail `betainc`, copied unchanged.
 """
 
 from __future__ import annotations
@@ -60,6 +63,22 @@ def _h_values(h_kind: str, xi: np.ndarray, colsum: np.ndarray, r: float):
 def _nbinom_sf(k: int, r: float, p0: float) -> float:
     """P(X > k) for X negative binomial with size r and success probability p0."""
     return float(betainc(k + 1.0, r, 1.0 - p0))
+
+
+def column_cap(r: float, p0: float, p_inu: float, tol: float) -> int:
+    """Column-sum cap whose truncation error on either side is below tol/10."""
+    cap = 16
+    h_bound = max(1.0, 1.0 / r)
+    mean = r * (1.0 - p0) / p0
+    while cap <= 2**22:
+        sf = _nbinom_sf(cap, r, p0)
+        tail_mean = mean * _nbinom_sf(cap - 1, r + 1.0, p0)
+        # lhs tail: |h| <= h_bound and the 1/p factor; rhs tail: (r + colsum)
+        # grows linearly in the column sum.
+        if h_bound / p_inu * sf + h_bound * (r * sf + tail_mean) < tol / 10.0:
+            return cap
+        cap *= 2
+    raise RuntimeError("truncation bound unattainable at this tolerance")
 
 
 def _enumeration_caps(truth: ModelParams, i: int, nu: int, tol: float) -> list[int]:

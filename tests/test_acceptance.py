@@ -179,7 +179,7 @@ def test_criterion_6_hudson_identity():
     failures = []
     for truth, i, nu in configs:
         for kind in ("indicator", "linear-in-one-count"):
-            rep = hudson_check(kind, truth.r, truth, i, nu, tol=1e-8)
+            rep = hudson_check(kind, truth, i, nu, tol=1e-8)
             if not rep.passed:
                 failures.append((kind, truth.r, i, nu, rep))
     elapsed = time.perf_counter() - start

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -691,6 +690,13 @@ BAD_INPUT = [
      "alpha must be positive and beta nonnegative"),
     (["audit", "--in", "{hb_beta}"], "alpha must be positive and beta nonnegative"),
     (["audit", "--in", "{kl_a}"], "all a_i must be positive"),
+    # Counts beyond int64, and counts whose int64 sums would wrap.
+    (["estimate", "--estimator", "umvu", "--r", "3", "--in", "{beyond_int64}"],
+     "row 1: entry not a 64-bit integer"),
+    (["estimate", "--estimator", "umvu", "--r", "3", "--in", "{wrapping_sum}"],
+     "the counts of a matrix must total below 2^53"),
+    (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14",
+      "--in", "{wrapping_sum}"], "the counts of a matrix must total below 2^53"),
 ]
 # Truth documents of the right keys whose values ModelParams cannot take.
 MALFORMED_TRUTHS = {
@@ -704,6 +710,11 @@ REFUSED_HYPERPARAMETERS = {
     "hb_beta": '{"kind": "hb", "alpha": 1, "beta": -0.1, "r": 8, "m": 7, "n": 3}',
     "kl_a": '{"kind": "kl", "alpha": 5, "beta": 1, "a0": 1, "a": [1, -1, 1], "r": 5, '
             '"n": 3, "n_columns": 3}',
+}
+# Count CSVs of integers that CountMatrix cannot take.
+OVERSIZED_COUNTS = {
+    "beyond_int64": "99999999999999999999,1\n",
+    "wrapping_sum": "9223372036854775807,9223372036854775807\n2,3\n",
 }
 
 
@@ -722,6 +733,8 @@ class TestBadInput:
         out = tmp_path / "out"
         malformed = {name: write(tmp_path / f"{name}.json", text)
                      for name, text in {**MALFORMED_TRUTHS, **REFUSED_HYPERPARAMETERS}.items()}
+        malformed.update({name: write(tmp_path / f"{name}.csv", text)
+                          for name, text in OVERSIZED_COUNTS.items()})
         argv = [a.format(counts=counts_csv, truth=truth, prior=prior, out=out,
                          **malformed)
                 for a in template]
@@ -830,7 +843,7 @@ class TestRepro:
         ]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 5 and manifest["reps"] == 12
-        assert manifest["versions"]["scipy"] == scipy.__version__
+        assert sorted(manifest["versions"]) == ["nmshrink", "numpy", "python"]
         assert (out / "table1.csv").read_text().splitlines()[1] == "i,+,+,+"
 
     def test_tables_follow_the_case_table(self, tmp_path):
@@ -1143,10 +1156,13 @@ class TestExitCodeContract:
             json.loads(out.getvalue(), parse_constant=reject_constant)
 
 
-# Runs main on each argv of argv.json in this interpreter and records, after
-# each call, its exit code and whether scipy.special has been loaded.
-COLD_RUNNER = """
-import json, sys
+# Makes every import of SciPy fail in the interpreter that runs it.
+BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
+
+# Runs main on each argv of argv.json in this interpreter, SciPy blocked, and
+# records each call's exit code.
+COLD_RUNNER = BLOCK_SCIPY + """
+import json
 from nmshrink.cli import main
 seen = []
 for argv in json.load(open("argv.json")):
@@ -1154,13 +1170,13 @@ for argv in json.load(open("argv.json")):
         code = main(argv)
     except SystemExit as exc:
         code = exc.code
-    seen.append([argv, code, "scipy.special" in sys.modules])
+    seen.append([argv, code])
 sys.stderr.write(json.dumps(seen))
 """
 
-# Every path leaves scipy.special unloaded, the hierarchical rules and the
-# kernel included, in the order listed, in one fresh interpreter.
-NO_SPECIAL_PATHS = [
+# Every command path, in the order listed, in one fresh interpreter; the
+# first imports the package and builds the parser.
+COLD_PATHS = [
     ["--version"],
     ["estimate", "--estimator", "umvu", "--r", "8", "--in", "c.csv"],
     ["estimate", "--estimator", "eb", "--r", "8", "--in", "c.csv"],
@@ -1186,18 +1202,29 @@ NO_SPECIAL_PATHS = [
     ["repro", "tables", "--reps", "2", "--out", "tables"],
 ]
 
+# The library calls no command makes, evaluated and printed.
+LIBRARY_CALLS = """
+import numpy as np
+from nmshrink import ModelParams, ProbColumn, hudson_check, nm_log_pmf
+col = ProbColumn(np.array([0.2, 0.3]))
+print(repr(nm_log_pmf(np.array([[1, 2], [40, 0]]), 2.5, col).tolist()))
+truth = ModelParams.from_matrix(2.5, np.array([[0.2, 0.25], [0.3, 0.25]]))
+print(repr(hudson_check("indicator", truth, 1, 0)))
+"""
+
 
 class TestColdImports:
-    """scipy.special is imported where a special function is evaluated.
-    The suite itself imports SciPy, so each check runs in a fresh
-    interpreter."""
+    """No nmshrink code imports SciPy: each check runs in a fresh interpreter
+    whose `sys.modules["scipy"]` is None, so any import of SciPy fails.  The
+    suite itself imports SciPy, so the checks cannot run in it."""
 
     @staticmethod
     def fresh(code, cwd, *args):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        return subprocess.run([sys.executable, "-c", code, *args], cwd=cwd, env=env,
-                              capture_output=True, text=True, timeout=120)
+        return subprocess.run([sys.executable, "-c", BLOCK_SCIPY + code, *args],
+                              cwd=cwd, env=env, capture_output=True, text=True,
+                              timeout=120)
 
     @pytest.fixture
     def inputs(self, tmp_path):
@@ -1208,41 +1235,41 @@ class TestColdImports:
         write(tmp_path / "eb.json", json.dumps({"kind": "eb", "m": 3, "r": 4}))
         return tmp_path
 
-    def test_import_and_parser_load_no_scipy(self, tmp_path):
-        proc = self.fresh(
-            "import sys, nmshrink, nmshrink.cli; nmshrink.cli.build_parser(); "
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])",
-            tmp_path,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+    def test_blocking_makes_an_import_of_scipy_fail(self, tmp_path):
+        proc = self.fresh("import scipy.special", tmp_path)
+        assert proc.returncode != 0 and "ModuleNotFoundError" in proc.stderr
 
-    def test_closed_form_paths_leave_scipy_special_unloaded(self, inputs):
-        write(inputs / "argv.json", json.dumps(NO_SPECIAL_PATHS))
+    def test_every_path_runs_with_scipy_blocked(self, inputs):
+        write(inputs / "argv.json", json.dumps(COLD_PATHS))
         proc = self.fresh(COLD_RUNNER, inputs)
+        assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stderr.splitlines()[-1])
-        assert [argv for argv, _, _ in seen] == NO_SPECIAL_PATHS
-        for argv, code, loaded in seen:
-            assert code == 0, argv
-            assert not loaded, argv
+        assert seen == [[argv, 0] for argv in COLD_PATHS]
 
-    def test_parallel_case_table_leaves_scipy_special_unloaded(self, tmp_path):
+    def test_parallel_case_table_runs_with_scipy_blocked(self, tmp_path):
+        # The workers are forked, so they inherit the blocked entry.
         proc = self.fresh(
-            "import sys; from nmshrink.risklab import case_table; "
-            "case_table('iii', reps=4, seed=0, jobs=2); "
-            "print('scipy.special' in sys.modules)",
+            "from nmshrink.risklab import case_table; "
+            "print(len(case_table('iii', reps=4, seed=0, jobs=2)))",
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "3"
 
-    def test_hb_leaves_scipy_special_unloaded_and_prints_the_same_bytes(
+    def test_nm_log_pmf_and_hudson_check_run_with_scipy_blocked(self, tmp_path,
+                                                                capsys):
+        proc = self.fresh(LIBRARY_CALLS, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        exec(LIBRARY_CALLS, {})
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_hb_with_scipy_blocked_prints_the_same_bytes(
             self, inputs, capsys, monkeypatch):
         argv = ["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14",
                 "--in", "c.csv"]
         write(inputs / "argv.json", json.dumps([argv]))
         proc = self.fresh(COLD_RUNNER, inputs)
-        assert json.loads(proc.stderr.splitlines()[-1]) == [[argv, 0, False]]
+        assert json.loads(proc.stderr.splitlines()[-1]) == [[argv, 0]]
         monkeypatch.chdir(inputs)
         assert main(argv) == 0
         assert proc.stdout == capsys.readouterr().out

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from dirichlet_density import gen_dirichlet_log_pdf
 from scipy.stats import gamma as gamma_dist
 
 import gibbs_oracle
@@ -30,7 +31,6 @@ from nmshrink.kernel import (
 from nmshrink.model import (
     CountMatrix,
     ProbColumn,
-    gen_dirichlet_log_pdf,
     make_rng,
     nm_sample,
 )

@@ -12,7 +12,6 @@ from nmshrink.kernel import (
     GChoice,
     PriorSpec,
     QuadratureError,
-    _log_gamma_ratio,
     delta_hb,
     delta_nu,
     kernel_is_finite,
@@ -20,6 +19,7 @@ from nmshrink.kernel import (
     posterior_proper,
     prior_proper,
 )
+from nmshrink.model import _log_gamma_ratio
 
 G1 = GChoice.constant_one()
 

@@ -1,10 +1,12 @@
 """Domain types, pmf, moments, and sampler laws."""
 
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
+from dirichlet_density import gen_dirichlet_log_pdf
 from scipy.stats import chi2_contingency
 
 from nmshrink.estimators import dirichlet_posterior_mean
@@ -15,7 +17,6 @@ from nmshrink.model import (
     GeneralizedDirichlet,
     ModelParams,
     ProbColumn,
-    gen_dirichlet_log_pdf,
     gen_dirichlet_sample,
     json_numbers,
     make_rng,
@@ -158,6 +159,23 @@ class TestCountMatrix:
         with pytest.raises(ValueError):
             CountMatrix(np.array([[0.5, 1.0]]))
 
+    def test_every_matrix_totals_below_2_to_53(self):
+        # int64 sums of these wrap to -1; a float total cannot wrap.
+        big = 2**63 - 1
+        with pytest.raises(ValueError, match="below 2\\^53"):
+            CountMatrix(np.array([[big, big], [2, 3]]))
+        edge = np.array([[2**52, 2**52 - 2], [0, 1]])
+        assert CountMatrix(edge).grand_sum == 2**53 - 1
+        for over in ([[2**52, 2**52 - 2], [0, 2]], [[2**53, 0]], [[1e19, 1.0]], [[np.inf, 0]]):
+            with pytest.raises(ValueError, match="below 2\\^53"):
+                CountMatrix(np.array(over))
+        # In a stack each matrix is checked, and each may hold up to the limit.
+        stack = np.array([edge, edge])
+        np.testing.assert_array_equal(CountMatrix(stack).grand_sum, [2**53 - 1] * 2)
+        stack[1, 1, 1] += 1
+        with pytest.raises(ValueError, match="below 2\\^53"):
+            CountMatrix(stack)
+
     def test_csv_round_trip(self):
         x = CountMatrix(np.array([[3, 0], [2, 1], [0, 4]]))
         buf = io.StringIO()
@@ -182,14 +200,20 @@ class TestCountMatrix:
         with pytest.raises(ValueError, match="row 3"):
             read_counts_csv(io.StringIO("1,2\n3,4\n5\n"))
 
+    def test_entry_not_a_64_bit_integer_reports_row(self):
+        for text, row in (("1,2\n99999999999999999999,1\n", 2), (f"{-2**63 - 1},0\n", 1),
+                          ("1,2\n3,4\n1.5,0\n", 3), ("x,1\n", 1)):
+            with pytest.raises(ValueError, match=f"row {row}: entry not a 64-bit integer"):
+                read_counts_csv(io.StringIO(text))
+
 
 class TestLogPmf:
     def test_zero_vector_leaves_p0_power(self):
+        # ln Gamma(1) - ln Gamma(1 + 0) and ln Gamma(r) - ln Gamma(r + 0) are
+        # exact zeros, so a zero count adds exactly 0.
         col = ProbColumn(np.array([0.1, 0.2, 0.05]))
-        for r in (0.5, 1.0, 8.0):
-            assert nm_log_pmf(np.zeros(3), r, col) == pytest.approx(
-                r * math.log(col.p0), rel=1e-14
-            )
+        for r in (1e-3, 0.5, 1.0, 8.0, 1e3):
+            assert nm_log_pmf(np.zeros(3), r, col) == r * np.log(col.p0)
 
     def test_geometric_special_case(self):
         # m=1, r=1 is geometric: P(X = 3) = 0.5 * 0.5^3
@@ -210,12 +234,18 @@ class TestLogPmf:
             nm_log_pmf(np.array([1]), 2.0, col)
         with pytest.raises(ValueError):
             nm_log_pmf(np.array([1, 2]), 0.0, col)
+        # Beyond int64, or past 2^53 in all, a count would wrap or round.
+        for x in ([1e19, 0], [2**52, 2**52], [[0, 1], [2**62, 2**62]]):
+            with pytest.raises(ValueError, match="below 2\\^53"):
+                nm_log_pmf(np.array(x), 2.0, col)
 
     def test_stack_rows_equal_single_calls(self):
+        # Counts below 10 fill a stack densely, so it reads its log-gamma
+        # terms from a table, and a vector alone mostly does not.
         rng = np.random.default_rng(3)
-        for m in (1, 2, 7, 12):
+        for m, high in itertools.product((1, 2, 7, 12), (10, 500)):
             col = ProbColumn(rng.dirichlet(np.ones(m + 1))[1:])
-            x = rng.integers(0, 500, size=(4, 5, m))
+            x = rng.integers(0, high, size=(4, 5, m))
             stack = nm_log_pmf(x, 2.5, col)
             assert stack.shape == (4, 5)
             for idx in np.ndindex(4, 5):
@@ -232,6 +262,32 @@ class TestLogPmf:
             nm_log_pmf(np.zeros((4, 3)), 2.0, col)
         with pytest.raises(ValueError):
             nm_log_pmf(np.zeros((2, 4)), 2.0, col)
+
+    def test_against_mpmath_over_m_r_and_counts(self):
+        # Error relative to the largest log-gamma term, ln Gamma(r + x_.), ln
+        # Gamma(r) or ln x_i!, within 16 units of 2^-52 (5.2 measured): each is
+        # a difference of `_log_gamma_ratio`, as close to the larger log-gamma
+        # it spans.
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for m in (1, 2, 3, 5, 8, 12):
+            col = ProbColumn(rng.dirichlet(np.ones(m + 1))[1:])
+            for r in (1e-3, 0.37, 1.0, 7.999, 8.0, 30.0, 1e3):
+                for top in (0, 1, 10, 1000, 10**6):
+                    x = rng.integers(0, top + 1, size=m)
+                    x[0] = top
+                    terms = [mpmath.loggamma(mpmath.mpf(r) + int(x.sum())),
+                             mpmath.loggamma(mpmath.mpf(r))]
+                    terms += [mpmath.loggamma(int(v) + 1) for v in x]
+                    want = (terms[0] - terms[1] - sum(terms[2:])
+                            + mpmath.mpf(r) * mpmath.log(col.p0)
+                            + sum(int(v) * mpmath.log(pv) for v, pv in zip(x, col.p)))
+                    scale = max(1.0, *(abs(float(t)) for t in terms))
+                    err = abs(float(mpmath.mpf(nm_log_pmf(x, r, col)) - want))
+                    worst = max(worst, err / scale)
+        assert worst <= 16 * np.finfo(float).eps
 
     def test_normalization_m1(self):
         # Truncated sum over x = 0..200 must reach 1 to 1e-9; the dropped
@@ -321,10 +377,9 @@ WEIGHT_CHECKS = pytest.mark.parametrize(
         lambda a, a0=0.5: run_prior(6.0, 1.0, a0, np.column_stack([a, a]),
                                     ChainConfig(20)),
         lambda a, a0=0.5: gen_dirichlet_sample(a0, a, make_rng(0)),
-        lambda a, a0=0.5: gen_dirichlet_log_pdf(ProbColumn(np.full(3, 0.2)), a0, a),
     ],
     ids=["PriorSpec", "GeneralizedDirichlet", "dirichlet_posterior_mean",
-         "run_prior", "gen_dirichlet_sample", "gen_dirichlet_log_pdf"],
+         "run_prior", "gen_dirichlet_sample"],
 )
 
 

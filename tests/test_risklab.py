@@ -1,5 +1,6 @@
 """Losses, Monte Carlo risk machinery, identity checks, and scenarios."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -366,13 +367,13 @@ class TestDominanceSpotChecks:
 class TestHudson:
     def test_indicator_m1(self):
         p = truth_1x1(0.4, 2.0)
-        rep = hudson_check("indicator", 2.0, p, 0, 0, tol=1e-8)
+        rep = hudson_check("indicator", p, 0, 0, tol=1e-8)
         assert rep.passed
         assert abs(rep.lhs - rep.rhs) < 1e-8
 
     def test_zero_function(self):
         p = truth_1x1(0.4, 2.0)
-        rep = hudson_check("zero", 2.0, p, 0, 0, tol=1e-12)
+        rep = hudson_check("zero", p, 0, 0, tol=1e-12)
         assert rep.lhs == 0.0 and rep.rhs == 0.0 and rep.passed
 
     def test_unbiasedness_follows_from_identity(self):
@@ -380,7 +381,7 @@ class TestHudson:
         # hence E[estimate] = p .
         for r in (2.0, 2.5):
             p = truth_1x1(0.4, r)
-            rep = hudson_check("linear-in-one-count", r, p, 0, 0, tol=1e-8)
+            rep = hudson_check("linear-in-one-count", p, 0, 0, tol=1e-8)
             assert rep.passed
             assert rep.rhs == pytest.approx(1.0, abs=1e-8)
 
@@ -391,14 +392,14 @@ class TestHudson:
         )
         for kind in ("indicator", "linear-in-one-count"):
             for nu in (0, 1):
-                rep = hudson_check(kind, 2.5, p, 1, nu, tol=1e-8)
+                rep = hudson_check(kind, p, 1, nu, tol=1e-8)
                 assert rep.passed, (kind, nu)
 
     def test_exact_for_three_by_three(self):
         # With r = 3, p_{0,1} = 0.2 and p0 = 0.4 the indicator side is
         # (1 - (0.4/0.6)^3) / 0.2 = 95/27.
         p = ModelParams.from_matrix(3.0, np.full((3, 3), 0.2))
-        rep = hudson_check("indicator", 3.0, p, 0, 1, tol=1e-8)
+        rep = hudson_check("indicator", p, 0, 1, tol=1e-8)
         assert rep.passed
         assert rep.lhs == pytest.approx(95 / 27, abs=1e-8)
         assert rep.rhs == pytest.approx(95 / 27, abs=1e-8)
@@ -412,14 +413,14 @@ class TestHudson:
             col = truth.columns[nu]
             p_inu = col.p[i]
             want = (1.0 - (col.p0 / (col.p0 + p_inu)) ** r) / p_inu
-            rep = hudson_check("indicator", r, truth, i, nu)
+            rep = hudson_check("indicator", truth, i, nu)
             assert abs(rep.lhs - want) <= 1e-9 and abs(rep.rhs - want) <= 1e-9
-            rep = hudson_check("linear-in-one-count", r, truth, i, nu)
+            rep = hudson_check("linear-in-one-count", truth, i, nu)
             assert abs(rep.lhs - 1.0) <= 1e-9 and abs(rep.rhs - 1.0) <= 1e-9
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            hudson_check("nope", 2.0, truth_1x1(), 0, 0)
+            hudson_check("nope", truth_1x1(), 0, 0)
 
     def test_peak_memory_is_bounded(self):
         # p0 = 0.02 puts the column-sum cap at 2048; the whole (x_i, rest)
@@ -429,7 +430,7 @@ class TestHudson:
         assert risklab._column_cap(3.0, col.p0, 0.33, 1e-8) == 2048
         tracemalloc.start()
         try:
-            rep = hudson_check("indicator", 3.0, truth, 0, 0)
+            rep = hudson_check("indicator", truth, 0, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -460,7 +461,7 @@ class TestHudsonOracle:
     @pytest.mark.parametrize("kind", ["indicator", "linear-in-one-count", "zero"])
     def test_agrees_with_joint_enumeration(self, kind):
         for truth, i, nu in enumerable_cases():
-            rep = hudson_check(kind, truth.r, truth, i, nu, tol=1e-8)
+            rep = hudson_check(kind, truth, i, nu, tol=1e-8)
             lhs, rhs = hudson_oracle.enumerate_sides(kind, truth.r, truth, i, nu, 1e-8)
             assert abs(rep.lhs - lhs) <= 1e-9, (kind, truth, i, nu)
             assert abs(rep.rhs - rhs) <= 1e-9, (kind, truth, i, nu)
@@ -469,10 +470,10 @@ class TestHudsonOracle:
     def test_blocked_sums_match_one_block(self, kind, monkeypatch):
         # Caps of 16 to 64 column sums: one to three blocks.
         cases = enumerable_cases()
-        blocked = [hudson_check(kind, t.r, t, i, nu, tol=1e-8) for t, i, nu in cases]
+        blocked = [hudson_check(kind, t, i, nu, tol=1e-8) for t, i, nu in cases]
         monkeypatch.setattr(risklab, "_SUM_BLOCK", 2**30)
         for (truth, i, nu), rep in zip(cases, blocked):
-            whole = hudson_check(kind, truth.r, truth, i, nu, tol=1e-8)
+            whole = hudson_check(kind, truth, i, nu, tol=1e-8)
             assert rep.lhs == pytest.approx(whole.lhs, rel=1e-12, abs=0)
             assert rep.rhs == pytest.approx(whole.rhs, rel=1e-12, abs=0)
 
@@ -556,13 +557,41 @@ class TestCaseBatch:
             case_table("i", reps=5, seed=0)
 
 
-def test_negative_binomial_tail_matches_scipy_stats():
+def test_negative_binomial_tail_bound_over_scipy_stats():
+    # The geometric bound is at or above the exact tail (equal for r = 1, the
+    # geometric law, up to rounding) and at most 6 times it where finite
+    # (5.5 measured); rho >= 1 gives inf.
     from scipy.stats import nbinom
 
     from nmshrink.risklab import _nbinom_sf
 
+    worst = 0.0
     for k in (0, 1, 5, 16, 100, 1000, 100_000):
         for r in (0.5, 1.0, 2.5, 8.0, 30.0):
             for p0 in (0.01, 0.2, 0.5, 0.9, 0.999):
                 want = float(nbinom.sf(k, r, p0))
-                assert _nbinom_sf(k, r, p0) == pytest.approx(want, rel=1e-12, abs=1e-300)
+                got = _nbinom_sf(k, r, p0)
+                assert got >= want * (1.0 - 1e-12), (k, r, p0)
+                if math.isfinite(got) and want > 0:
+                    worst = max(worst, got / want)
+                elif math.isfinite(got):
+                    assert got == 0.0, (k, r, p0)
+    assert 1.0 <= worst <= 6.0
+
+
+def test_column_cap_equals_the_exact_tail_cap():
+    # 7 r x 4 p0 x 3 p_inu x 3 tol = 252 combinations, p_inu from a small
+    # entry to the whole column (m = 1); the pinned 2048 among them.
+    grid = itertools.product(
+        (0.3, 0.5, 1.0, 2.0, 3.0, 8.0, 30.0),
+        (0.02, 0.2, 0.5, 0.9),
+        (0.05, 0.33, 1.0),
+        (1e-6, 1e-8, 1e-12),
+    )
+    caps = []
+    for r, p0, share, tol in grid:
+        p_inu = share * (1.0 - p0)
+        want = hudson_oracle.column_cap(r, p0, p_inu, tol)
+        assert risklab._column_cap(r, p0, p_inu, tol) == want, (r, p0, share, tol)
+        caps.append(want)
+    assert len(caps) == 252 and 2048 in caps
