@@ -200,7 +200,7 @@ class CountMatrix:
             if not np.array_equal(rounded, np.asarray(x, dtype=float)):
                 raise ValueError("counts must be integers")
             x = rounded
-        if np.any(x < 0):
+        if (x < 0).any():
             raise ValueError("counts must be nonnegative")
         # Float sums cannot wrap: below 2^53 every partial sum is an integer
         # they hold exactly, and a total of 2^53 or more sums to at least 2^53.
@@ -211,10 +211,8 @@ class CountMatrix:
         x = x.astype(np.int64, copy=False)  # `_readonly` copies it
         object.__setattr__(self, "x", _readonly(x))
         object.__setattr__(self, "col_sums", _readonly(col_sums.astype(np.int64)))
-        grand_sum = grand_sum.astype(np.int64)
-        object.__setattr__(
-            self, "grand_sum", int(grand_sum) if x.ndim == 2 else _readonly(grand_sum)
-        )
+        grand_sum = int(grand_sum) if x.ndim == 2 else _readonly(grand_sum.astype(np.int64))
+        object.__setattr__(self, "grand_sum", grand_sum)
 
     @property
     def m(self) -> int:
@@ -411,7 +409,7 @@ def read_counts_csv(path_or_file, header: bool = False) -> CountMatrix:
     """
     f, close = _open_maybe(path_or_file, "r")
     try:
-        rows = []
+        rows = {}
         width = None
         for lineno, rec in enumerate(csv.reader(f), start=1):
             if not rec or (len(rec) == 1 and rec[0].strip() == ""):
@@ -426,12 +424,17 @@ def read_counts_csv(path_or_file, header: bool = False) -> CountMatrix:
                     f"row {lineno}: expected {width} fields, got {len(rec)}"
                 )
             try:
-                rows.append(np.array([int(v) for v in rec], dtype=np.int64))
-            except (ValueError, OverflowError) as exc:
+                rows[lineno] = [int(v) for v in rec]
+            except ValueError as exc:
                 raise ValueError(f"row {lineno}: entry not a 64-bit integer") from exc
         if not rows:
             raise ValueError("empty counts file")
-        return CountMatrix(np.array(rows))
+        try:
+            x = np.array(list(rows.values()), dtype=np.int64)
+        except OverflowError:
+            lineno = next(n for n, row in rows.items() if np.array(row).dtype != np.int64)
+            raise ValueError(f"row {lineno}: entry not a 64-bit integer") from None
+        return CountMatrix(x)
     finally:
         if close:
             f.close()

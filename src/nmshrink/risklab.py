@@ -422,7 +422,10 @@ def _nbinom_sf(k: int, r: float, p0: float) -> float:
     """Upper bound on P(X > k), X negative binomial with size r and success
     probability p0: for j > k, pmf(j + 1)/pmf(j) = (1 - p0)(r + j)/(j + 1)
     moves monotonically to 1 - p0, so it is at most rho = (1 - p0) max(1,
-    (r + k + 1)/(k + 2)), and the tail at most pmf(k + 1)/(1 - rho), or inf."""
+    (r + k + 1)/(k + 2)), and the tail at most pmf(k + 1)/(1 - rho), or inf.
+    A p0 that rounds to 1 leaves no mass beyond 0, as the model computes it."""
+    if p0 >= 1.0:
+        return 0.0
     rho = (1.0 - p0) * max(1.0, (r + k + 1.0) / (k + 2.0))
     if rho >= 1.0:
         return math.inf

@@ -201,8 +201,10 @@ class TestCountMatrix:
             read_counts_csv(io.StringIO("1,2\n3,4\n5\n"))
 
     def test_entry_not_a_64_bit_integer_reports_row(self):
+        # Row 1 of the fifth file holds int64 values only; 2^63 is beyond it.
         for text, row in (("1,2\n99999999999999999999,1\n", 2), (f"{-2**63 - 1},0\n", 1),
-                          ("1,2\n3,4\n1.5,0\n", 3), ("x,1\n", 1)):
+                          ("1,2\n3,4\n1.5,0\n", 3), ("x,1\n", 1),
+                          (f"{-2**63},1\n\n{2**63},0\n", 3)):
             with pytest.raises(ValueError, match=f"row {row}: entry not a 64-bit integer"):
                 read_counts_csv(io.StringIO(text))
 

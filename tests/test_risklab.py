@@ -404,6 +404,19 @@ class TestHudson:
         assert rep.lhs == pytest.approx(95 / 27, abs=1e-8)
         assert rep.rhs == pytest.approx(95 / 27, abs=1e-8)
 
+    @pytest.mark.parametrize("matrix", [[[1e-17]], [[1e-17], [1e-18]], [[1e-200]]])
+    def test_column_whose_p0_rounds_to_one(self, matrix):
+        # 1 - p0 is exactly 0, so the tail bound is 0 and the cap stays 16;
+        # the sides are r (indicator) and 1 (unbiased entry) up to O(p).
+        p = ModelParams.from_matrix(2.0, matrix)
+        assert p.columns[0].p0 == 1.0
+        for kind, side in (("indicator", 2.0), ("linear-in-one-count", 1.0)):
+            for i in range(p.m):
+                rep = hudson_check(kind, p, i, 0, tol=1e-8)
+                assert rep.passed, (kind, i)
+                assert rep.lhs == pytest.approx(side, abs=1e-12)
+                assert rep.rhs == pytest.approx(side, abs=1e-12)
+
     @pytest.mark.parametrize("sc", scenario_presets(), ids=lambda sc: sc.name)
     def test_closed_forms_on_benchmark_truths(self, sc):
         # Indicator: E[1{X_inu >= 1}] / p_inu with X_inu ~ NB(r, p0/(p0 + p_inu)).
