@@ -2,7 +2,7 @@
 
 Subpackages by responsibility:
 
-* ``model``      -- domain types, pmf/moments, samplers, CSV/JSON round trips
+* ``model``      -- domain types, pmf/moments, samplers, CSV counts, JSON round trips
 * ``kernel``     -- the gamma-mixing kernel integral and its shrinkage ratios
 * ``estimators`` -- unbiased, empirical Bayes, and hierarchical Bayes rules
 * ``audit``      -- analytic propriety and dominance condition checkers

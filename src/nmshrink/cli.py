@@ -110,11 +110,14 @@ def _to_json(obj, **kwargs) -> str:
 
 
 def _read_json(path: str | None) -> dict:
-    if path is None or path == "-":
-        doc = json.load(sys.stdin)
-    else:
-        with open(path) as f:
-            doc = json.load(f)
+    try:
+        if path is None or path == "-":
+            doc = json.load(sys.stdin)
+        else:
+            with open(path) as f:
+                doc = json.load(f)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
     return doc

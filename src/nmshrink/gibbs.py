@@ -28,7 +28,8 @@ exactly Dirichlet, so p is drawn only at the kept iterations, in one call
 after the loop.
 
 Conditioning on counts only shifts the parameters (a0 -> r + a0,
-a_nu -> x_nu + a_nu), so the same chain targets prior and posterior.  The
+a_nu -> x_nu + a_nu), so `run_posterior` is the one entry point: on
+all-zero counts it samples the prior whose leftover exponent is r + a0.  The
 sampler is restricted to the constant mixing weight g = 1 (any GChoice with
 c = -1); other weights break conjugacy and are covered by the deterministic
 kernel quadrature.
@@ -41,18 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import ConditionError, GChoice, PriorSpec, QuadratureError
-from .kernel import kernel_finite, posterior_proper, require_alpha_beta
-from .model import CountMatrix, GeneralizedDirichlet, make_rng
+from .kernel import ConditionError, PriorSpec, QuadratureError, posterior_proper
+from .model import CountMatrix, make_rng
 
 __all__ = [
     "ChainConfig",
     "Chain",
-    "run_prior",
     "run_posterior",
     "ess",
     "mcmc_delta_estimates",
-    "joint_prior_proper",
 ]
 
 
@@ -77,33 +75,22 @@ class ChainConfig:
         return (span + self.thin - 1) // self.thin
 
 
-@dataclass
+@dataclass(frozen=True)
 class Chain:
     """Kept draws in array form, plus the bookkeeping delta estimates need."""
 
     t: np.ndarray
     p: np.ndarray  # (n_kept, m, N)
-    r: float | None = None
-    a0: float | None = None
-    a_dot: float | None = None
-    col_sums: np.ndarray | None = None
+    r: float
+    a0: float
+    a_dot: float
+    col_sums: np.ndarray
 
     def ess_t(self) -> float:
         return ess(self.t)
 
     def posterior_mean_p(self) -> np.ndarray:
         return self.p.mean(axis=0)
-
-
-def joint_prior_proper(
-    alpha: float, beta: float, a0: float, a_cols: np.ndarray
-) -> bool:
-    """Propriety of the joint (p, t) prior with per-column Dirichlet weights:
-    K with g = 1 at xi0 = a0 and the column totals of `a_cols` is finite.
-    """
-    a_cols = np.asarray(a_cols, dtype=float)
-    g1 = GChoice.constant_one()
-    return kernel_finite(alpha, beta, g1, a0, a_cols.shape[1], float(a_cols.sum()))
 
 
 # Iterations whose t-independent randomness is drawn at once; it bounds the
@@ -117,12 +104,12 @@ def _sample(
     a0_eff: float,
     a_cols: np.ndarray,
     cfg: ChainConfig,
-    **meta,
-) -> Chain:
-    """Run the t-marginal chain and draw p | t at the kept iterations.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the t-marginal chain and draw p | t at the kept iterations;
+    returns the kept t (n_kept,) and p (n_kept, m, N).
 
-    `a0_eff` is the leftover-mass exponent: the raw a0 for the prior, r + a0
-    for the posterior; the callers' propriety checks make it nonnegative.
+    `a0_eff` is the leftover-mass exponent r + a0, which the posterior
+    propriety check makes nonnegative.
     """
     rng = make_rng(cfg.seed)
     m, n_cols = a_cols.shape
@@ -161,28 +148,7 @@ def _sample(
     y0 = gamma((kept + a0_eff)[:, None], size=(kept.size, n_cols))
     y = gamma(a_cols, size=(kept.size, m, n_cols))
     p = y / (y0 + y.sum(axis=1))[:, None, :]
-    return Chain(kept, p, **meta)
-
-
-def run_prior(
-    alpha: float,
-    beta: float,
-    a0: float,
-    a_cols: np.ndarray,
-    cfg: ChainConfig,
-) -> Chain:
-    """Chain targeting the joint prior; refuses improper configurations."""
-    require_alpha_beta(alpha, beta)
-    a_cols = np.asarray(a_cols, dtype=float)
-    if a_cols.ndim != 2:
-        raise ValueError("a_cols must be an m x N matrix")
-    GeneralizedDirichlet(a0, a_cols.ravel())  # refuses nonpositive or infinite weights
-    if not joint_prior_proper(alpha, beta, a0, a_cols):
-        raise ConditionError(
-            "joint prior is improper: need a0 >= 0 and "
-            "min(max(a0, alpha - N), max(a_total - alpha, beta)) > 0"
-        )
-    return _sample(alpha, beta, a0, a_cols, cfg)
+    return kept, p
 
 
 def run_posterior(
@@ -205,17 +171,8 @@ def run_posterior(
     if not posterior_proper(prior, x.n_columns, r):
         raise ConditionError("posterior is improper for this prior and r")
     a_cols = x.x.astype(float) + prior.a[:, None]
-    return _sample(
-        prior.alpha,
-        prior.beta,
-        r + prior.a0,
-        a_cols,
-        cfg,
-        r=float(r),
-        a0=prior.a0,
-        a_dot=prior.a_dot,
-        col_sums=np.array(x.col_sums),
-    )
+    t, p = _sample(prior.alpha, prior.beta, r + prior.a0, a_cols, cfg)
+    return Chain(t, p, float(r), prior.a0, prior.a_dot, np.array(x.col_sums))
 
 
 def ess(x: np.ndarray) -> float:
@@ -268,9 +225,7 @@ def mcmc_delta_estimates(
     if mode == "kl":
         if nu is None:
             raise ValueError("mode 'kl' needs a column index nu")
-        if chain.r is None or chain.a0 is None or chain.a_dot is None:
-            raise ValueError("chain lacks posterior metadata (use run_posterior)")
-        if chain.col_sums is None or not 0 <= nu < chain.col_sums.size:
+        if not 0 <= nu < chain.col_sums.size:
             raise ValueError("nu out of range for this chain")
         w = 1.0 / (t + chain.r + chain.a0 + float(chain.col_sums[nu]) + chain.a_dot)
         return float((t * w).mean() / w.mean())

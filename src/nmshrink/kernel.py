@@ -65,7 +65,6 @@ __all__ = [
     "delta_hb",
     "delta_nu",
     "kernel_finite",
-    "kernel_is_finite",
     "prior_proper",
     "posterior_proper",
     "hb_assumptions_hold",
@@ -217,19 +216,6 @@ def kernel_finite(alpha, beta: float, g: GChoice, xi0: float, n_positive, total)
     """
     small = small_t_finite(alpha, g, n_positive if xi0 == 0 else 0)
     return (xi0 >= 0) & small & tail_finite(alpha, beta, g, total)
-
-
-def kernel_is_finite(
-    alpha: float, beta: float, g: GChoice, xi0: float, xi: np.ndarray
-) -> bool:
-    """Analytic finiteness test for K(alpha, beta, g, xi0, xi).
-
-    Broadcasts: xi may be a stack (..., N) and alpha an array, giving an
-    array of verdicts.
-    """
-    xi = np.asarray(xi, dtype=float)
-    n_positive = np.count_nonzero(xi > 0, axis=-1)
-    return kernel_finite(alpha, beta, g, xi0, n_positive, xi.sum(axis=-1))
 
 
 def prior_proper(prior: PriorSpec, n_columns: int) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -36,7 +37,6 @@ __all__ = [
     "gen_dirichlet_sample",
     "make_rng",
     "read_counts_csv",
-    "write_counts_csv",
     "json_numbers",
 ]
 
@@ -152,7 +152,10 @@ class ModelParams:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelParams":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError("JSON document nested too deeply") from None
         try:
             r, columns = json_numbers(doc, "r"), json_numbers(doc, "columns", ndim=2)
         except (KeyError, TypeError, ValueError) as exc:
@@ -394,60 +397,43 @@ def gen_dirichlet_sample(
     raise RuntimeError("dirichlet sampling kept producing degenerate draws")
 
 
-def _open_maybe(path_or_file, mode: str):
-    if isinstance(path_or_file, (str, Path)):
-        return open(path_or_file, mode, newline=""), True
-    return path_or_file, False
-
-
 def read_counts_csv(path_or_file, header: bool = False) -> CountMatrix:
     """Read an m x N integer count matrix from CSV (m rows, N columns).
 
     Blank lines are skipped; with `header`, so is the first record that is
-    not blank.  Raises ValueError naming the offending row on ragged input
-    or an entry that is not a 64-bit integer.
+    not blank.  Raises ValueError naming the offending row on ragged input,
+    an entry that is not a 64-bit integer, or a record the csv module
+    refuses (a field over its size limit, say).
     """
-    f, close = _open_maybe(path_or_file, "r")
-    try:
+    named = isinstance(path_or_file, (str, Path))
+    with open(path_or_file, newline="") if named else nullcontext(path_or_file) as f:
         rows = {}
         width = None
-        for lineno, rec in enumerate(csv.reader(f), start=1):
-            if not rec or (len(rec) == 1 and rec[0].strip() == ""):
-                continue
-            if header:
-                header = False
-                continue
-            if width is None:
-                width = len(rec)
-            elif len(rec) != width:
-                raise ValueError(
-                    f"row {lineno}: expected {width} fields, got {len(rec)}"
-                )
-            try:
-                rows[lineno] = [int(v) for v in rec]
-            except ValueError as exc:
-                raise ValueError(f"row {lineno}: entry not a 64-bit integer") from exc
-        if not rows:
-            raise ValueError("empty counts file")
+        reader = csv.reader(f)
         try:
-            x = np.array(list(rows.values()), dtype=np.int64)
-        except OverflowError:
-            lineno = next(n for n, row in rows.items() if np.array(row).dtype != np.int64)
-            raise ValueError(f"row {lineno}: entry not a 64-bit integer") from None
-        return CountMatrix(x)
-    finally:
-        if close:
-            f.close()
-
-
-def write_counts_csv(counts: CountMatrix, path_or_file, header: bool = False) -> None:
-    f, close = _open_maybe(path_or_file, "w")
+            for lineno, rec in enumerate(reader, start=1):
+                if not rec or (len(rec) == 1 and rec[0].strip() == ""):
+                    continue
+                if header:
+                    header = False
+                    continue
+                if width is None:
+                    width = len(rec)
+                elif len(rec) != width:
+                    raise ValueError(
+                        f"row {lineno}: expected {width} fields, got {len(rec)}"
+                    )
+                try:
+                    rows[lineno] = [int(v) for v in rec]
+                except ValueError as exc:
+                    raise ValueError(f"row {lineno}: entry not a 64-bit integer") from exc
+        except csv.Error as exc:
+            raise ValueError(f"row {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError("empty counts file")
     try:
-        w = csv.writer(f)
-        if header:
-            w.writerow([f"c{j + 1}" for j in range(counts.n_columns)])
-        for row in counts.x:
-            w.writerow([int(v) for v in row])
-    finally:
-        if close:
-            f.close()
+        x = np.array(list(rows.values()), dtype=np.int64)
+    except OverflowError:
+        lineno = next(n for n, row in rows.items() if np.array(row).dtype != np.int64)
+        raise ValueError(f"row {lineno}: entry not a 64-bit integer") from None
+    return CountMatrix(x)

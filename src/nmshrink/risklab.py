@@ -37,7 +37,6 @@ __all__ = [
     "loss_ss",
     "loss_kl",
     "prial",
-    "sample_counts",
     "loss_columns",
     "compare",
     "hudson_check",
@@ -121,15 +120,10 @@ def prial(risk_ref: float, risk: float) -> float:
     return 100.0 * (risk_ref - risk) / risk_ref
 
 
-def sample_counts(truth: ModelParams, rng: np.random.Generator) -> CountMatrix:
-    """One count matrix with independent negative multinomial columns."""
-    cols = [nm_sample(truth.r, c, rng) for c in truth.columns]
-    return CountMatrix(np.column_stack(cols))
-
-
 def _sample_stack(truth: ModelParams, seed: int, rep_indices: range) -> np.ndarray:
-    """Count matrices (reps, m, N) of the given replications: row k holds the
-    draws of `sample_counts(truth, make_rng(seed, rep_indices[k]))`."""
+    """Count matrices (reps, m, N) of the given replications: row k is one
+    draw from the rng `make_rng(seed, rep_indices[k])`, column by column,
+    each column an `nm_sample` of its negative multinomial."""
     x = np.empty((len(rep_indices), truth.m, truth.n_columns), dtype=np.int64)
     for row, rep in enumerate(rep_indices):
         rng = make_rng(seed, rep)

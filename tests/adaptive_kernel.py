@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from kernel_oracle import kernel_is_finite
 from scipy.special import gammaln
 
-from nmshrink.kernel import GChoice, QuadratureError, kernel_is_finite
+from nmshrink.kernel import GChoice, QuadratureError
 
 GL_NODE_COUNT = 64
 MAX_TOTAL_NODES = 2**14

@@ -10,8 +10,6 @@ lean on the library's versions.  `delta_nu_condition` is the inline check of
 
 from __future__ import annotations
 
-import numpy as np
-
 from nmshrink.kernel import GChoice, PriorSpec
 
 
@@ -67,15 +65,3 @@ def delta_nu_condition(
         ra0 == 0 and tail and small_t_finite(alpha, g, n_cols)
     )
     return ok
-
-
-def joint_prior_proper(
-    alpha: float, beta: float, a0: float, a_cols: np.ndarray
-) -> bool:
-    """Propriety of the joint (p, t) prior with per-column Dirichlet weights."""
-    a_cols = np.asarray(a_cols, dtype=float)
-    n_cols = a_cols.shape[1]
-    a_total = float(a_cols.sum())
-    if a0 < 0:
-        return False
-    return min(max(a0, alpha - n_cols), max(a_total - alpha, beta)) > 0

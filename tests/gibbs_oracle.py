@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from nmshrink.gibbs import Chain, ChainConfig, joint_prior_proper
+from nmshrink.gibbs import Chain, ChainConfig
 from nmshrink.kernel import ConditionError, PriorSpec, posterior_proper
 from nmshrink.model import CountMatrix, ProbColumn, make_rng
 
@@ -111,25 +111,6 @@ def _run_chain(
         state = gibbs_step(state, alpha, beta, a0_eff, a_cols, rng)
         if i >= cfg.burn_in and (i - cfg.burn_in) % cfg.thin == 0:
             yield state
-
-
-def prior_chain(
-    alpha: float,
-    beta: float,
-    a0: float,
-    a_cols: np.ndarray,
-    cfg: ChainConfig,
-) -> Iterator[GibbsState]:
-    """Gibbs chain targeting the joint prior; refuses improper configurations."""
-    a_cols = np.asarray(a_cols, dtype=float)
-    if a_cols.ndim != 2 or np.any(a_cols <= 0):
-        raise ValueError("a_cols must be a positive m x N matrix")
-    if not joint_prior_proper(alpha, beta, a0, a_cols):
-        raise ConditionError(
-            "joint prior is improper: need a0 >= 0 and "
-            "min(max(a0, alpha - N), max(a_total - alpha, beta)) > 0"
-        )
-    return _run_chain(alpha, beta, a0, a_cols, cfg)
 
 
 def posterior_chain(

@@ -18,14 +18,14 @@ from nmshrink.audit import (
 )
 from nmshrink.gibbs import ChainConfig, mcmc_delta_estimates, run_posterior
 from nmshrink.kernel import GChoice, PriorSpec, delta_hb, delta_nu
-from nmshrink.model import CountMatrix, ModelParams, ProbColumn, make_rng, nm_log_pmf
+from nmshrink.model import CountMatrix, ModelParams, ProbColumn, nm_log_pmf
 from nmshrink.risklab import (
+    _sample_stack,
     benchmark_scenarios,
     case_table,
     compare,
     hudson_check,
     make_estimator,
-    sample_counts,
 )
 
 G1 = GChoice.constant_one()
@@ -120,7 +120,7 @@ def test_criterion_5_kernel_vs_gibbs():
         sc = scenarios[int(rng.integers(len(scenarios)))]
         truth, alpha = sc.params, sc.alpha_hb
         r, m, n_cols = truth.r, truth.m, truth.n_columns
-        x = sample_counts(truth, make_rng(SEED, 100 + k))
+        x = CountMatrix(_sample_stack(truth, SEED, range(100 + k, 101 + k))[0])
 
         # column-sum ratio against the posterior mean of t
         prior_ss = PriorSpec(alpha, 1.0, G1, -float(m), np.ones(m))

@@ -697,6 +697,11 @@ BAD_INPUT = [
      "the counts of a matrix must total below 2^53"),
     (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14",
       "--in", "{wrapping_sum}"], "the counts of a matrix must total below 2^53"),
+    # A field beyond the csv module's size limit.
+    (["estimate", "--estimator", "umvu", "--r", "3", "--in", "{long_field}"],
+     "row 2: field larger than field limit"),
+    (["gibbs-diag", "--counts", "{long_field}", "--prior", "{prior}", "--r", "3",
+      "--out", "{out}"], "row 2: field larger than field limit"),
 ]
 # Truth documents of the right keys whose values ModelParams cannot take.
 MALFORMED_TRUTHS = {
@@ -711,10 +716,12 @@ REFUSED_HYPERPARAMETERS = {
     "kl_a": '{"kind": "kl", "alpha": 5, "beta": 1, "a0": 1, "a": [1, -1, 1], "r": 5, '
             '"n": 3, "n_columns": 3}',
 }
-# Count CSVs of integers that CountMatrix cannot take.
+# Count CSVs of integers that CountMatrix cannot take, and one whose second
+# row holds a field of more characters than the csv module reads.
 OVERSIZED_COUNTS = {
     "beyond_int64": "99999999999999999999,1\n",
     "wrapping_sum": "9223372036854775807,9223372036854775807\n2,3\n",
+    "long_field": "3,0,1\n2," + "1" * (csv.field_size_limit() + 1) + ",0\n",
 }
 
 
@@ -748,6 +755,8 @@ class TestBadInput:
         assert not out.exists()
 
 
+# A JSON list nested deeper than the interpreter's recursion limit.
+NESTED = "[" * 100_000 + "]" * 100_000
 KOMAKI = {"kind": "komaki", "c": 0.5, "kappa": 1}
 # A valid document of each kind the CLI reads, with an argv that reads its
 # numbers ({doc} is its path); each exits 0 as it stands.
@@ -785,9 +794,11 @@ class TestDocumentNumbers:
     or without --dry-run."""
 
     def run(self, tmp_path, counts, kind, doc, dry_run=None):
-        """main on the document's argv as listed, or with --dry-run added
-        (dry_run True) or dropped (False)."""
-        argv = [a.format(doc=write(tmp_path / "doc.json", json.dumps(doc)), counts=counts)
+        """main on the document (an object, or JSON text as it stands) with
+        its kind's argv as listed, or with --dry-run added (dry_run True) or
+        dropped (False)."""
+        text = doc if isinstance(doc, str) else json.dumps(doc)
+        argv = [a.format(doc=write(tmp_path / "doc.json", text), counts=counts)
                 for a in DOCUMENTS[kind][0]]
         if dry_run is not None:
             argv = [a for a in argv if a != "--dry-run"] + ["--dry-run"] * dry_run
@@ -828,6 +839,19 @@ class TestDocumentNumbers:
         assert self.run(tmp_path, counts_csv, kind, doc, dry_run) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "bad input" in captured.err
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    @pytest.mark.parametrize("kind", DOCUMENTS)
+    def test_nested_beyond_recursion_limit_exit_2(self, counts_csv, tmp_path, capsys,
+                                                  kind, dry_run):
+        # The whole document, and each list field, nested too deep to parse.
+        doc = DOCUMENTS[kind][1]
+        texts = [NESTED] + [json.dumps({**doc, key: "@"}).replace('"@"', NESTED)
+                            for key, value in doc.items() if isinstance(value, list)]
+        for text in texts:
+            assert self.run(tmp_path, counts_csv, kind, text, dry_run) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "nested too deeply" in captured.err
 
 
 class TestRepro:
@@ -919,6 +943,18 @@ class TestPersistedConfig:
         assert main(["--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--config needs an argv list" in captured.err
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_nested_beyond_recursion_limit_exit_2(self, counts_csv, tmp_path, capsys,
+                                                  dry_run):
+        # The whole document, and an entry of an argv that is otherwise a
+        # valid run (a dry run or not), nested too deep to parse.
+        argv = ["estimate", "--estimator", "umvu", "--r", "3", "--in", counts_csv,
+                "@"] + ["--dry-run"] * dry_run
+        for text in (NESTED, json.dumps({"argv": argv}).replace('"@"', NESTED)):
+            assert main(["--config", write(tmp_path / "run.json", text)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "nested too deeply" in captured.err
 
 
 # Parses covering every subcommand: defaults, --dry-run, prior flags.

@@ -16,7 +16,6 @@ from nmshrink.audit import (
     kl_dominance_conditions,
 )
 from nmshrink.estimators import hb
-from nmshrink.gibbs import ChainConfig, joint_prior_proper, run_prior
 from nmshrink.kernel import ConditionError, GChoice, PriorSpec
 from nmshrink.model import CountMatrix
 from nmshrink.risklab import make_estimator
@@ -91,9 +90,6 @@ class TestOnePredicate:
         assert kernel.hb_assumptions_hold(
             alpha, beta, g, r, m, n_cols
         ) is oracle.hb_assumptions_hold(alpha, beta, g, r, m, n_cols)
-        assert joint_prior_proper(alpha, beta, a0, a_cols) is oracle.joint_prior_proper(
-            alpha, beta, a0, a_cols
-        )
         a_dot = prior.a_dot
         assert delta_nu_refuses(alpha, beta, g, r, a0, a_dot, n_cols) is not (
             oracle.delta_nu_condition(alpha, beta, g, r, a0, a_dot, n_cols)
@@ -138,7 +134,6 @@ ALPHA_BETA_CALLS = {
     "kl_dominance_conditions": lambda a, b, g: kl_dominance_conditions(
         a, b, g, 1.0, np.ones(3), 8, 3, 3
     ),
-    "run_prior": lambda a, b, g: run_prior(a, b, 0.5, np.ones((3, 2)), ChainConfig(10)),
 }
 RULE_SIGN = "alpha must be positive and beta nonnegative"
 RULE_FINITE = "alpha and beta must be finite"

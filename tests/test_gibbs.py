@@ -15,10 +15,8 @@ from nmshrink.gibbs import (
     Chain,
     ChainConfig,
     ess,
-    joint_prior_proper,
     mcmc_delta_estimates,
     run_posterior,
-    run_prior,
 )
 from nmshrink.kernel import (
     ConditionError,
@@ -108,29 +106,19 @@ class TestStepMechanics:
         chain = run_posterior(x, 2.5, prior, cfg)
         assert chain.t.size == cfg.n_kept == 20
         assert chain.p.shape == (20, 2, 2)
-        chain = run_prior(5.0, 2.0, 1.0, np.ones((3, 2)), cfg)
+        # All-zero counts with r + a0 = 1: the prior chain of a0 = 1, a = 1.
+        zeros = CountMatrix(np.zeros((3, 2), dtype=int))
+        chain = run_posterior(zeros, 0.5, PriorSpec(5.0, 2.0, G1, 0.5, np.ones(3)), cfg)
         assert chain.t.size == 20
         assert chain.p.shape == (20, 3, 2)
-        assert chain.r is None and chain.col_sums is None
+        np.testing.assert_array_equal(chain.col_sums, [0, 0])
 
     def test_negative_a0_eff_rejected(self):
-        # a0 < 0 for the prior chain, r + a0 < 0 for the posterior chain
-        with pytest.raises(ConditionError):
-            run_prior(3.0, 1.0, -0.5, np.ones((2, 1)), ChainConfig(n_iter=10))
+        # r + a0 < 0
         x = CountMatrix(np.array([[3], [2]]))
         prior = PriorSpec(3.0, 1.0, G1, -3.0, np.ones(2))
         with pytest.raises(ConditionError):
             run_posterior(x, 2.5, prior, ChainConfig(n_iter=10))
-
-    def test_prior_chain_refuses_improper(self):
-        # alpha <= N with a0 = 0 fails the joint propriety triple
-        assert not joint_prior_proper(2.0, 1.0, 0.0, np.ones((2, 3)))
-        with pytest.raises(ConditionError):
-            run_prior(2.0, 1.0, 0.0, np.ones((2, 3)), ChainConfig(n_iter=10))
-        # beta = 0 with alpha >= total weight fails the tail part
-        assert not joint_prior_proper(7.0, 0.0, 1.0, np.ones((2, 3)))
-        with pytest.raises(ConditionError):
-            run_prior(7.0, 0.0, 1.0, np.ones((2, 3)), ChainConfig(n_iter=10))
 
     def test_posterior_chain_refuses_improper(self):
         x = CountMatrix(np.array([[3, 1], [2, 4]]))
@@ -169,6 +157,17 @@ class TestStepMechanics:
             run_posterior(x, 4.0, prior, ChainConfig(n_iter=2_000, seed=1))
 
 
+# Counts, r and prior whose shifted parameters r + a0 = 1 and x_nu + a are
+# the joint prior with alpha = 5, beta = 2, a0 = 1 and Dirichlet weights
+# [[1, 2], [0.5, 1.5]]: the posterior chain given these counts samples that
+# prior.
+PRIOR_AS_POSTERIOR = (
+    CountMatrix(np.array([[0, 1], [0, 1]])),
+    0.5,
+    PriorSpec(5.0, 2.0, G1, 0.5, np.array([1.0, 0.5])),
+)
+
+
 class TestBlockedDraws:
     """The t-independent randomness is drawn in blocks of `_BLOCK` iterations
     and only kept t values are stored."""
@@ -200,6 +199,19 @@ class TestBlockedDraws:
         prior = PriorSpec(6.0, beta, G1, a0, np.ones(3))
         cfg = ChainConfig(n_iter=40, burn_in=10, seed=5, thin=6)
         chain = run_posterior(self.X, 4.0, prior, cfg)
+        np.testing.assert_allclose(chain.t, want_t, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(chain.p[-1], want_p, rtol=1e-13, atol=0)
+
+    def test_prior_law_chain_keeps_its_stream(self):
+        # Values recorded from the sampler's former prior entry point, run
+        # with alpha = 5, beta = 2, a0 = 1 and the weights of
+        # PRIOR_AS_POSTERIOR: the posterior chain draws the same stream.
+        cfg = ChainConfig(n_iter=40, burn_in=10, seed=6, thin=6)
+        chain = run_posterior(*PRIOR_AS_POSTERIOR, cfg)
+        want_t = [1.197415139525372, 1.8273690372627416, 1.683388005139251,
+                  0.4460082925877694, 2.9210001800627334]
+        want_p = [[0.0475415892504274, 0.1808845269101173],
+                  [0.1220984700472485, 0.29669285018118285]]
         np.testing.assert_allclose(chain.t, want_t, rtol=1e-13, atol=0)
         np.testing.assert_allclose(chain.p[-1], want_p, rtol=1e-13, atol=0)
 
@@ -264,7 +276,8 @@ class TestStationarity:
     def test_prior_marginal_matches_direct_mixture_sampling(self):
         # Draw t from its prior marginal by grid inversion, then columns from
         # the conditional Dirichlet; first/second moments of p must match the
-        # Gibbs chain within 4 combined standard errors.
+        # Gibbs chain within 4 combined standard errors.  The chain is the
+        # posterior given PRIOR_AS_POSTERIOR's counts, which is this prior.
         alpha, beta, a0 = 5.0, 2.0, 1.0
         m, n_cols = 2, 2
         a_cols = np.array([[1.0, 2.0], [0.5, 1.5]])
@@ -289,9 +302,11 @@ class TestStationarity:
         y = rng.gamma(a_cols, size=(n_draws, m, n_cols))
         direct = y / (y0 + y.sum(axis=1))[:, None, :]
 
-        chain = run_prior(
-            alpha, beta, a0, a_cols,
-            ChainConfig(n_iter=50_000, burn_in=10_000, seed=6),
+        x, r, prior = PRIOR_AS_POSTERIOR
+        assert r + prior.a0 == a0
+        np.testing.assert_array_equal(x.x + prior.a[:, None], a_cols)
+        chain = run_posterior(
+            x, r, prior, ChainConfig(n_iter=50_000, burn_in=10_000, seed=6)
         )
         for moment in (lambda v: v, lambda v: v**2):
             md, mg = moment(direct), moment(chain.p)
@@ -415,13 +430,17 @@ class TestDeltaEstimates:
         assert mcmc_delta_estimates(chain, "kl", 0) == pytest.approx(1.7)
 
     def test_mode_validation(self):
-        chain = Chain(t=np.array([1.0, 2.0]), p=np.zeros((2, 1, 1)) + 0.2)
+        meta = dict(r=2.0, a0=0.0, a_dot=1.0, col_sums=np.array([3]))
+        chain = Chain(t=np.array([1.0, 2.0]), p=np.zeros((2, 1, 1)) + 0.2, **meta)
         with pytest.raises(ValueError):
             mcmc_delta_estimates(chain, "kl")  # nu missing
         with pytest.raises(ValueError):
-            mcmc_delta_estimates(chain, "bogus")
+            mcmc_delta_estimates(chain, "kl", 1)  # nu out of range
         with pytest.raises(ValueError):
-            mcmc_delta_estimates(Chain(t=np.array([]), p=np.empty((0, 1, 1))), "ss")
+            mcmc_delta_estimates(chain, "bogus")
+        empty = Chain(t=np.array([]), p=np.empty((0, 1, 1)), **meta)
+        with pytest.raises(ValueError):
+            mcmc_delta_estimates(empty, "ss")
 
 
 class TestEss:

@@ -14,7 +14,7 @@ from nmshrink.kernel import (
     QuadratureError,
     delta_hb,
     delta_nu,
-    kernel_is_finite,
+    kernel_finite,
     log_kernel,
     posterior_proper,
     prior_proper,
@@ -123,7 +123,7 @@ class TestLogKernel:
         assert log_kernel(3.5, 0.0, G1, 1.0, np.array([3.0])) == math.inf
         # small t: xi0 = 0 and alpha <= number of positive xi
         assert log_kernel(2.0, 1.0, G1, 0.0, np.array([3.0, 2.0])) == math.inf
-        assert not kernel_is_finite(2.0, 1.0, G1, 0.0, np.array([3.0, 2.0]))
+        assert not kernel_finite(2.0, 1.0, G1, 0.0, 2, 5.0)  # two positive xi, total 5
         # xi0 = 0 is fine when alpha is large enough
         assert math.isfinite(log_kernel(2.5, 1.0, G1, 0.0, np.array([3.0, 2.0])))
 
@@ -306,14 +306,11 @@ def _regime(label, alpha, beta, g, xi0, rows):
 
 def _tables_regime(case: str, reps: int = 10):
     """The HB kernels of one `repro tables` case at seed 42."""
-    from nmshrink.model import make_rng
-    from nmshrink.risklab import benchmark_scenarios, sample_counts
+    from nmshrink.risklab import _sample_stack, benchmark_scenarios
 
     sc = benchmark_scenarios(case)[0]
     r, m = sc.params.r, sc.params.m
-    z = np.array(
-        [sample_counts(sc.params, make_rng(42, k)).col_sums for k in range(reps)]
-    )
+    z = _sample_stack(sc.params, 42, range(reps)).sum(axis=1)
     rows = z[z.sum(axis=1) > 0] + float(m)
     return _regime(f"tables case {case}", sc.alpha_hb, 1.0, G1, r - m, rows)
 

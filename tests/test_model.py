@@ -10,7 +10,6 @@ from dirichlet_density import gen_dirichlet_log_pdf
 from scipy.stats import chi2_contingency
 
 from nmshrink.estimators import dirichlet_posterior_mean
-from nmshrink.gibbs import ChainConfig, run_prior
 from nmshrink.kernel import GChoice, PriorSpec
 from nmshrink.model import (
     CountMatrix,
@@ -24,7 +23,6 @@ from nmshrink.model import (
     nm_moments,
     nm_sample,
     read_counts_csv,
-    write_counts_csv,
 )
 
 # Independent high-precision evaluation of
@@ -176,21 +174,17 @@ class TestCountMatrix:
         with pytest.raises(ValueError, match="below 2\\^53"):
             CountMatrix(stack)
 
+    # The texts are as the csv module writes them, with \r\n line ends.
     def test_csv_round_trip(self):
-        x = CountMatrix(np.array([[3, 0], [2, 1], [0, 4]]))
-        buf = io.StringIO()
-        write_counts_csv(x, buf)
-        back = read_counts_csv(io.StringIO(buf.getvalue()))
-        np.testing.assert_array_equal(back.x, x.x)
+        back = read_counts_csv(io.StringIO("3,0\r\n2,1\r\n0,4\r\n"))
+        np.testing.assert_array_equal(back.x, [[3, 0], [2, 1], [0, 4]])
 
-    def test_csv_round_trip_with_header(self):
-        x = CountMatrix(np.array([[3, 0], [2, 1]]))
-        buf = io.StringIO()
-        write_counts_csv(x, buf, header=True)
-        text = buf.getvalue()
-        assert text.splitlines()[0] == "c1,c2"
-        back = read_counts_csv(io.StringIO(text), header=True)
-        np.testing.assert_array_equal(back.x, x.x)
+    def test_csv_round_trip_with_header(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_bytes(b"c1,c2\r\n3,0\r\n2,1\r\n")
+        for src in (path, str(path)):
+            back = read_counts_csv(src, header=True)
+            np.testing.assert_array_equal(back.x, [[3, 0], [2, 1]])
 
     def test_header_is_the_first_record_that_is_not_blank(self):
         back = read_counts_csv(io.StringIO("\nc1,c2\n3,0\n\n2,1\n"), header=True)
@@ -376,12 +370,10 @@ WEIGHT_CHECKS = pytest.mark.parametrize(
         lambda a, a0=0.5: GeneralizedDirichlet(a0, a),
         lambda a, a0=0.5: dirichlet_posterior_mean(CountMatrix(np.ones((3, 2), int)),
                                                    4.0, a0, a),
-        lambda a, a0=0.5: run_prior(6.0, 1.0, a0, np.column_stack([a, a]),
-                                    ChainConfig(20)),
         lambda a, a0=0.5: gen_dirichlet_sample(a0, a, make_rng(0)),
     ],
     ids=["PriorSpec", "GeneralizedDirichlet", "dirichlet_posterior_mean",
-         "run_prior", "gen_dirichlet_sample"],
+         "gen_dirichlet_sample"],
 )
 
 

@@ -23,7 +23,6 @@ from nmshrink.risklab import (
     loss_ss,
     make_estimator,
     prial,
-    sample_counts,
     scenario_presets,
 )
 
@@ -260,16 +259,18 @@ class TestEstimatorKinds:
 
 
 class TestSampling:
-    def test_sample_counts_shape(self):
-        x = sample_counts(benchmark_scenarios("ii")[0].params, np.random.default_rng(0))
-        assert x.x.shape == (3, 7)
+    def test_stack_shape(self):
+        x = _sample_stack(benchmark_scenarios("ii")[0].params, 0, range(2))
+        assert x.shape == (2, 3, 7)
 
     @pytest.mark.parametrize("sc", scenario_presets(), ids=lambda sc: sc.name)
     def test_stack_matches_per_replication_draws(self, sc):
-        # compare's stack draws replication k from the (seed, k) stream in
-        # the column order of sample_counts.
+        # compare's stack draws replication k from the (seed, k) stream alone,
+        # column by column, whatever else its chunk holds.
         reps = range(3, 40, 4)
-        want = np.stack([sample_counts(sc.params, make_rng(11, k)).x for k in reps])
+        want = np.concatenate(
+            [sampling_oracle.sample_stack(sc.params, 11, range(k, k + 1)) for k in reps]
+        )
         got = _sample_stack(sc.params, 11, reps)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
@@ -303,7 +304,7 @@ class TestSamplingOracle:
             want = sampling_oracle.sample_stack(sc.params, seed, reps)
             assert_same_draws(_sample_stack(sc.params, seed, reps), want)
         for k in range(1, 40, 6):
-            got = sample_counts(sc.params, make_rng(seed, k)).x
+            got = _sample_stack(sc.params, seed, range(k, k + 1))[0]
             assert_same_draws(got, want[k // 2])
 
     @pytest.mark.parametrize("m", range(1, 8))
