@@ -26,6 +26,7 @@ import io
 import json
 import math
 import os
+import reprlib
 import sys
 import time
 
@@ -72,7 +73,7 @@ def _count(doc: dict, key: str) -> int:
     except ValueError:
         value = 0.0
     if not value >= 1 or value % 1:
-        raise ValueError(f"{key} must be a positive integer, got {doc[key]!r}")
+        raise ValueError(f"{key} must be a positive integer, got {reprlib.repr(doc[key])}")
     return int(value)
 
 
@@ -84,7 +85,7 @@ def _g_from_doc(doc) -> GChoice:
             return GChoice.constant_one()
         if doc.get("kind") == "komaki":
             return GChoice.komaki(json_numbers(doc, "c"), json_numbers(doc, "kappa"))
-    raise ValueError(f"unrecognized g specification: {doc!r}")
+    raise ValueError(f"unrecognized g specification: {reprlib.repr(doc)}")
 
 
 def _prior_from_doc(doc: dict) -> PriorSpec:
@@ -332,7 +333,7 @@ def _audit_check(doc: dict):
         return functools.partial(
             _verdict, kind, *spec, _count(doc, "n"), _count(doc, "n_columns")
         )
-    raise ValueError(f"unknown audit kind {kind!r}; use prior|eb|hb|kl")
+    raise ValueError(f"unknown audit kind {reprlib.repr(kind)}; use prior|eb|hb|kl")
 
 
 def _verdict(kind: str, *numbers) -> dict:
@@ -568,7 +569,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
             raise ValueError("--config takes exactly one JSON file")
         argv = _read_json(argv[1])["argv"]
         if not isinstance(argv, list):
-            raise ValueError(f"--config needs an argv list, got {argv!r}")
+            raise ValueError(f"--config needs an argv list, got {reprlib.repr(argv)}")
         argv = [str(a) for a in argv]
     return _parser().parse_args(argv)
 

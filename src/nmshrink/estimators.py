@@ -18,8 +18,8 @@ from .kernel import (
     ConditionError,
     GChoice,
     PriorSpec,
-    delta_hb,
-    delta_nu,
+    _delta_hb,
+    _delta_nu,
     require_hb_assumptions,
 )
 from .model import CountMatrix, GeneralizedDirichlet
@@ -42,10 +42,7 @@ DeltaRule = Callable[[int], float]
 
 def _shrunk(x: CountMatrix, denominators: np.ndarray) -> np.ndarray:
     """Entries x_ij / denominators[..., j], with zero counts mapped to exact zero."""
-    counts = x.x.astype(float)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(counts > 0, counts / denominators[..., None, :], 0.0)
-    return out
+    return np.divide(x.x, denominators[..., None, :], out=np.zeros(x.x.shape), where=x.x > 0)
 
 
 def umvu(x: CountMatrix, r: float) -> np.ndarray:
@@ -124,8 +121,8 @@ def hb(
     d = np.full(z.shape[:-1], math.inf)
     nonzero = np.asarray(x.grand_sum) > 0
     if nonzero.any():
-        d[nonzero] = delta_hb(alpha, beta, g, r, x.m, z[nonzero])
-    return _shrunk(x, r + z.astype(float) - 1.0 + d[..., None])
+        d[nonzero] = _delta_hb(alpha, beta, g, r, x.m, z[nonzero])
+    return _shrunk(x, r + z - 1.0 + d[..., None])
 
 
 def dirichlet_posterior_mean(
@@ -158,16 +155,17 @@ def hb_posterior_mean(x: CountMatrix, r: float, prior: PriorSpec) -> np.ndarray:
         raise ValueError("r must be positive")
     if prior.m != x.m:
         raise ValueError("prior dimension does not match the count matrix")
-    z = x.col_sums
-    deltas = delta_nu(
+    z, a_dot = x.col_sums, prior.a_dot
+    # The prior's numbers and the counts are valid: the ratios go straight
+    # to delta_nu's propriety condition.
+    deltas = _delta_nu(
         prior.alpha,
         prior.beta,
         prior.g,
-        r,
-        prior.a0,
-        prior.a_dot,
+        r + prior.a0,
+        a_dot,
         z[..., None, :],
         np.arange(x.n_columns),
     )
-    denom = r + prior.a0 + z.astype(float) + prior.a_dot + deltas
-    return (x.x.astype(float) + prior.a[:, None]) / denom[..., None, :]
+    denom = r + prior.a0 + z + a_dot + deltas
+    return (x.x + prior.a[:, None]) / denom[..., None, :]

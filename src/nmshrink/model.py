@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -166,18 +167,19 @@ class ModelParams:
 def json_numbers(doc: dict, key: str, ndim: int = 0):
     """doc[key], a JSON number or an ndim-deep list of them, as a finite float
     (ndim 0) or a float array of exactly ndim dimensions.  Booleans, strings,
-    null, wrongly nested or ragged lists and overflow raise ValueError."""
+    null, wrongly nested or ragged lists and overflow raise ValueError, whose
+    message echoes the value clipped by `reprlib`."""
     value = doc[key]
     leaves = np.array(value, dtype=object)
     if leaves.ndim != ndim or not all(type(v) in (int, float) for v in leaves.flat):
         what = "a number" if ndim == 0 else f"a {ndim}-d list of numbers"
-        raise ValueError(f"{key} must be {what}, got {value!r}")
+        raise ValueError(f"{key} must be {what}, got {reprlib.repr(value)}")
     try:
         out = leaves.astype(float)
     except OverflowError:  # an int beyond any float
         out = np.array(np.nan)
     if not np.all(np.isfinite(out)):
-        raise ValueError(f"{key} must be finite, got {value!r}")
+        raise ValueError(f"{key} must be finite, got {reprlib.repr(value)}")
     return float(out) if ndim == 0 else out
 
 
@@ -198,12 +200,12 @@ class CountMatrix:
         x = np.asarray(self.x)
         if x.ndim < 2 or x.size == 0:
             raise ValueError("counts must form a nonempty 2-d matrix")
-        if not np.issubdtype(x.dtype, np.integer):
+        if x.dtype.kind not in "iu":
             rounded = np.rint(np.asarray(x, dtype=float))
             if not np.array_equal(rounded, np.asarray(x, dtype=float)):
                 raise ValueError("counts must be integers")
             x = rounded
-        if (x < 0).any():
+        if x.min() < 0:
             raise ValueError("counts must be nonnegative")
         # Float sums cannot wrap: below 2^53 every partial sum is an integer
         # they hold exactly, and a total of 2^53 or more sums to at least 2^53.
@@ -241,7 +243,7 @@ class GeneralizedDirichlet:
         a = np.asarray(self.a, dtype=float)
         if a.ndim != 1 or a.size == 0:
             raise ValueError("a must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(a) & (a > 0)):
+        if not (np.isfinite(a) & (a > 0)).all():
             raise ValueError("all a_i must be positive and finite")
         if not np.isfinite(self.a0):
             raise ValueError(f"a0 must be finite, got {self.a0!r}")
@@ -276,6 +278,31 @@ def _rising8(w: np.ndarray) -> np.ndarray:
     return u * (u + 6.0) * (u + 10.0) * (u + 12.0)
 
 
+def _gamma_nodes(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The terms of `_log_gamma_ratio` that depend on the ascending x alone:
+    y (x shifted up by 8 below 8), y - 1/2, ln y, the Stirling tail c(y),
+    and the x below 8 with their rising factorials x (x + 1) ... (x + 7)."""
+    n_small = np.searchsorted(x, _SHIFT)
+    y = x.copy()
+    y[:n_small] += _SHIFT
+    small = x[:n_small]
+    return y, y - 0.5, np.log(y), _stirling_tail(y), small, _rising8(small)
+
+
+def _log_gamma_ratio_from(nodes: tuple[np.ndarray, ...], xi: np.ndarray) -> np.ndarray:
+    """`_log_gamma_ratio` at the x of `_gamma_nodes(x)`: the terms that
+    involve xi, on top of the terms of x alone."""
+    y, y_half, log_y, c_y, small, rising = nodes
+    b = xi[:, None]
+    out = c_y - _stirling_tail(y + b)
+    out += b
+    out -= b * log_y
+    out -= (y_half + b) * np.log1p(b / y)
+    if small.size:
+        out[:, : small.size] += np.log(_rising8(small + b) / rising)
+    return out
+
+
 def _log_gamma_ratio(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Table (U, n) of ln Gamma(x) - ln Gamma(x + xi) for ascending x (n,) > 0
     and xi (U,) >= 0.
@@ -285,24 +312,10 @@ def _log_gamma_ratio(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     c(x + xi).  Below 8 it is taken at x + 8 and the recurrence adds
     log prod_{k<8} (1 + xi/(x + k)), a ratio of two rising factorials.
     Each entry is its own sequence of operations, so it does not depend on
-    the other entries of the table, and xi = 0 gives exactly 0.
+    the other entries of the table, and xi = 0 gives exactly 0.  The terms
+    of x alone (`_gamma_nodes`) can be computed once for many xi.
     """
-    n_small = np.searchsorted(x, _SHIFT)
-    y = x.copy()
-    y[:n_small] += _SHIFT
-    b = xi[:, None]
-    z = np.empty((xi.size + 1, x.size))
-    z[0] = y
-    np.add(y, b, out=z[1:])
-    c = _stirling_tail(z)
-    out = c[0] - c[1:]
-    out += b
-    out -= b * np.log(y)
-    out -= ((y - 0.5) + b) * np.log1p(b / y)
-    if n_small:
-        x = x[:n_small]
-        out[:, :n_small] += np.log(_rising8(x + b) / _rising8(x))
-    return out
+    return _log_gamma_ratio_from(_gamma_nodes(x), xi)
 
 
 def _log_gamma_ratio_at(x0: float, k: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -128,6 +129,15 @@ class TestEstimate:
         assert code == 2
         assert "r must be positive" in capsys.readouterr().err
 
+    def test_hb_at_r_equals_m_evaluates(self, tmp_path, capsys):
+        # r = m and alpha > N: xi0 = 0, so the integrand is t^(alpha - N - 1)
+        # = t^-0.8 near 0, a valid prior that `audit` accepts.
+        counts = write(tmp_path / "c.csv", "3,0,1\n2,1,0\n0,4,2\n1,1,1\n0,0,3\n2,2,0\n1,0,1\n")
+        argv = ["estimate", "--estimator", "hb", "--r", "7", "--alpha", "3.2", "--in", counts]
+        assert main(argv) == 0
+        want = estimators.hb(read_counts_csv(counts), 7.0, 3.2, 1.0, GChoice.constant_one())
+        assert capsys.readouterr().out == _savetxt_bytes(want)
+
 
 class TestKernelEval:
     def test_matches_library(self, tmp_path, capsys):
@@ -178,6 +188,16 @@ class TestKernelEval:
 
         doc = json.loads(capsys.readouterr().out, parse_constant=reject)
         assert doc == {"log_K": None, "log_K_alpha_plus_1": None, "delta": None}
+
+    @pytest.mark.parametrize("spec, want", [
+        ({"alpha": 0.2, "beta": 1, "xi0": 1, "xi": [0]}, math.lgamma(0.2)),
+        ({"alpha": 0.75, "beta": 0, "xi0": 1, "xi": [1]},
+         math.log(math.pi / math.sin(0.75 * math.pi))),
+    ])
+    def test_closed_forms_near_divergence(self, tmp_path, capsys, spec, want):
+        # Gamma(0.2), and pi/sin(0.75 pi), 0.2 and 0.25 from divergence.
+        assert main(["kernel-eval", "--in", write(tmp_path / "k.json", json.dumps(spec))]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["log_K"] - want) <= 1e-10
 
     def test_too_sharp_peak_exit_3(self, tmp_path, capsys):
         spec = {"alpha": 20000, "beta": 1, "g": "g1", "xi0": 1, "xi": [10, 12, 9]}
@@ -852,6 +872,50 @@ class TestDocumentNumbers:
             assert self.run(tmp_path, counts_csv, kind, text, dry_run) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and "nested too deeply" in captured.err
+
+
+def _nested(depth: int):
+    value = [1.0]
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# Bad documents whose offending value is large, with the text their message
+# starts with: the echo is clipped, so the message stays short.
+LARGE_VALUES = {
+    "long xi": (["kernel-eval", "--in", "{doc}"],
+                {"alpha": 6, "beta": 1, "xi0": 1, "xi": [[1.0] * 5000]},
+                "xi must be a 1-d list of numbers, got"),
+    "deep xi": (["kernel-eval", "--in", "{doc}"],
+                {"alpha": 6, "beta": 1, "xi0": 1, "xi": _nested(600)},
+                "xi must be a 1-d list of numbers, got"),
+    "non-finite xi": (["kernel-eval", "--in", "{doc}"],
+                      {"alpha": 6, "beta": 1, "xi0": 1, "xi": [1.0] * 5000 + [1e999]},
+                      "xi must be finite, got"),
+    "long m": (["audit", "--in", "{doc}"], {"kind": "eb", "m": [7] * 5000, "r": 8},
+               "m must be a positive integer, got"),
+    "long g": (["kernel-eval", "--in", "{doc}"],
+               {"alpha": 6, "beta": 1, "xi0": 1, "xi": [3, 2], "g": {"kind": "x" * 5000}},
+               "unrecognized g specification:"),
+    "long kind": (["audit", "--in", "{doc}"], {"kind": ["x"] * 5000},
+                  "unknown audit kind"),
+    "long argv": (["--config", "{doc}"], {"argv": {"a": "x" * 5000}},
+                  "--config needs an argv list, got"),
+}
+
+
+class TestClippedEcho:
+    """A bad-input message echoes the offending value clipped by reprlib."""
+
+    @pytest.mark.parametrize("name", LARGE_VALUES)
+    def test_short_message_naming_the_key(self, tmp_path, capsys, name):
+        argv, doc, start = LARGE_VALUES[name]
+        path = write(tmp_path / "doc.json", json.dumps(doc))
+        assert main([a.format(doc=path) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad input: " + start)
+        assert len(err.encode()) < 300
 
 
 class TestRepro:

@@ -1,12 +1,15 @@
 """Kernel integral: accuracy, divergence detection, and ratio properties."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from adaptive_kernel import adaptive_log_kernel, adaptive_ratio
 from kernel_oracle import panel_log_kernel
 
+from nmshrink import kernel
+from nmshrink.estimators import hb, hb_posterior_mean
 from nmshrink.kernel import (
     ConditionError,
     GChoice,
@@ -19,7 +22,7 @@ from nmshrink.kernel import (
     posterior_proper,
     prior_proper,
 )
-from nmshrink.model import _log_gamma_ratio
+from nmshrink.model import CountMatrix, _log_gamma_ratio
 
 G1 = GChoice.constant_one()
 
@@ -525,3 +528,147 @@ class TestLogGammaRatio:
                 scale = max(1.0, abs(float(log_gamma_x[i])), abs(float(shifted)))
                 worst = max(worst, float(err) / np.spacing(scale))
         assert worst <= 16
+
+
+class TestEndTerm:
+    """The end term of the error estimate: the leading Euler-Maclaurin term
+    at an end where the integrand is a power with a small exponent p."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.2, 0.25, 0.3, 0.5])
+    def test_closed_forms_near_divergence(self, p):
+        # Gamma(t)/Gamma(t+1) = 1/t at xi0 = 0, beta = 1: K(p + 1) =
+        # Gamma(p), with exponent p at the lower end.  Gamma(t+1)/Gamma(t+2)
+        # = 1/(1+t) at beta = 0: K(1 - p) = pi/sin(pi (1 - p)), with exponent
+        # p at the upper end.
+        cases = [
+            ((p + 1.0, 1.0, G1, 0.0, np.array([1.0])), math.lgamma(p)),
+            ((1.0 - p, 0.0, G1, 1.0, np.array([1.0])),
+             math.log(math.pi / math.sin(math.pi * (1.0 - p)))),
+        ]
+        for args, want in cases:
+            try:
+                got = log_kernel(*args)
+            except QuadratureError:
+                assert p < 0.2
+                continue
+            assert isinstance(got, float) and abs(got - want) <= 1e-10
+
+    def test_divergent_exponents_raise_no_warning(self):
+        # The first step sums every pair of a block, divergent ones too.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tail = log_kernel([0.5, 1.5], 0.0, G1, 1.0, np.array([1.0]))
+            small_t = log_kernel([1.5, 2.5], 1.0, G1, 0.0, np.array([[1.0, 1.0], [2.0, 0.0]]))
+        assert math.isfinite(tail[0]) and tail[1] == math.inf
+        assert small_t[0, 0] == math.inf and np.all(np.isfinite(small_t.ravel()[1:]))
+
+
+class TestFirstStepMemo:
+    """The first step's node terms, kept per (xi0, beta, g) for the process."""
+
+    KEYS = [(1.0, 1.0, G1), (5.0, 1.0, G1), (0.0, 0.0, G1),
+            (2.0, 0.5, GChoice.komaki(1.0, 2.0)), (1.0, 0.0, G1)]
+    ROWS = np.array([[17.0, 24.0, 31.0], [3.0, 0.0, 2.5], [40.0, 4.0, 1.0], [1e5, 0.5, 7.0]])
+
+    def kernels(self, key):
+        xi0, beta, g = key
+        return log_kernel([6.0, 7.0], beta, g, xi0, self.ROWS)
+
+    def test_kept_terms_give_the_bits_of_a_cleared_memo(self):
+        fresh = []
+        for key in self.KEYS:
+            kernel._first_step.cache_clear()
+            fresh.append(self.kernels(key))
+        for _ in range(3):
+            for key, want in zip(self.KEYS[::-1], fresh[::-1]):
+                assert np.array_equal(self.kernels(key), want)
+            for key, want in zip(self.KEYS, fresh):
+                assert np.array_equal(self.kernels(key), want)
+
+    def test_bounded(self):
+        size = kernel._FIRST_STEP_KEYS
+        assert kernel._first_step.cache_info().maxsize == size
+        for k in range(size + 5):
+            log_kernel(6.0, 1.0, G1, 0.5 * k, np.array([3.0, 2.0]))
+        assert kernel._first_step.cache_info().currsize == size
+
+    def test_arrays_are_read_only(self):
+        base, gamma = kernel._first_step(1.0, 1.0, G1)
+        for a in (base, *gamma):
+            assert a.size and not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+
+NONE_FINITE = "xi0 and xi must be finite"
+NOT_PROPER = ("delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
+              "alpha + (g exponent at 0) > N) and a finite tail integral")
+NOT_VALID = ("the hierarchical Bayes shrinkage ratio requires r > m with a finite "
+             "tail integral, or r = m with additionally alpha + (g exponent at 0) > N")
+NOT_SCALAR = "alpha must be a scalar or a nonempty 1-d sequence"
+X3 = CountMatrix(np.array([[3, 0, 1], [2, 1, 0], [0, 4, 2]]))
+PRIOR3 = PriorSpec(6.0, 1.0, G1, -2.0, np.ones(3))
+# Each public ratio and HB estimator on bad input, with the exception and
+# message the kernel's own argument checks gave when every call went through
+# them (recorded before the ratios and estimators took unchecked cores).
+REFUSALS = {
+    "delta_nu a_dot inf": (lambda: delta_nu(6, 1, G1, 8, -3, math.inf, [1, 2, 3], 0),
+                           ValueError, NONE_FINITE),
+    "delta_nu r inf": (lambda: delta_nu(6, 1, G1, math.inf, -3, 3.0, [1, 2, 3], 0),
+                       ValueError, NONE_FINITE),
+    "delta_nu z nan": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, np.array([1, math.nan, 3]), 0),
+                       ValueError, NONE_FINITE),
+    "delta_nu z inf": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, np.array([1, math.inf, 3]), 0),
+                       ValueError, NONE_FINITE),
+    "delta_nu shapes": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, np.ones((3, 3), int), [0, 1]),
+                        ValueError, "shape mismatch"),
+    "delta_nu alpha (1,)": (lambda: delta_nu(np.array([6.0]), 1, G1, 8, -3, 3.0, [1, 2, 3], 0),
+                            ValueError, NOT_SCALAR),
+    "delta_nu improper": (lambda: delta_nu(6, 1, G1, 1, -3, 3.0, [1, 2, 3], 0),
+                          ConditionError, NOT_PROPER),
+    "delta_nu nu": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, [1, 2, 3], 3),
+                    ValueError, "nu out of range"),
+    "delta_nu a_dot 0": (lambda: delta_nu(6, 1, G1, 8, -3, 0.0, [1, 2, 3], 0),
+                         ValueError, "a_dot must be positive"),
+    "delta_nu z negative": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, [1, -2, 3], 0),
+                            ValueError, "z must be a vector of nonnegative counts"),
+    "delta_hb r inf": (lambda: delta_hb(6, 1, G1, math.inf, 3, [1, 2]),
+                       ValueError, NONE_FINITE),
+    "delta_hb m negative": (lambda: delta_hb(6, 1, G1, 8, -2, [1, 2]),
+                            ValueError, "xi entries must be nonnegative"),
+    "delta_hb m -inf": (lambda: delta_hb(6, 1, G1, 8, -math.inf, [1, 2]),
+                        ValueError, "xi entries must be nonnegative"),
+    "delta_hb z nan": (lambda: delta_hb(6, 1, G1, 8, 3, np.array([1, math.nan])),
+                       ValueError, NONE_FINITE),
+    "delta_hb z inf": (lambda: delta_hb(6, 1, G1, 8, 3, np.array([1, math.inf])),
+                       ValueError, NONE_FINITE),
+    "delta_hb alpha (1,)": (lambda: delta_hb(np.array([6.0]), 1, G1, 8, 3, [1, 2]),
+                            ValueError, NOT_SCALAR),
+    "delta_hb r < m": (lambda: delta_hb(6, 1, G1, 2, 3, [1, 2]), ConditionError, NOT_VALID),
+    "hb r inf": (lambda: hb(X3, math.inf, 6, 1, G1), ValueError, NONE_FINITE),
+    "hb r < m": (lambda: hb(X3, 2, 6, 1, G1), ConditionError, NOT_VALID),
+    "hb zero counts, r < m": (lambda: hb(CountMatrix(np.zeros((3, 3), int)), 2, 6, 1, G1),
+                              ConditionError, NOT_VALID),
+    "hb_posterior_mean r inf": (lambda: hb_posterior_mean(X3, math.inf, PRIOR3),
+                                ValueError, NONE_FINITE),
+    "hb_posterior_mean a_dot inf": (
+        lambda: hb_posterior_mean(X3, 8, PriorSpec(6.0, 1.0, G1, -2.0, np.full(3, 1e308))),
+        ValueError, NONE_FINITE),
+    "hb_posterior_mean improper": (lambda: hb_posterior_mean(X3, 1, PRIOR3),
+                                   ConditionError, NOT_PROPER),
+}
+
+
+class TestRefusals:
+    """Each check runs once per public call, and each refusal stays as it was."""
+
+    @pytest.mark.parametrize("name", REFUSALS)
+    def test_same_exception_and_message(self, name):
+        call, error, message = REFUSALS[name]
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as refused:
+            call()
+        assert type(refused.value) is error
+        if message == "shape mismatch":  # NumPy's own text
+            assert str(refused.value).startswith(message)
+        else:
+            assert str(refused.value) == message
