@@ -18,8 +18,8 @@ from .kernel import (
     ConditionError,
     GChoice,
     PriorSpec,
-    _delta_hb,
-    _delta_nu,
+    delta_hb,
+    delta_nu,
     require_hb_assumptions,
 )
 from .model import CountMatrix, GeneralizedDirichlet
@@ -116,12 +116,14 @@ def hb(
     One kernel evaluation covers every matrix of a stack; an all-zero matrix
     needs none and maps to the zero matrix.
     """
-    require_hb_assumptions(alpha, beta, g, r, x.m, x.n_columns)
     z = x.col_sums
     d = np.full(z.shape[:-1], math.inf)
     nonzero = np.asarray(x.grand_sum) > 0
     if nonzero.any():
-        d[nonzero] = _delta_hb(alpha, beta, g, r, x.m, z[nonzero])
+        # delta_hb checks alpha, beta and the assumptions before its kernel.
+        d[nonzero] = delta_hb(alpha, beta, g, r, x.m, z[nonzero])
+    else:
+        require_hb_assumptions(alpha, beta, g, r, x.m, x.n_columns)
     return _shrunk(x, r + z - 1.0 + d[..., None])
 
 
@@ -155,17 +157,16 @@ def hb_posterior_mean(x: CountMatrix, r: float, prior: PriorSpec) -> np.ndarray:
         raise ValueError("r must be positive")
     if prior.m != x.m:
         raise ValueError("prior dimension does not match the count matrix")
-    z, a_dot = x.col_sums, prior.a_dot
-    # The prior's numbers and the counts are valid: the ratios go straight
-    # to delta_nu's propriety condition.
-    deltas = _delta_nu(
+    z = x.col_sums
+    deltas = delta_nu(
         prior.alpha,
         prior.beta,
         prior.g,
-        r + prior.a0,
-        a_dot,
+        r,
+        prior.a0,
+        prior.a_dot,
         z[..., None, :],
         np.arange(x.n_columns),
     )
-    denom = r + prior.a0 + z + a_dot + deltas
+    denom = r + prior.a0 + z + prior.a_dot + deltas
     return (x.x + prior.a[:, None]) / denom[..., None, :]

@@ -208,7 +208,7 @@ class PriorSpec:
 def require_alpha_beta(alpha, beta: float) -> None:
     """Raise ValueError unless alpha > 0 (each of a sequence of exponents) and
     beta >= 0, both finite: the shape and rate every hierarchical rule assumes."""
-    alphas = np.ravel(alpha).tolist()
+    alphas = [alpha] if isinstance(alpha, float) else np.ravel(alpha).tolist()
     if not (all(a > 0 for a in alphas) and beta >= 0):
         raise ValueError("alpha must be positive and beta nonnegative")
     if not all(math.isfinite(v) for v in (*alphas, beta)):
@@ -358,36 +358,53 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
     Each (row, alpha) pair starts at step h = DE_STEP and halves it until its
     error estimate is within ERROR_TOL; its value is its own node sum at the
     step it stops at, whatever the other rows and exponents need.  The first
-    step takes every pair of the block at once, divergent ones included (and
-    discarded), on the node terms `_first_step` keeps; `_finer_steps` takes
-    the pairs left.
+    step takes every pair of the block's rows with a finite pair at once,
+    divergent ones included (and discarded), on the node terms `_first_step`
+    keeps; `_finer_steps` takes the pairs left.
     """
     # The number of positive xi matters only at xi0 = 0.
     n_positive = (xi > 0).sum(axis=1)[:, None] if xi0 == 0 else 0
     total = xi.sum(axis=1)[:, None]
     shape = (xi.shape[0], alphas.size)
-    finite = np.broadcast_to(kernel_finite(alphas, beta, g, xi0, n_positive, total), shape)
+    finite = kernel_finite(alphas, beta, g, xi0, n_positive, total)
     # Near either end the integrand in t is a power t^(p - 1), with the
     # exponent p that kernel_finite tests for positivity, so the mass beyond
     # the last node is F(end) / (p t'(s)/t) in s.  Above it is added only for
     # beta = 0: otherwise e^(-beta t) has already ended the tail, and the end
-    # node's share of the sum bounds the error there.  A divergent pair takes
-    # p = 1, so its discarded sums raise no floating-point warning.
-    p_low = np.where(finite, alphas + g.small_t_exponent - n_positive, 1.0)
-    if beta == 0:
-        p_high = np.where(finite, total - alphas, 1.0)
-    else:
-        p_high = np.full(shape, math.inf)
+    # node's share of the sum bounds the error there.
+    p_low = alphas + g.small_t_exponent - n_positive
+    p_high = total - alphas if beta == 0 else math.inf
+    used = alphas
+    all_finite = finite.all()
+    if not all_finite:
+        finite = np.broadcast_to(finite, shape)
+        divergent = ~finite
+        live = finite.any(axis=1)
+        if not live.all():
+            # Rows whose every pair diverges take no step at all.
+            out = np.full(shape, math.inf)
+            if live.any():
+                out[live] = _log_kernel_rows(alphas, beta, g, xi0, xi[live])
+            return out
+        # A divergent pair takes p = 1, and an exponent no row converges at
+        # takes t^0, so the sums discarded below raise no warning.
+        p_low = np.where(finite, p_low, 1.0)
+        p_high = np.where(finite, p_high, 1.0)
+        used = np.where(finite.any(axis=0), alphas, 0.0)
 
     lf = _shared_log_integrand(*_first_step(xi0, beta, g), xi)[:, None, :]
-    lf = lf + alphas[:, None] * _LOG_T[_FIRST]
-    value, estimate = _node_sums(lf, p_low, p_high, beta, 0)
-    if not np.isfinite(value[finite]).all():
+    lf = lf + used[:, None] * _LOG_T[_FIRST]
+    out, estimate = _node_sums(lf, p_low, p_high, beta, 0)
+    pending = ~(estimate <= ERROR_TOL)
+    if not all_finite:
+        out[divergent] = 0.0
+        pending[divergent] = False
+    if not np.isfinite(out).all():
         raise QuadratureError("kernel quadrature produced a non-finite value")
-    out = np.where(finite, value, math.inf)
-    pending = finite & ~(estimate <= ERROR_TOL)
     if pending.any():
         _finer_steps(out, pending, alphas, beta, g, xi0, xi, p_low, p_high)
+    if not all_finite:
+        out[divergent] = math.inf
     return out
 
 
@@ -395,7 +412,8 @@ def _finer_steps(out, pending, alphas, beta, g, xi0, xi, p_low, p_high) -> None:
     """Halve h for the pending (row, alpha) pairs of `_log_kernel_rows`, each
     until its own estimate is within ERROR_TOL, and write their values to out."""
     rows, ks = np.nonzero(pending)
-    p_low, p_high = p_low[rows, ks], p_high[rows, ks]
+    p_low = np.broadcast_to(p_low, out.shape)[rows, ks]
+    p_high = np.broadcast_to(p_high, out.shape)[rows, ks]
     for level in range(1, _MAX_LEVEL + 1):
         nodes = slice(None, None, 2 ** (_MAX_LEVEL - level))
         held, at = np.unique(rows, return_inverse=True)
@@ -414,26 +432,6 @@ def _finer_steps(out, pending, alphas, beta, g, xi0, xi, p_low, p_high) -> None:
         f"within the node budget {MAX_TOTAL_NODES}; the integrand is too "
         "sharply peaked or too close to divergence"
     )
-
-
-def _require_xi(xi0: float, xi: np.ndarray) -> None:
-    """The last two argument checks of `log_kernel`, in its order: one pass
-    for the smallest and one for the largest xi when both hold."""
-    if not (xi.min() >= 0 and xi.max() < math.inf and math.isfinite(xi0)):
-        if (xi < 0).any():
-            raise ValueError("xi entries must be nonnegative")
-        raise ValueError("xi0 and xi must be finite")
-
-
-def _log_kernel(alphas: np.ndarray, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
-    """`log_kernel` on arguments it has checked: exponents alphas (K,) and a
-    float array xi (..., N)."""
-    rows = xi.reshape(-1, xi.shape[-1])
-    out = np.empty((rows.shape[0], alphas.size))
-    for i in range(0, rows.shape[0], _ROW_BLOCK):
-        block = rows[i : i + _ROW_BLOCK]
-        out[i : i + _ROW_BLOCK] = _log_kernel_rows(alphas, beta, g, xi0, block)
-    return out.reshape(xi.shape[:-1] + alphas.shape)
 
 
 def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
@@ -457,8 +455,18 @@ def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
     xi = np.asarray(xi, dtype=float)
     if xi.ndim == 0 or xi.size == 0:
         raise ValueError("xi must be a nonempty vector")
-    _require_xi(xi0, xi)
-    out = _log_kernel(alphas.ravel(), float(beta), g, float(xi0), xi)
+    # One pass for the smallest and one for the largest xi when both hold.
+    if not (xi.min() >= 0 and xi.max() < math.inf and math.isfinite(xi0)):
+        if (xi < 0).any():
+            raise ValueError("xi entries must be nonnegative")
+        raise ValueError("xi0 and xi must be finite")
+
+    exponents, beta, xi0 = alphas.ravel(), float(beta), float(xi0)
+    rows = xi.reshape(-1, xi.shape[-1])
+    out = np.empty((rows.shape[0], alphas.size))
+    for i in range(0, rows.shape[0], _ROW_BLOCK):
+        block = rows[i : i + _ROW_BLOCK]
+        out[i : i + _ROW_BLOCK] = _log_kernel_rows(exponents, beta, g, xi0, block)
     out = out.reshape(xi.shape[:-1] + alphas.shape)
     return float(out) if out.ndim == 0 else out
 
@@ -478,26 +486,6 @@ def _ratio(logk: np.ndarray):
     return float(out[0]) if diff.ndim == 0 else out.reshape(diff.shape)
 
 
-def _alpha_pair(alpha) -> np.ndarray:
-    """The exponents [alpha, alpha + 1] of a ratio, checked as `log_kernel`
-    checks its own."""
-    alphas = np.asarray([alpha, alpha + 1.0], dtype=float)
-    if alphas.ndim > 1:
-        raise ValueError("alpha must be a scalar or a nonempty 1-d sequence")
-    return alphas
-
-
-def _delta_hb(alpha: float, beta: float, g: GChoice, r: float, m: int, z: np.ndarray):
-    """`delta_hb` once its counts and `require_hb_assumptions` are checked."""
-    xi0, xi = r - m, z.astype(float) + float(m)
-    alphas = _alpha_pair(alpha)
-    _require_xi(xi0, xi)
-    logk = _log_kernel(alphas, float(beta), g, float(xi0), xi)
-    if not np.isfinite(logk[..., 0]).all():
-        raise QuadratureError("denominator kernel did not evaluate finitely")
-    return _ratio(logk)
-
-
 def delta_hb(alpha: float, beta: float, g: GChoice, r: float, m: int, z: np.ndarray):
     """Shrinkage amount K(alpha+1, ..., z + m)/K(alpha, ..., z + m) at xi0 = r - m.
 
@@ -508,25 +496,9 @@ def delta_hb(alpha: float, beta: float, g: GChoice, r: float, m: int, z: np.ndar
     """
     z = _counts(z)
     require_hb_assumptions(alpha, beta, g, r, m, z.shape[-1])
-    return _delta_hb(alpha, beta, g, r, m, z)
-
-
-def _delta_nu(alpha, beta, g, ra0: float, a_dot: float, z: np.ndarray, nu: np.ndarray):
-    """`delta_nu` from its propriety condition on, at xi0 = ra0 = r + a0, for
-    counts z (..., N) and column indices nu whose inputs are checked."""
-    n_cols = z.shape[-1]
-    if not kernel_finite(alpha, beta, g, ra0, n_cols, n_cols * a_dot):
-        raise ConditionError(
-            "delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
-            "alpha + (g exponent at 0) > N) and a finite tail integral"
-        )
-    np.broadcast_shapes(z.shape[:-1], nu.shape)  # NumPy's refusal of bad shapes
-    xi = z.astype(float) + float(a_dot) + (np.arange(n_cols) == nu[..., None])
-    alphas = _alpha_pair(alpha)
-    _require_xi(ra0, xi)
-    logk = _log_kernel(alphas, float(beta), g, float(ra0), xi)
-    if not np.isfinite(logk).all():
-        raise QuadratureError("kernel did not evaluate finitely under propriety")
+    logk = log_kernel([alpha, alpha + 1.0], beta, g, r - m, z.astype(float) + float(m))
+    if not np.isfinite(logk[..., 0]).all():
+        raise QuadratureError("denominator kernel did not evaluate finitely")
     return _ratio(logk)
 
 
@@ -550,9 +522,21 @@ def delta_nu(
     """
     require_alpha_beta(alpha, beta)
     z = _counts(z)
+    n_cols = z.shape[-1]
     nu = np.asarray(nu)
-    if nu.dtype.kind not in "iu" or np.any((nu < 0) | (nu >= z.shape[-1])):
+    if nu.dtype.kind not in "iu" or np.any((nu < 0) | (nu >= n_cols)):
         raise ValueError("nu out of range")
     if not a_dot > 0:
         raise ValueError("a_dot must be positive")
-    return _delta_nu(alpha, beta, g, r + a0, a_dot, z, nu)
+    ra0 = r + a0
+    if not kernel_finite(alpha, beta, g, ra0, n_cols, n_cols * a_dot):
+        raise ConditionError(
+            "delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
+            "alpha + (g exponent at 0) > N) and a finite tail integral"
+        )
+    np.broadcast_shapes(z.shape[:-1], nu.shape)  # NumPy's refusal of bad shapes
+    xi = z.astype(float) + float(a_dot) + (np.arange(n_cols) == nu[..., None])
+    logk = log_kernel([alpha, alpha + 1.0], beta, g, ra0, xi)
+    if not np.isfinite(logk).all():
+        raise QuadratureError("kernel did not evaluate finitely under propriety")
+    return _ratio(logk)

@@ -65,7 +65,7 @@ def delta_nu_refuses(alpha, beta, g, r, a0, a_dot, n_cols) -> bool:
     """Whether delta_nu raises ConditionError; the kernel itself is stubbed
     out, so only the check runs."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "_log_kernel", lambda *args: np.zeros(2))
+        mp.setattr(kernel, "log_kernel", lambda *args: np.zeros(2))
         try:
             kernel.delta_nu(alpha, beta, g, r, a0, a_dot, np.zeros(n_cols, int), 0)
         except ConditionError:

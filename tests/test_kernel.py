@@ -554,13 +554,20 @@ class TestEndTerm:
             assert isinstance(got, float) and abs(got - want) <= 1e-10
 
     def test_divergent_exponents_raise_no_warning(self):
-        # The first step sums every pair of a block, divergent ones too.
+        # The first step sums every pair of a block's live rows, divergent
+        # ones too: an exponent whose t^alpha overflows, and a row whose
+        # every pair diverges and whose Gamma ratios would overflow.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tail = log_kernel([0.5, 1.5], 0.0, G1, 1.0, np.array([1.0]))
             small_t = log_kernel([1.5, 2.5], 1.0, G1, 0.0, np.array([[1.0, 1.0], [2.0, 0.0]]))
+            huge_alpha = log_kernel([0.5, 1e307], 0.0, G1, 1.0, np.array([1.0]))
+            dead_row = log_kernel(1.5, 0.0, G1, 0.0, np.array([[1e39, 1e39], [0.0, 3.0]]))
         assert math.isfinite(tail[0]) and tail[1] == math.inf
         assert small_t[0, 0] == math.inf and np.all(np.isfinite(small_t.ravel()[1:]))
+        assert huge_alpha[0] == tail[0] and huge_alpha[1] == math.inf
+        assert dead_row[0] == math.inf
+        assert dead_row[1] == log_kernel(1.5, 0.0, G1, 0.0, np.array([0.0, 3.0]))
 
 
 class TestFirstStepMemo:
@@ -609,8 +616,7 @@ NOT_SCALAR = "alpha must be a scalar or a nonempty 1-d sequence"
 X3 = CountMatrix(np.array([[3, 0, 1], [2, 1, 0], [0, 4, 2]]))
 PRIOR3 = PriorSpec(6.0, 1.0, G1, -2.0, np.ones(3))
 # Each public ratio and HB estimator on bad input, with the exception and
-# message the kernel's own argument checks gave when every call went through
-# them (recorded before the ratios and estimators took unchecked cores).
+# message it gave before the kernel's argument checks were made cheaper.
 REFUSALS = {
     "delta_nu a_dot inf": (lambda: delta_nu(6, 1, G1, 8, -3, math.inf, [1, 2, 3], 0),
                            ValueError, NONE_FINITE),
@@ -660,7 +666,7 @@ REFUSALS = {
 
 
 class TestRefusals:
-    """Each check runs once per public call, and each refusal stays as it was."""
+    """Each refusal of the ratios and HB estimators stays as it was."""
 
     @pytest.mark.parametrize("name", REFUSALS)
     def test_same_exception_and_message(self, name):
