@@ -28,7 +28,7 @@ from .kernel import (
     small_t_finite,
     tail_finite,
 )
-from .model import GeneralizedDirichlet
+from .model import GeneralizedDirichlet, require_r
 from .risklab import CASES, benchmark_scenarios
 
 __all__ = [
@@ -110,6 +110,7 @@ def check_shrinkage_conditions(
     so the caller chooses z_max and closed-form rules are handled by the
     analytic limit facts in the tests.
     """
+    require_r(r)
     if not r >= 2.5:
         raise ValueError("the shrinkage-rule conditions assume r >= 5/2")
     if z_max < 1:
@@ -133,6 +134,7 @@ def check_shrinkage_conditions(
 def eb_dominance_conditions(m: int, r: float) -> Verdict:
     """Named conditions under which empirical Bayes beats the unbiased
     estimator; they do not involve the number of columns being estimated."""
+    require_r(r)
     m_ok, r_ok = m >= 7, r >= 2.5
     text = f"m={m} {'>=' if m_ok else '<'} 7; r={r:g} {'>=' if r_ok else '<'} 5/2"
     return Verdict({"m >= 7": m_ok, "r >= 5/2": r_ok}, text)
@@ -155,6 +157,7 @@ def hb_dominance_conditions(
     when it differs from n (it only matters when beta = 0).
     """
     require_alpha_beta(alpha, beta)
+    require_r(r)
     n_cols = n if n_columns is None else n_columns
     bound = min(n * (m - 2), n * m / 2 + beta * r)
     conditions = {
@@ -182,6 +185,7 @@ def kl_dominance_conditions(
     Dirichlet posterior mean (KL loss): posterior propriety, nonincreasing g,
     a0 + a_dot + 1 >= 0 and alpha + 1 <= n(-a0 - 2)."""
     prior = PriorSpec(alpha, beta, g, a0, np.asarray(a, dtype=float))
+    require_r(r)
     bound = n * (-a0 - 2)
     conditions = {
         "posterior proper": posterior_proper(prior, n_columns, r),

@@ -3,10 +3,10 @@
 Exit codes: 0 success, 2 malformed input, 3 numerical failure,
 4 propriety/dominance condition violation.  JSON output is strict: a
 non-finite number (a divergent kernel, say) is written as null.  Each `_cmd_*`
-reads and checks all its inputs (alpha > 0 and beta >= 0 with
-`kernel.require_alpha_beta`), then returns `(resolved, run)`; `main` prints
+reads and checks all its inputs (alpha and beta with `kernel.require_alpha_beta`,
+every r with `model.require_r`), then returns `(resolved, run)`; `main` prints
 the options and `resolved` on --dry-run, or else returns `run()`: only the
-library's own checks wait for a run.  NMSHRINK_OUTDIR is `repro`'s default --out.
+library's own conditions wait for a run.  NMSHRINK_OUTDIR is `repro`'s default --out.
 
 `main` parses with one parser, built by its first call and reused by every
 later call in the same process (parsing does not change a parser, and
@@ -46,7 +46,7 @@ from .kernel import (
     quadrature_settings,
     require_alpha_beta,
 )
-from .model import ModelParams, json_numbers, read_counts_csv
+from .model import ModelParams, json_numbers, read_counts_csv, require_r
 from .risklab import CASES, ESTIMATOR_KINDS, POSITIVE_KINDS, case_table, compare
 from .risklab import loss_columns, make_estimator
 
@@ -205,6 +205,7 @@ def _matrix_to_csv(result: np.ndarray) -> str:
 
 
 def _cmd_estimate(args):
+    require_r(args.r)
     counts = read_counts_csv(args.infile or sys.stdin, header=args.header)
     fn = _estimators([args.estimator], args, counts.m)[args.estimator]
 
@@ -313,23 +314,27 @@ def _audit_check(doc: dict):
     """An audit document's verdict as a function of no arguments: the
     document's numbers are read now, its closed-form check runs when called."""
     kind, num = doc.get("kind"), functools.partial(json_numbers, doc)
+
+    def size() -> float:
+        r = num("r")
+        require_r(r)
+        return r
+
     if kind == "prior":
         prior, n_cols = _prior_from_doc(doc), _count(doc, "n_columns")
-        r = num("r") if "r" in doc else None
-        if r is not None and not r > 0:
-            raise ValueError(f"r must be positive, got {r:g}")
+        r = size() if "r" in doc else None
         return functools.partial(_verdict, kind, prior, n_cols, r)
     if kind == "eb":
-        return functools.partial(_verdict, kind, _count(doc, "m"), num("r"))
+        return functools.partial(_verdict, kind, _count(doc, "m"), size())
     if kind == "hb":
         alpha, beta = num("alpha"), num("beta")
         require_alpha_beta(alpha, beta)
-        g, r, m, n = _g_from_doc(doc.get("g")), num("r"), _count(doc, "m"), _count(doc, "n")
+        g, r, m, n = _g_from_doc(doc.get("g")), size(), _count(doc, "m"), _count(doc, "n")
         n_cols = _count(doc, "n_columns") if "n_columns" in doc else None
         return functools.partial(_verdict, kind, alpha, beta, g, r, m, n, n_cols)
     if kind == "kl":
         prior = _prior_from_doc(doc)
-        spec = (prior.alpha, prior.beta, prior.g, prior.a0, prior.a, num("r"))
+        spec = (prior.alpha, prior.beta, prior.g, prior.a0, prior.a, size())
         return functools.partial(
             _verdict, kind, *spec, _count(doc, "n"), _count(doc, "n_columns")
         )
@@ -371,6 +376,7 @@ def _cmd_audit(args):
 
 
 def _cmd_gibbs_diag(args):
+    require_r(args.r)
     counts = read_counts_csv(args.counts, header=args.header)
     prior = _prior_from_doc(_read_json(args.prior))
     if prior.m != counts.m:

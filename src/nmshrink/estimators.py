@@ -22,7 +22,7 @@ from .kernel import (
     delta_nu,
     require_hb_assumptions,
 )
-from .model import CountMatrix, GeneralizedDirichlet
+from .model import CountMatrix, GeneralizedDirichlet, require_r
 
 __all__ = [
     "umvu",
@@ -51,8 +51,7 @@ def umvu(x: CountMatrix, r: float) -> np.ndarray:
     A zero count gives a zero entry, so the denominator is only ever used
     where the column sum is at least 1 and stays positive for any r > 0.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    require_r(r)
     return _shrunk(x, r + x.col_sums.astype(float) - 1.0)
 
 
@@ -62,8 +61,7 @@ def shrink_general(x: CountMatrix, r: float, delta: DeltaRule) -> np.ndarray:
     `delta` must be strictly positive; +inf is allowed and shrinks every
     entry to zero.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    require_r(r)
     d = np.asarray(delta(x.grand_sum), dtype=float)
     if not np.all(d > 0):
         raise ValueError(f"delta must be strictly positive, got {d}")
@@ -76,6 +74,7 @@ def eb_delta_rule(m: int, n_columns: int, r: float) -> DeltaRule:
     At z = 0 the estimate is the zero matrix no matter which value in
     (1 + m + N m r, inf) is used; the +inf sentinel makes that explicit.
     """
+    require_r(r)
 
     def rule(z: int) -> float:
         z = np.asarray(z, dtype=float)
@@ -97,8 +96,7 @@ def eb0(x: CountMatrix, r: float) -> np.ndarray:
     Entry X_ij / (r + colsum_j + m + m r / colsum_j); an all-zero column
     maps to an all-zero column.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    require_r(r)
     z = x.col_sums.astype(float)
     safe_z = np.maximum(z, 1.0)
     denom = np.where(z > 0, r + z + x.m + x.m * r / safe_z, math.inf)
@@ -120,7 +118,7 @@ def hb(
     d = np.full(z.shape[:-1], math.inf)
     nonzero = np.asarray(x.grand_sum) > 0
     if nonzero.any():
-        # delta_hb checks alpha, beta and the assumptions before its kernel.
+        # delta_hb checks alpha, beta, r and the assumptions before its kernel.
         d[nonzero] = delta_hb(alpha, beta, g, r, x.m, z[nonzero])
     else:
         require_hb_assumptions(alpha, beta, g, r, x.m, x.n_columns)
@@ -134,8 +132,7 @@ def dirichlet_posterior_mean(
 
     Proper exactly when r + a0 > 0; entries are strictly positive.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    require_r(r)
     weights = GeneralizedDirichlet(a0, a)
     if weights.a.shape != (x.m,):
         raise ValueError("a must have length m")
@@ -151,10 +148,8 @@ def hb_posterior_mean(x: CountMatrix, r: float, prior: PriorSpec) -> np.ndarray:
     Each column's Dirichlet denominator is enlarged by its own kernel ratio,
     so every entry is strictly smaller than the plain Dirichlet posterior
     mean's.  One kernel evaluation covers every column of every matrix, and
-    `delta_nu` refuses an improper posterior.
+    `delta_nu` refuses a bad r or an improper posterior.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
     if prior.m != x.m:
         raise ValueError("prior dimension does not match the count matrix")
     z = x.col_sums

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import ConditionError, PriorSpec, QuadratureError, posterior_proper
-from .model import CountMatrix, make_rng
+from .model import CountMatrix, make_rng, require_r
 
 __all__ = [
     "ChainConfig",
@@ -68,11 +68,6 @@ class ChainConfig:
             raise ValueError("need n_iter > burn_in >= 0")
         if self.thin < 1:
             raise ValueError("thin must be >= 1")
-
-    @property
-    def n_kept(self) -> int:
-        span = self.n_iter - self.burn_in
-        return (span + self.thin - 1) // self.thin
 
 
 @dataclass(frozen=True)
@@ -159,8 +154,7 @@ def run_posterior(
 
     The conditionals use a0_eff = r + a0 and per-column weights x_nu + a.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    require_r(r)
     if prior.m != x.m:
         raise ValueError("prior dimension does not match the count matrix")
     if prior.g.small_t_exponent != 0.0:

@@ -68,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GeneralizedDirichlet, _gamma_nodes, _log_gamma_ratio_from
+from .model import GeneralizedDirichlet, _gamma_nodes, _log_gamma_ratio_from, require_r
 
 __all__ = [
     "GChoice",
@@ -267,8 +267,10 @@ def hb_assumptions_hold(
 def require_hb_assumptions(
     alpha: float, beta: float, g: GChoice, r: float, m: int, n_columns: int
 ) -> None:
-    """Raise as `require_alpha_beta`, then ConditionError unless `hb_assumptions_hold`."""
+    """Raise as `require_alpha_beta` and `model.require_r`, then ConditionError
+    unless `hb_assumptions_hold`."""
     require_alpha_beta(alpha, beta)
+    require_r(r)
     if not hb_assumptions_hold(alpha, beta, g, r, m, n_columns):
         raise ConditionError(
             "the hierarchical Bayes shrinkage ratio requires r > m with a finite "
@@ -521,6 +523,7 @@ def delta_nu(
     conditions); always finite and positive under it.
     """
     require_alpha_beta(alpha, beta)
+    require_r(r)
     z = _counts(z)
     n_cols = z.shape[-1]
     nu = np.asarray(nu)

@@ -6,8 +6,9 @@ x in N_0^m has mass
     Gamma(r + x_.) / (Gamma(r) prod_i x_i!) * p0^r * prod_i p_i^x_i,
 
 where p lies in the open simplex interior (all p_i > 0, sum p_i < 1) and
-p0 = 1 - sum p_i.  ``r`` may be any positive real; the law is then the
-Poisson mixture with a Gamma(r, 1)-distributed intensity scale.
+p0 = 1 - sum p_i.  ``r`` may be any positive finite real (`require_r`, the
+package's one check of r); the law is then the Poisson mixture with a
+Gamma(r, 1)-distributed intensity scale.
 
 Everything here is value-semantic: types are frozen dataclasses backed by
 read-only arrays, and samplers take an explicit `numpy.random.Generator`.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import reprlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -39,10 +41,9 @@ __all__ = [
     "make_rng",
     "read_counts_csv",
     "json_numbers",
+    "require_r",
 ]
 
-# Stored p0 must agree with 1 - sum(p) to this tolerance.
-P0_CONSISTENCY_TOL = 1e-12
 # Probabilities at or below this would break the p_i/p0 mixture rates.
 P_DEGENERATE = 1e-300
 # Below this argument the log-gamma ratio is shifted up by the recurrence,
@@ -73,12 +74,11 @@ class ProbColumn:
     """One probability vector p with its leftover mass p0 = 1 - sum(p).
 
     All p_i must be strictly positive and sum to strictly less than one,
-    so p0 always lies in (0, 1).  If `p0` is passed explicitly it is
-    validated against the recomputed value at tolerance 1e-12.
+    so p0 always lies in (0, 1).
     """
 
     p: np.ndarray
-    p0: float | None = None
+    p0: float = field(init=False)
 
     def __post_init__(self) -> None:
         p = np.asarray(self.p, dtype=float)
@@ -89,13 +89,8 @@ class ProbColumn:
         total = float(p.sum())
         if not total < 1.0:
             raise ValueError(f"sum of probabilities must be < 1, got {total}")
-        p0 = 1.0 - total
-        if self.p0 is not None and abs(float(self.p0) - p0) > P0_CONSISTENCY_TOL:
-            raise ValueError(
-                f"stored p0={self.p0} inconsistent with 1 - sum(p)={p0}"
-            )
         object.__setattr__(self, "p", _readonly(p))
-        object.__setattr__(self, "p0", p0)
+        object.__setattr__(self, "p0", 1.0 - total)
 
     @property
     def m(self) -> int:
@@ -115,8 +110,7 @@ class ModelParams:
     columns: tuple[ProbColumn, ...]
 
     def __post_init__(self) -> None:
-        if not self.r > 0:
-            raise ValueError("r must be positive")
+        require_r(self.r)
         cols = tuple(self.columns)
         if not cols:
             raise ValueError("at least one probability column is required")
@@ -162,6 +156,12 @@ class ModelParams:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"expected a JSON object {{r, columns}}: {exc}") from exc
         return cls(r, tuple(ProbColumn(c) for c in columns))
+
+
+def require_r(r: float) -> None:
+    """Raise ValueError unless 0 < r < inf, the size every law and rule here takes."""
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {reprlib.repr(r)}")
 
 
 def json_numbers(doc: dict, key: str, ndim: int = 0):
@@ -345,8 +345,7 @@ def nm_log_pmf(x: np.ndarray, r: float, p: ProbColumn):
         raise ValueError("counts must be nonnegative integers")
     if np.any(x.sum(axis=-1, dtype=float) >= 2.0**53):  # as in CountMatrix
         raise ValueError("the counts of a vector must total below 2^53")
-    if not r > 0:
-        raise ValueError("r must be positive")
+    require_r(r)
     # C order: each vector's sums then run over contiguous memory, as alone.
     x = x.astype(np.int64, order="C")
     out = (
@@ -371,8 +370,7 @@ def nm_sample(
     (p_i/p0) * v, so the stream is unchanged, but it validates its argument
     with array reductions that cost more than the draws at these sizes.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    require_r(r)
     if size is None:
         v = rng.gamma(r)
         poisson = rng.poisson
@@ -387,8 +385,7 @@ def nm_moments(r: float, p: ProbColumn) -> tuple[np.ndarray, np.ndarray]:
 
     mean = r p / p0,  cov = r diag(p)/p0 + r p p' / p0^2.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
+    require_r(r)
     mean = r * p.p / p.p0
     cov = r * np.diag(p.p) / p.p0 + r * np.outer(p.p, p.p) / p.p0**2
     return mean, cov

@@ -32,6 +32,10 @@ def write(path, text):
     return str(path)
 
 
+# The message of `model.require_r`, the one rule for r, at a value.
+R_RULE = "r must be positive and finite, got {!r}"
+
+
 @pytest.fixture
 def counts_csv(tmp_path):
     return write(tmp_path / "counts.csv", "3,0\n2,1\n0,4\n")
@@ -271,12 +275,19 @@ class TestAudit:
             # a negative beta makes every kernel diverge
             ({"kind": "hb", "alpha": 1, "beta": -0.1, "r": 8, "m": 7, "n": 3},
              "beta nonnegative"),
+            # Every kind's r is read under the one rule for r.
+            ({"kind": "eb", "m": 7, "r": -5}, R_RULE.format(-5.0)),
+            ({"kind": "hb", "alpha": 14, "beta": 1, "r": -5, "m": 7, "n": 3},
+             R_RULE.format(-5.0)),
+            ({"kind": "kl", "alpha": 5, "beta": 1, "a0": -4, "a": [0.5, 0.5, 0.5],
+              "r": -5, "n": 3, "n_columns": 3}, R_RULE.format(-5.0)),
         ],
     )
+    @pytest.mark.parametrize("dry_run", [False, True])
     def test_rejects_input_the_model_cannot_take(self, tmp_path, capsys, scenario,
-                                                 message):
+                                                 message, dry_run):
         src = write(tmp_path / "s.json", json.dumps(scenario))
-        assert main(["audit", "--in", src]) == 2
+        assert main(["audit", "--in", src] + ["--dry-run"] * dry_run) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
@@ -367,6 +378,10 @@ class TestAuditConditions:
     # r = m with alpha <= N: only the small-t part of validity fails
     @example({"kind": "hb", "alpha": 2, "beta": 1, "r": 3, "m": 3, "n": 7})
     def test_hb_holds_is_all_conditions(self, doc):
+        if doc["r"] == 0:  # r = m - 1 at m = 1: bad input, as in the library
+            with pytest.raises(ValueError, match=R_RULE.format(0.0)):
+                _audit_check(doc)
+            return
         verdict = _audit_check(doc)()
         expected = audit.hb_dominance_conditions(
             doc["alpha"], doc["beta"], _g_from_doc(doc.get("g")), doc["r"], doc["m"],
@@ -710,6 +725,24 @@ BAD_INPUT = [
      "alpha must be positive and beta nonnegative"),
     (["audit", "--in", "{hb_beta}"], "alpha must be positive and beta nonnegative"),
     (["audit", "--in", "{kl_a}"], "all a_i must be positive"),
+    # r <= 0 is one rule, checked while reading, so before hb's r > m (exit 4)
+    # and on a dry run too.
+    (["estimate", "--estimator", "umvu", "--r", "-1", "--in", "{counts}"],
+     R_RULE.format(-1.0)),
+    (["estimate", "--estimator", "eb", "--r", "0", "--in", "{counts}"],
+     R_RULE.format(0.0)),
+    (["estimate", "--estimator", "eb0", "--r", "-1", "--in", "{counts}"],
+     R_RULE.format(-1.0)),
+    (["estimate", "--estimator", "hb", "--r", "-1", "--alpha", "14", "--in", "{counts}"],
+     R_RULE.format(-1.0)),
+    (["estimate", "--estimator", "dir-pm", "--r", "0", "--a0", "3", "--in", "{counts}"],
+     R_RULE.format(0.0)),
+    (["estimate", "--estimator", "hb-pm", "--r", "-1", "--alpha", "6", "--a0", "3",
+      "--in", "{counts}"], R_RULE.format(-1.0)),
+    (["gibbs-diag", "--counts", "{counts}", "--prior", "{prior}", "--r", "0",
+      "--out", "{out}"], R_RULE.format(0.0)),
+    (["risk-sim", "--truth", "{negative_r}", "--estimators", "umvu"],
+     R_RULE.format(-1.0)),
     # Counts beyond int64, and counts whose int64 sums would wrap.
     (["estimate", "--estimator", "umvu", "--r", "3", "--in", "{beyond_int64}"],
      "row 1: entry not a 64-bit integer"),
@@ -728,6 +761,7 @@ MALFORMED_TRUTHS = {
     "null_r": '{"r": null, "columns": [[0.2, 0.2]]}',
     "list_r": '{"r": [5], "columns": [[0.2, 0.2]]}',
     "scalar_columns": '{"r": 5, "columns": 5}',
+    "negative_r": '{"r": -1, "columns": [[0.2, 0.2]]}',
 }
 # Documents whose hyperparameters the library refuses.
 REFUSED_HYPERPARAMETERS = {

@@ -1,5 +1,6 @@
 """One finiteness predicate behind every propriety and validity condition,
-checked against the hand-written copies it replaced (condition_oracle)."""
+checked against the hand-written copies it replaced (condition_oracle), and
+one rule each for the hyperparameters alpha, beta and the size r."""
 
 import math
 
@@ -9,15 +10,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nmshrink import kernel
+from nmshrink import estimators, kernel
 from nmshrink.audit import (
     check_prior_propriety,
+    check_shrinkage_conditions,
+    eb_dominance_conditions,
     hb_dominance_conditions,
     kl_dominance_conditions,
 )
 from nmshrink.estimators import hb
+from nmshrink.gibbs import ChainConfig, run_posterior
 from nmshrink.kernel import ConditionError, GChoice, PriorSpec
-from nmshrink.model import CountMatrix
+from nmshrink.model import (
+    CountMatrix,
+    ModelParams,
+    ProbColumn,
+    nm_log_pmf,
+    nm_moments,
+    nm_sample,
+)
 from nmshrink.risklab import make_estimator
 
 G_CHOICES = [
@@ -91,6 +102,11 @@ class TestOnePredicate:
             alpha, beta, g, r, m, n_cols
         ) is oracle.hb_assumptions_hold(alpha, beta, g, r, m, n_cols)
         a_dot = prior.a_dot
+        if r == 0:  # r = m - 1 at m = 1: bad input, refused before any condition
+            with pytest.raises(ValueError, match="^r must be positive and finite") as bad:
+                delta_nu_refuses(alpha, beta, g, r, a0, a_dot, n_cols)
+            assert not isinstance(bad.value, ConditionError)
+            return
         assert delta_nu_refuses(alpha, beta, g, r, a0, a_dot, n_cols) is not (
             oracle.delta_nu_condition(alpha, beta, g, r, a0, a_dot, n_cols)
         )
@@ -160,3 +176,75 @@ class TestOneAlphaBetaRule:
             call(alpha, beta, g)
         assert not isinstance(refused.value, ConditionError)
         assert str(refused.value) == message
+
+
+# Every public entry point that takes the size r, called with otherwise valid
+# arguments.  Where a condition involves r (hb's r > m, propriety's r + a0),
+# the other arguments make it fail at r = 0, so a bad r must be refused first.
+G1 = GChoice.constant_one()
+COLUMN = ProbColumn(np.array([0.2, 0.3]))
+ZEROS = CountMatrix(np.zeros((3, 2), dtype=int))
+IMPROPER_BELOW_5 = PriorSpec(6.0, 1.0, G1, -5.0, np.ones(3))
+R_CALLS = {
+    "ModelParams": lambda r: ModelParams(r, (COLUMN,)),
+    "nm_log_pmf": lambda r: nm_log_pmf(np.array([1, 2]), r, COLUMN),
+    "nm_sample": lambda r: nm_sample(r, COLUMN, np.random.default_rng(0)),
+    "nm_moments": lambda r: nm_moments(r, COLUMN),
+    "umvu": lambda r: estimators.umvu(X, r),
+    "shrink_general": lambda r: estimators.shrink_general(X, r, lambda z: 1.0),
+    "eb_delta_rule": lambda r: estimators.eb_delta_rule(3, 2, r),
+    "eb": lambda r: estimators.eb(X, r),
+    "eb0": lambda r: estimators.eb0(X, r),
+    "hb": lambda r: hb(X, r, 14.0, 1.0, G1),
+    "hb zero counts": lambda r: hb(ZEROS, r, 14.0, 1.0, G1),
+    "dirichlet_posterior_mean": lambda r: estimators.dirichlet_posterior_mean(
+        X, r, -5.0, np.ones(3)
+    ),
+    "hb_posterior_mean": lambda r: estimators.hb_posterior_mean(X, r, IMPROPER_BELOW_5),
+    "delta_hb": lambda r: kernel.delta_hb(14.0, 1.0, G1, r, 3, np.array([5, 5])),
+    "delta_nu": lambda r: kernel.delta_nu(6.0, 1.0, G1, r, -5.0, 3.0, [5, 5], 0),
+    "run_posterior": lambda r: run_posterior(X, r, IMPROPER_BELOW_5, ChainConfig(10)),
+    "check_shrinkage_conditions": lambda r: check_shrinkage_conditions(
+        lambda z: 1.0, r, 7, 3, 10
+    ),
+    "eb_dominance_conditions": lambda r: eb_dominance_conditions(7, r),
+    "hb_dominance_conditions": lambda r: hb_dominance_conditions(14.0, 1.0, G1, r, 7, 3),
+    "kl_dominance_conditions": lambda r: kl_dominance_conditions(
+        6.0, 1.0, G1, -5.0, np.ones(3), r, 3, 3
+    ),
+}
+BAD_R = [0.0, -0.5, math.inf, -math.inf, math.nan]
+# The entry points that also take alpha and beta: (alpha, beta) -> call at r.
+ALPHA_BETA_R_CALLS = {
+    "hb": lambda a, b, r: hb(X, r, a, b, G1),
+    "hb zero counts": lambda a, b, r: hb(ZEROS, r, a, b, G1),
+    "delta_hb": lambda a, b, r: kernel.delta_hb(a, b, G1, r, 3, np.array([5, 5])),
+    "delta_nu": lambda a, b, r: kernel.delta_nu(a, b, G1, r, -5.0, 3.0, [5, 5], 0),
+    "hb_dominance_conditions": lambda a, b, r: hb_dominance_conditions(a, b, G1, r, 7, 3),
+    "kl_dominance_conditions": lambda a, b, r: kl_dominance_conditions(
+        a, b, G1, -5.0, np.ones(3), r, 3, 3
+    ),
+}
+
+
+class TestOneRRule:
+    """A size r outside (0, inf) is bad input (ValueError) on every entry
+    point, refused by `model.require_r` with its message before any condition
+    is tested; a bad alpha or beta is still refused first."""
+
+    @pytest.mark.parametrize("r", BAD_R)
+    @pytest.mark.parametrize("name", sorted(R_CALLS))
+    def test_refused_by_the_rule(self, name, r):
+        call = R_CALLS[name]
+        call(8.0)  # the call's other arguments are valid
+        with pytest.raises(ValueError) as refused:
+            call(r)
+        assert not isinstance(refused.value, ConditionError)
+        assert str(refused.value) == f"r must be positive and finite, got {r!r}"
+
+    @pytest.mark.parametrize("r", BAD_R)
+    @pytest.mark.parametrize("name", sorted(ALPHA_BETA_R_CALLS))
+    def test_alpha_beta_rule_comes_first(self, name, r):
+        with pytest.raises(ValueError) as refused:
+            ALPHA_BETA_R_CALLS[name](-1.0, 1.0, r)
+        assert str(refused.value) == RULE_SIGN

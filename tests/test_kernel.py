@@ -608,6 +608,7 @@ class TestFirstStepMemo:
 
 
 NONE_FINITE = "xi0 and xi must be finite"
+R_INF = "r must be positive and finite, got inf"
 NOT_PROPER = ("delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
               "alpha + (g exponent at 0) > N) and a finite tail integral")
 NOT_VALID = ("the hierarchical Bayes shrinkage ratio requires r > m with a finite "
@@ -616,12 +617,13 @@ NOT_SCALAR = "alpha must be a scalar or a nonempty 1-d sequence"
 X3 = CountMatrix(np.array([[3, 0, 1], [2, 1, 0], [0, 4, 2]]))
 PRIOR3 = PriorSpec(6.0, 1.0, G1, -2.0, np.ones(3))
 # Each public ratio and HB estimator on bad input, with the exception and
-# message it gave before the kernel's argument checks were made cheaper.
+# message it gave before the kernel's argument checks were made cheaper; an
+# infinite r is refused by `model.require_r`, before the kernel is reached.
 REFUSALS = {
     "delta_nu a_dot inf": (lambda: delta_nu(6, 1, G1, 8, -3, math.inf, [1, 2, 3], 0),
                            ValueError, NONE_FINITE),
     "delta_nu r inf": (lambda: delta_nu(6, 1, G1, math.inf, -3, 3.0, [1, 2, 3], 0),
-                       ValueError, NONE_FINITE),
+                       ValueError, R_INF),
     "delta_nu z nan": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, np.array([1, math.nan, 3]), 0),
                        ValueError, NONE_FINITE),
     "delta_nu z inf": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, np.array([1, math.inf, 3]), 0),
@@ -639,7 +641,7 @@ REFUSALS = {
     "delta_nu z negative": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, [1, -2, 3], 0),
                             ValueError, "z must be a vector of nonnegative counts"),
     "delta_hb r inf": (lambda: delta_hb(6, 1, G1, math.inf, 3, [1, 2]),
-                       ValueError, NONE_FINITE),
+                       ValueError, R_INF),
     "delta_hb m negative": (lambda: delta_hb(6, 1, G1, 8, -2, [1, 2]),
                             ValueError, "xi entries must be nonnegative"),
     "delta_hb m -inf": (lambda: delta_hb(6, 1, G1, 8, -math.inf, [1, 2]),
@@ -651,12 +653,12 @@ REFUSALS = {
     "delta_hb alpha (1,)": (lambda: delta_hb(np.array([6.0]), 1, G1, 8, 3, [1, 2]),
                             ValueError, NOT_SCALAR),
     "delta_hb r < m": (lambda: delta_hb(6, 1, G1, 2, 3, [1, 2]), ConditionError, NOT_VALID),
-    "hb r inf": (lambda: hb(X3, math.inf, 6, 1, G1), ValueError, NONE_FINITE),
+    "hb r inf": (lambda: hb(X3, math.inf, 6, 1, G1), ValueError, R_INF),
     "hb r < m": (lambda: hb(X3, 2, 6, 1, G1), ConditionError, NOT_VALID),
     "hb zero counts, r < m": (lambda: hb(CountMatrix(np.zeros((3, 3), int)), 2, 6, 1, G1),
                               ConditionError, NOT_VALID),
     "hb_posterior_mean r inf": (lambda: hb_posterior_mean(X3, math.inf, PRIOR3),
-                                ValueError, NONE_FINITE),
+                                ValueError, R_INF),
     "hb_posterior_mean a_dot inf": (
         lambda: hb_posterior_mean(X3, 8, PriorSpec(6.0, 1.0, G1, -2.0, np.full(3, 1e308))),
         ValueError, NONE_FINITE),
@@ -678,3 +680,38 @@ class TestRefusals:
             assert str(refused.value).startswith(message)
         else:
             assert str(refused.value) == message
+
+
+# K(7)/K(6) at alpha = 6, beta = 1, g = 1, xi0 = 1 and xi = [s, 3], from
+# mpmath at 50 digits, the same to 18 digits under its tanh-sinh and
+# Gauss-Legendre rules:
+#   f = exp((alpha-1) log t - t + 2 loggamma(t+1) - (loggamma(t+1+s) -
+#           loggamma(1+s)) - loggamma(t+4))
+#   mp.quad(f, [0, 0.01, 0.03, 0.06, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5, 0.75, 1,
+#               1.5, 2, 3, 5, 10, 20, inf], maxdegree=12)
+# The kernel oracle of tests/kernel_oracle.py shares the kernel's log-gamma
+# differences and cannot stand in for these values.
+LARGE_XI_RATIOS = {
+    1e8: 0.285075137242796,
+    1e10: 0.232818733898681,
+    1e20: 0.122248252285679,
+}
+
+
+class TestLargeXi:
+    """Past xi of about 1e7 the log-gamma differences grow to about
+    xi ln xi (log K = -2.2e11 at 1e10), and their rounding, which varies
+    from node to node and is not part of the error estimate, spoils the
+    ratio: 4.6e-9 off at 1e8, 6.1e-6 at 1e10, and exactly 1.0 at 1e20.  A
+    call must either come within 1e-10 or raise QuadratureError."""
+
+    @pytest.mark.xfail(strict=True, reason="the error estimate leaves out the "
+                       "rounding of log-gamma differences of size xi ln xi")
+    @pytest.mark.parametrize("s", sorted(LARGE_XI_RATIOS))
+    def test_ratio_accurate_or_refused(self, s):
+        try:
+            logk = log_kernel([6.0, 7.0], 1.0, G1, 1.0, np.array([s, 3.0]))
+        except QuadratureError:
+            return
+        want = LARGE_XI_RATIOS[s]
+        assert abs(math.exp(logk[1] - logk[0]) - want) <= 1e-10 * want

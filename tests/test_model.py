@@ -38,11 +38,6 @@ class TestProbColumn:
         assert col.p0 == pytest.approx(0.5, abs=1e-15)
         assert col.m == 2
 
-    def test_p0_validated(self):
-        ProbColumn(np.array([0.2, 0.3]), p0=0.5)
-        with pytest.raises(ValueError):
-            ProbColumn(np.array([0.2, 0.3]), p0=0.6)
-
     def test_rejects_nonpositive_and_mass_one(self):
         with pytest.raises(ValueError):
             ProbColumn(np.array([0.2, 0.0]))

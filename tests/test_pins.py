@@ -1,0 +1,98 @@
+"""The "same bits" promises as checks: SHA-256 pins of the risk tables and of
+the stdout of a set of valid CLI calls, recorded before a change to the code
+and kept by every change that does not mean to move bits.  A change that
+moves bits on purpose updates the pin it moves in the same commit.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from nmshrink.cli import main
+
+# `repro tables --reps 1000 --seed 42`: table1.csv to table4.csv, serial and
+# with --jobs 2 alike.
+TABLES = {
+    "table1.csv": "1c533a292d90a0d6e23e9528a168f6c943a33062242c706081a0e1f6bb41dcac",
+    "table2.csv": "bdba78d8eacb7f591512bf24bf4c7087b3e3948a6ee20e52bcdd64e1e32c9178",
+    "table3.csv": "1c24c9ba66e88c39792b9eece75c9e1612dcf84d52bd730f25f0527e9a054a64",
+    "table4.csv": "97d6f6d2a343da8fab4ead0d6384be3dafa66dcfbf09f5cd96f37495d7cfe436",
+}
+
+# One fixed 7 x 3 count matrix (column sums 9, 8, 8, zeros in every column),
+# a prior on it, and a kernel document; {name} is the file's path.
+FILES = {
+    "counts": "3,0,1\n2,1,0\n0,4,2\n1,1,1\n0,0,3\n2,2,0\n1,0,1\n",
+    "prior": '{"alpha": 14, "beta": 1, "a0": -3, "a": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}',
+    "kernel": '{"alpha": 6, "beta": 1, "xi0": 1, "xi": [3, 2, 4]}',
+}
+HALVES = ",".join(["0.5"] * 7)
+# Each valid call, by name, and the SHA-256 of the bytes it prints.
+CALLS = {
+    "estimate umvu": ["estimate", "--estimator", "umvu", "--r", "8", "--in", "{counts}"],
+    "estimate eb": ["estimate", "--estimator", "eb", "--r", "8", "--in", "{counts}"],
+    "estimate eb0": ["estimate", "--estimator", "eb0", "--r", "8", "--in", "{counts}"],
+    "estimate hb": ["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14",
+                    "--in", "{counts}"],
+    "estimate dir-pm": ["estimate", "--estimator", "dir-pm", "--r", "8", "--a0", "-3",
+                        "--a", HALVES, "--in", "{counts}"],
+    "estimate hb-pm": ["estimate", "--estimator", "hb-pm", "--r", "8", "--alpha", "14",
+                       "--a0", "-3", "--a", HALVES, "--in", "{counts}"],
+    "kernel-eval": ["kernel-eval", "--in", "{kernel}"],
+    "audit --table1": ["audit", "--table1"],
+    "risk-sim": ["risk-sim", "--scenario", "i", "--reps", "10", "--seed", "3"],
+    "gibbs-diag": ["gibbs-diag", "--counts", "{counts}", "--prior", "{prior}", "--r", "8",
+                   "--iters", "2000", "--burn-in", "500", "--seed", "7"],
+}
+STDOUT = {
+    "estimate umvu": "827fdcd80d141740aad52452d2d4316b39d4a061b5f57842505ff7608d183c3d",
+    "estimate eb": "e80496d764fd5d002203c19222f81b821b8ab12b936e84d0e9472123d4f9c4a8",
+    "estimate eb0": "a0c6db052776f7aa833e7d4cacf1ebd9acb00b3b5d55d972545ff89ff2a68a87",
+    "estimate hb": "a3ba8661799a1f48df4fcef24f13af1fbe4c544a722c5318ff170204b3c45e78",
+    "estimate dir-pm": "bf1f24266c03a7552ffc49ea7fd698a73899cd9134f2d16ae68c22066d995fd1",
+    "estimate hb-pm": "5eaa329fd4b43e6824d6f679bb23e818ba74c7c478f5bfa933c5150b0f1ff6ee",
+    "kernel-eval": "2b1c26ca69eacbc791e01cba320cd1292fd7e86631ddf0028834a48774c20a5b",
+    "audit --table1": "85dca118f646296423fc3b797b040b1a515e2efce5fec6af4553bf7bc4a0f62c",
+    "risk-sim": "257d655151aa6b7edaab0d6387ebccbff180510c2d8f6d2e76866005fbcb3249",
+    "gibbs-diag": "00d684dbc628c440db7d241ff32fbe9ec12d92ca20dc7946779065e03ffd8725",
+}
+
+
+def stdout_of(argv: list[str]) -> str:
+    """What `main(argv)` prints to stdout; it must exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0, argv
+    return out.getvalue()
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("pins")
+    for name, text in FILES.items():
+        (d / name).write_text(text)
+    return {name: str(d / name) for name in FILES}
+
+
+class TestTablePins:
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_tables_keep_their_bits(self, tmp_path, jobs):
+        out = tmp_path / "tables"
+        stdout_of(["repro", "tables", "--reps", "1000", "--seed", "42",
+                   "--jobs", jobs, "--out", str(out)])
+        got = {name: sha256((out / name).read_bytes()) for name in TABLES}
+        assert got == TABLES
+
+
+class TestCliPins:
+    @pytest.mark.parametrize("name", CALLS)
+    def test_stdout_keeps_its_bytes(self, paths, name):
+        text = stdout_of([a.format(**paths) for a in CALLS[name]])
+        assert sha256(text.encode()) == STDOUT[name], text
