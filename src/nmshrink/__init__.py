@@ -2,7 +2,7 @@
 
 Subpackages by responsibility:
 
-* ``model``      -- domain types, pmf/moments, samplers, CSV counts, JSON round trips
+* ``model``      -- domain types, pmf/moments, samplers, CSV counts, the count rule
 * ``kernel``     -- the gamma-mixing kernel integral and its shrinkage ratios
 * ``estimators`` -- unbiased, empirical Bayes, and hierarchical Bayes rules
 * ``audit``      -- analytic propriety and dominance condition checkers
@@ -39,7 +39,6 @@ from .model import (
     GeneralizedDirichlet,
     ModelParams,
     ProbColumn,
-    gen_dirichlet_sample,
     make_rng,
     nm_log_pmf,
     nm_moments,
@@ -74,7 +73,6 @@ __all__ = [
     "eb",
     "eb0",
     "eb_delta_rule",
-    "gen_dirichlet_sample",
     "hb",
     "hb_posterior_mean",
     "hudson_check",

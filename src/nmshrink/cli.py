@@ -13,8 +13,10 @@ later call in the same process (parsing does not change a parser, and
 argparse looks up sys.stdout/sys.stderr when it prints).  `build_parser`
 still returns a fresh parser on each call.
 
-Cases and estimator kinds come from `risklab`, JSON document numbers from
-`model.json_numbers`; `_rows_to_csv` writes every table, +/- verdicts too.
+Cases and estimator kinds come from `risklab`.  Every JSON document (the
+truth, prior, `audit`, `kernel-eval` and `--config` documents) is read by
+`_read_json`, from a file or from stdin for `-`, and every number in one by
+`json_numbers`; `_rows_to_csv` writes every table, +/- verdicts too.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .kernel import (
     quadrature_settings,
     require_alpha_beta,
 )
-from .model import ModelParams, json_numbers, read_counts_csv, require_r
+from .model import ModelParams, read_counts_csv, require_r
 from .risklab import CASES, ESTIMATOR_KINDS, POSITIVE_KINDS, case_table, compare
 from .risklab import loss_columns, make_estimator
 
@@ -64,6 +66,25 @@ def _version_string() -> str:
         f"nmshrink {__version__} (quadrature: {q['rule']}, {q['substitution']}, "
         f"node cap {q['node_cap']}, error tolerance {q['error_tol']:g})"
     )
+
+
+def json_numbers(doc: dict, key: str, ndim: int = 0):
+    """doc[key], a JSON number or an ndim-deep list of them, as a finite float
+    (ndim 0) or a float array of exactly ndim dimensions.  Booleans, strings,
+    null, wrongly nested or ragged lists and overflow raise ValueError, whose
+    message echoes the value clipped by `reprlib`."""
+    value = doc[key]
+    leaves = np.array(value, dtype=object)
+    if leaves.ndim != ndim or not all(type(v) in (int, float) for v in leaves.flat):
+        what = "a number" if ndim == 0 else f"a {ndim}-d list of numbers"
+        raise ValueError(f"{key} must be {what}, got {reprlib.repr(value)}")
+    try:
+        out = leaves.astype(float)
+    except OverflowError:  # an int beyond any float
+        out = np.array(np.nan)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"{key} must be finite, got {reprlib.repr(value)}")
+    return float(out) if ndim == 0 else out
 
 
 def _count(doc: dict, key: str) -> int:
@@ -92,6 +113,12 @@ def _prior_from_doc(doc: dict) -> PriorSpec:
     alpha, beta, a0 = (json_numbers(doc, key) for key in ("alpha", "beta", "a0"))
     a = json_numbers(doc, "a", ndim=1)
     return PriorSpec(alpha, beta, _g_from_doc(doc.get("g")), a0, a)
+
+
+def _truth_from_doc(doc: dict) -> ModelParams:
+    """The truth {r, columns}: r and N probability columns of m entries each."""
+    r, columns = json_numbers(doc, "r"), json_numbers(doc, "columns", ndim=2)
+    return ModelParams.from_matrix(r, columns.T)
 
 
 def _finite_or_null(obj):
@@ -274,8 +301,7 @@ def _cmd_risk_sim(args):
         raise ValueError(
             f"--loss kl needs {' or '.join(POSITIVE_KINDS)}, not {', '.join(zeros)}"
         )
-    with open(args.truth) as f:
-        truth = ModelParams.from_json(f.read())
+    truth = _truth_from_doc(_read_json(args.truth))
     loss_columns(truth, args.n)
     fns = _estimators(names, args, truth.m)
 
@@ -510,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("risk-sim", help="Monte Carlo risk comparison")
     sp.add_argument("--scenario", choices=list(CASES), default=None)
-    sp.add_argument("--truth", default=None, help="ModelParams JSON file")
+    sp.add_argument("--truth", default=None, help="truth JSON {r, columns} (- for stdin)")
     sp.add_argument("--reps", type=_reps, default=1000)
     sp.add_argument("--seed", type=_nonnegative_int, default=0)
     sp.add_argument("--loss", choices=["ss", "kl"], default="ss")

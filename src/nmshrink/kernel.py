@@ -68,7 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GeneralizedDirichlet, _gamma_nodes, _log_gamma_ratio_from, require_r
+from .model import GeneralizedDirichlet, _gamma_nodes, _log_gamma_ratio_from
+from .model import require_counts, require_r
 
 __all__ = [
     "GChoice",
@@ -473,13 +474,6 @@ def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _counts(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z)
-    if z.ndim == 0 or z.size == 0 or (z < 0).any():
-        raise ValueError("z must be a vector of nonnegative counts")
-    return z
-
-
 def _ratio(logk: np.ndarray):
     """exp(log K(alpha+1) - log K(alpha)) with math.exp, so a row gives the
     same bits alone as in a stack."""
@@ -491,12 +485,13 @@ def _ratio(logk: np.ndarray):
 def delta_hb(alpha: float, beta: float, g: GChoice, r: float, m: int, z: np.ndarray):
     """Shrinkage amount K(alpha+1, ..., z + m)/K(alpha, ..., z + m) at xi0 = r - m.
 
-    `z` has shape (..., N); the result has shape z.shape[:-1] and is a float
-    for one vector.  Finite and positive except possibly at z = 0, where +inf
-    may be returned (the corresponding estimate is the zero matrix, so
-    downstream code treats the infinity as total shrinkage).
+    `z` has shape (..., N), column sums that pass `model.require_counts`; the
+    result has shape z.shape[:-1] and is a float for one vector.  Finite and
+    positive except possibly at z = 0, where +inf may be returned (the
+    corresponding estimate is the zero matrix, so downstream code treats the
+    infinity as total shrinkage).
     """
-    z = _counts(z)
+    z = require_counts(z, 1)
     require_hb_assumptions(alpha, beta, g, r, m, z.shape[-1])
     logk = log_kernel([alpha, alpha + 1.0], beta, g, r - m, z.astype(float) + float(m))
     if not np.isfinite(logk[..., 0]).all():
@@ -516,15 +511,16 @@ def delta_nu(
 ):
     """Per-column shrinkage K(alpha+1, ...)/K(alpha, ...) at xi = z + a_dot + e_nu.
 
-    `z` has shape (..., N) and `nu` is a column index or an integer array
-    that broadcasts against z.shape[:-1]; the result has the broadcast shape
-    and is a float for one vector and one index.  Requires posterior
-    propriety (xi0 = r + a0 with the tail and small-t integrability
-    conditions); always finite and positive under it.
+    `z` has shape (..., N), column sums that pass `model.require_counts`, and
+    `nu` is a column index or an integer array that broadcasts against
+    z.shape[:-1]; the result has the broadcast shape and is a float for one
+    vector and one index.  Requires posterior propriety (xi0 = r + a0 with
+    the tail and small-t integrability conditions); always finite and
+    positive under it.
     """
     require_alpha_beta(alpha, beta)
     require_r(r)
-    z = _counts(z)
+    z = require_counts(z, 1)
     n_cols = z.shape[-1]
     nu = np.asarray(nu)
     if nu.dtype.kind not in "iu" or np.any((nu < 0) | (nu >= n_cols)):

@@ -8,18 +8,18 @@ x in N_0^m has mass
 where p lies in the open simplex interior (all p_i > 0, sum p_i < 1) and
 p0 = 1 - sum p_i.  ``r`` may be any positive finite real (`require_r`, the
 package's one check of r); the law is then the Poisson mixture with a
-Gamma(r, 1)-distributed intensity scale.
+Gamma(r, 1)-distributed intensity scale.  Counts pass one rule,
+`require_counts`, wherever they enter: count matrices, the mass and the
+kernel ratios alike.
 
 Everything here is value-semantic: types are frozen dataclasses backed by
 read-only arrays, and samplers take an explicit `numpy.random.Generator`.
-`json_numbers` is the one reader of the numbers in JSON documents, and
-`_log_gamma_ratio` the one log-gamma, of the mass and the kernel alike.
+`_log_gamma_ratio` is the one log-gamma, of the mass and the kernel alike.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import math
 import reprlib
 from contextlib import nullcontext
@@ -37,11 +37,10 @@ __all__ = [
     "nm_log_pmf",
     "nm_sample",
     "nm_moments",
-    "gen_dirichlet_sample",
     "make_rng",
     "read_counts_csv",
-    "json_numbers",
     "require_r",
+    "require_counts",
 ]
 
 # Probabilities at or below this would break the p_i/p0 mixture rates.
@@ -140,23 +139,6 @@ class ModelParams:
             raise ValueError("probability matrix must be 2-d (m x N)")
         return cls(r, tuple(ProbColumn(matrix[:, j]) for j in range(matrix.shape[1])))
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"r": self.r, "columns": [c.p.tolist() for c in self.columns]}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ModelParams":
-        try:
-            doc = json.loads(text)
-        except RecursionError:
-            raise ValueError("JSON document nested too deeply") from None
-        try:
-            r, columns = json_numbers(doc, "r"), json_numbers(doc, "columns", ndim=2)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"expected a JSON object {{r, columns}}: {exc}") from exc
-        return cls(r, tuple(ProbColumn(c) for c in columns))
-
 
 def require_r(r: float) -> None:
     """Raise ValueError unless 0 < r < inf, the size every law and rule here takes."""
@@ -164,23 +146,31 @@ def require_r(r: float) -> None:
         raise ValueError(f"r must be positive and finite, got {reprlib.repr(r)}")
 
 
-def json_numbers(doc: dict, key: str, ndim: int = 0):
-    """doc[key], a JSON number or an ndim-deep list of them, as a finite float
-    (ndim 0) or a float array of exactly ndim dimensions.  Booleans, strings,
-    null, wrongly nested or ragged lists and overflow raise ValueError, whose
-    message echoes the value clipped by `reprlib`."""
-    value = doc[key]
-    leaves = np.array(value, dtype=object)
-    if leaves.ndim != ndim or not all(type(v) in (int, float) for v in leaves.flat):
-        what = "a number" if ndim == 0 else f"a {ndim}-d list of numbers"
-        raise ValueError(f"{key} must be {what}, got {reprlib.repr(value)}")
-    try:
-        out = leaves.astype(float)
-    except OverflowError:  # an int beyond any float
-        out = np.array(np.nan)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"{key} must be finite, got {reprlib.repr(value)}")
-    return float(out) if ndim == 0 else out
+def require_counts(x, ndim: int) -> np.ndarray:
+    """x as a C-ordered int64 array of counts, the package's one check of them.
+
+    Raises ValueError unless x has at least `ndim` dimensions and is
+    nonempty, every entry is a whole number (an integer or bool dtype, or
+    floats equal to their rint; strings and objects are not) and
+    nonnegative, and each trailing `ndim`-dimensional block (each vector
+    for ndim 1, each matrix for ndim 2) totals below 2^53, so that every
+    sum of a block is exact as a float too.
+    """
+    x = np.asarray(x)
+    what = "vector" if ndim == 1 else "matrix"
+    if x.ndim < ndim or x.size == 0:
+        raise ValueError(f"counts must form a nonempty {ndim}-d {what}")
+    if x.dtype.kind not in "biu" and (
+        x.dtype.kind != "f" or not np.array_equal(np.rint(x), x)
+    ):
+        raise ValueError("counts must be integers")
+    if x.min() < 0:
+        raise ValueError("counts must be nonnegative")
+    # Float sums cannot wrap: below 2^53 every partial sum is an integer
+    # they hold exactly, and a total of 2^53 or more sums to at least 2^53.
+    if x.sum(axis=tuple(range(-ndim, 0)), dtype=float).max() >= 2.0**53:
+        raise ValueError(f"the counts of a {what} must total below 2^53")
+    return np.ascontiguousarray(x, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -189,7 +179,8 @@ class CountMatrix:
 
     A stack of matrices, shape (..., m, N), is held the same way: `col_sums`
     then has shape (..., N) and `grand_sum` is an array of shape (...).
-    Each matrix must total below 2^53, so every sum is exact as a float too.
+    The counts pass `require_counts`: each matrix totals below 2^53, so
+    every sum is exact as a float too.
     """
 
     x: np.ndarray
@@ -197,26 +188,12 @@ class CountMatrix:
     grand_sum: int | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x)
-        if x.ndim < 2 or x.size == 0:
-            raise ValueError("counts must form a nonempty 2-d matrix")
-        if x.dtype.kind not in "iu":
-            rounded = np.rint(np.asarray(x, dtype=float))
-            if not np.array_equal(rounded, np.asarray(x, dtype=float)):
-                raise ValueError("counts must be integers")
-            x = rounded
-        if x.min() < 0:
-            raise ValueError("counts must be nonnegative")
-        # Float sums cannot wrap: below 2^53 every partial sum is an integer
-        # they hold exactly, and a total of 2^53 or more sums to at least 2^53.
-        col_sums = x.sum(axis=-2, dtype=float)
+        x = require_counts(self.x, 2)  # `_readonly` copies it
+        col_sums = x.sum(axis=-2)
         grand_sum = col_sums.sum(axis=-1)
-        if grand_sum.max() >= 2.0**53:
-            raise ValueError("the counts of a matrix must total below 2^53")
-        x = x.astype(np.int64, copy=False)  # `_readonly` copies it
         object.__setattr__(self, "x", _readonly(x))
-        object.__setattr__(self, "col_sums", _readonly(col_sums.astype(np.int64)))
-        grand_sum = int(grand_sum) if x.ndim == 2 else _readonly(grand_sum.astype(np.int64))
+        object.__setattr__(self, "col_sums", _readonly(col_sums))
+        grand_sum = int(grand_sum) if x.ndim == 2 else _readonly(grand_sum)
         object.__setattr__(self, "grand_sum", grand_sum)
 
     @property
@@ -253,10 +230,6 @@ class GeneralizedDirichlet:
     @property
     def a_dot(self) -> float:
         return float(self.a.sum())
-
-    @property
-    def is_proper(self) -> bool:
-        return self.a0 > 0
 
 
 def _stirling_tail(z: np.ndarray) -> np.ndarray:
@@ -338,16 +311,11 @@ def nm_log_pmf(x: np.ndarray, r: float, p: ProbColumn):
     and -ln x_i! = ratio(1, x_i), so large counts cannot overflow and a zero
     count adds exactly 0.
     """
-    x = np.asarray(x)
-    if x.ndim == 0 or x.shape[-1] != p.m:
-        raise ValueError(f"count vectors have shape {x.shape}, expected (..., {p.m})")
-    if np.any(x < 0) or not np.all(np.equal(np.mod(x, 1), 0)):
-        raise ValueError("counts must be nonnegative integers")
-    if np.any(x.sum(axis=-1, dtype=float) >= 2.0**53):  # as in CountMatrix
-        raise ValueError("the counts of a vector must total below 2^53")
-    require_r(r)
     # C order: each vector's sums then run over contiguous memory, as alone.
-    x = x.astype(np.int64, order="C")
+    x = require_counts(x, 1)
+    if x.shape[-1] != p.m:
+        raise ValueError(f"count vectors have shape {x.shape}, expected (..., {p.m})")
+    require_r(r)
     out = (
         _log_gamma_ratio_at(1.0, x).sum(axis=-1)
         - _log_gamma_ratio_at(float(r), x.sum(axis=-1))
@@ -389,22 +357,6 @@ def nm_moments(r: float, p: ProbColumn) -> tuple[np.ndarray, np.ndarray]:
     mean = r * p.p / p.p0
     cov = r * np.diag(p.p) / p.p0 + r * np.outer(p.p, p.p) / p.p0**2
     return mean, cov
-
-
-def gen_dirichlet_sample(
-    a0: float, a: np.ndarray, rng: np.random.Generator
-) -> ProbColumn:
-    """Draw a ProbColumn whose (p0, p) is Dirichlet(a0, a_1, ..., a_m)."""
-    weights = GeneralizedDirichlet(a0, a)
-    if not weights.is_proper:
-        raise ValueError("a0 must be positive for sampling")
-    alpha = np.concatenate(([weights.a0], weights.a))
-    # Tiny shape parameters can underflow a coordinate to exact zero.
-    for _ in range(100):
-        draw = rng.dirichlet(alpha)
-        if np.all(draw > P_DEGENERATE):
-            return ProbColumn(draw[1:])
-    raise RuntimeError("dirichlet sampling kept producing degenerate draws")
 
 
 def read_counts_csv(path_or_file, header: bool = False) -> CountMatrix:

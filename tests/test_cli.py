@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import nmshrink.cli as cli
 from nmshrink import audit, estimators, risklab
-from nmshrink.cli import _audit_check, _g_from_doc, build_parser, main
+from nmshrink.cli import _audit_check, _g_from_doc, build_parser, json_numbers, main
 from nmshrink.kernel import ConditionError, GChoice, QuadratureError
 from nmshrink.model import read_counts_csv
 
@@ -30,6 +30,12 @@ def _savetxt_bytes(values) -> str:
 def write(path, text):
     path.write_text(text)
     return str(path)
+
+
+def truth_json(r, matrix) -> str:
+    """The truth document of size r and an m x N probability matrix, whose
+    "columns" are the N columns of the matrix."""
+    return json.dumps({"r": r, "columns": np.asarray(matrix).T.tolist()})
 
 
 # The message of `model.require_r`, the one rule for r, at a value.
@@ -502,10 +508,7 @@ class TestRiskSim:
         assert a.read_bytes() == b.read_bytes()
 
     def test_more_jobs_than_replications(self, tmp_path):
-        from nmshrink.model import ModelParams
-
-        truth = ModelParams.from_matrix(5.0, np.full((2, 2), 0.2))
-        src = write(tmp_path / "truth.json", truth.to_json())
+        src = write(tmp_path / "truth.json", truth_json(5.0, np.full((2, 2), 0.2)))
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         base = ["risk-sim", "--truth", src, "--estimators", "umvu", "--reps", "2"]
         assert main(base + ["--out", str(a)]) == 0
@@ -513,10 +516,7 @@ class TestRiskSim:
         assert a.read_bytes() == b.read_bytes()
 
     def test_custom_truth_kl(self, tmp_path):
-        from nmshrink.model import ModelParams
-
-        truth = ModelParams.from_matrix(5.0, np.full((9, 3), 1.0 / 18.0))
-        src = write(tmp_path / "truth.json", truth.to_json())
+        src = write(tmp_path / "truth.json", truth_json(5.0, np.full((9, 3), 1.0 / 18.0)))
         out = tmp_path / "kl.csv"
         code = main(
             ["risk-sim", "--truth", src, "--loss", "kl", "--reps", "20",
@@ -530,10 +530,7 @@ class TestRiskSim:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_kl_loss_rejects_estimators_with_zeros(self, tmp_path, capsys, jobs):
-        from nmshrink.model import ModelParams
-
-        truth = ModelParams.from_matrix(5.0, np.full((2, 2), 0.2))
-        src = write(tmp_path / "truth.json", truth.to_json())
+        src = write(tmp_path / "truth.json", truth_json(5.0, np.full((2, 2), 0.2)))
         code = main(
             ["risk-sim", "--truth", src, "--loss", "kl", "--estimators", "umvu,eb",
              "--reps", "20", "--jobs", jobs]
@@ -545,10 +542,7 @@ class TestRiskSim:
 
     @pytest.mark.parametrize("kind", risklab.ESTIMATOR_KINDS)
     def test_kl_loss_refuses_exactly_the_kinds_with_zeros(self, tmp_path, capsys, kind):
-        from nmshrink.model import ModelParams
-
-        truth = ModelParams.from_matrix(5.0, np.full((2, 2), 0.2))
-        src = write(tmp_path / "truth.json", truth.to_json())
+        src = write(tmp_path / "truth.json", truth_json(5.0, np.full((2, 2), 0.2)))
         code = main(
             ["risk-sim", "--truth", src, "--loss", "kl", "--estimators", kind,
              "--alpha", "3", "--a0", "1", "--dry-run"]
@@ -559,10 +553,7 @@ class TestRiskSim:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_condition_violation_exit_4(self, tmp_path, capsys, jobs):
-        from nmshrink.model import ModelParams
-
-        truth = ModelParams.from_matrix(1.5, np.full((2, 3), 0.2))
-        src = write(tmp_path / "truth.json", truth.to_json())
+        src = write(tmp_path / "truth.json", truth_json(1.5, np.full((2, 3), 0.2)))
         code = main(
             ["risk-sim", "--truth", src, "--reps", "6", "--estimators", "umvu,hb",
              "--alpha", "6", "--jobs", jobs]
@@ -572,10 +563,7 @@ class TestRiskSim:
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_numerical_failure_exit_3(self, tmp_path, capsys, jobs):
-        from nmshrink.model import ModelParams
-
-        truth = ModelParams.from_matrix(2.0, np.array([[0.5]]))
-        src = write(tmp_path / "truth.json", truth.to_json())
+        src = write(tmp_path / "truth.json", truth_json(2.0, np.array([[0.5]])))
         code = main(
             ["risk-sim", "--truth", src, "--reps", "12", "--estimators", "umvu,hb",
              "--alpha", "0.9999999", "--beta", "0", "--jobs", jobs]
@@ -612,10 +600,7 @@ class TestRiskSim:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("n", ["0", "3", "-1"])
     def test_n_out_of_range_exit_2(self, tmp_path, capsys, jobs, n):
-        from nmshrink.model import ModelParams
-
-        truth = ModelParams.from_matrix(5.0, np.full((2, 2), 0.2))
-        src = write(tmp_path / "truth.json", truth.to_json())
+        src = write(tmp_path / "truth.json", truth_json(5.0, np.full((2, 2), 0.2)))
         code = main(
             ["risk-sim", "--truth", src, "--reps", "5", "--estimators", "umvu,eb",
              "--n", n, "--jobs", jobs]
@@ -645,11 +630,46 @@ class TestRiskSim:
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
 
-    def test_dry_run_reports_the_truth_shape(self, tmp_path, capsys):
-        from nmshrink.model import ModelParams
+    # Truth documents whose values `_truth_from_doc` cannot read, with the key
+    # their message names; a document that is not an object names none.
+    @pytest.mark.parametrize("text, key", [
+        ('{"r": null, "columns": [[0.2, 0.3]]}', "r"),
+        ('{"r": [5], "columns": [[0.2, 0.3]]}', "r"),
+        ('{"r": 5, "columns": 5}', "columns"),
+        ('{"r": true, "columns": [[0.2, 0.3]]}', "r"),
+        ('{"r": "5", "columns": [[0.2, 0.3]]}', "r"),
+        ('{"r": 5, "columns": [["0.2", "0.3"]]}', "columns"),
+        ('{"r": 5, "columns": [[0.2, 0.3], [0.2]]}', "columns"),
+        ('{"r": 5, "columns": [0.2, 0.3]}', "columns"),
+        ('{"r": 5, "columns": [[0.2, NaN]]}', "columns"),
+        ("[1, 2, 3]", None),
+    ])
+    def test_values_of_the_wrong_type_exit_2(self, tmp_path, capsys, text, key):
+        src = write(tmp_path / "truth.json", text)
+        argv = ["risk-sim", "--truth", src, "--estimators", "umvu", "--reps", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        want = "expected a JSON object" if key is None else f"{key} must be"
+        assert captured.out == "" and captured.err.startswith(f"bad input: {want}")
 
-        truth = ModelParams.from_matrix(5.0, np.full((3, 2), 0.1))
-        src = write(tmp_path / "truth.json", truth.to_json())
+    def test_truth_from_stdin(self, tmp_path, capsys, monkeypatch):
+        # `--truth -` reads the document from stdin, as `--prior -` does.
+        text = truth_json(5.0, np.full((2, 2), 0.2))
+        argv = ["risk-sim", "--estimators", "umvu,eb", "--reps", "4", "--truth"]
+        assert main(argv + [write(tmp_path / "truth.json", text)]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(argv + ["-"]) == 0
+        assert capsys.readouterr().out == from_file != ""
+
+    def test_truth_columns_are_the_documents_lists(self):
+        doc = {"r": 5.0, "columns": [[0.1, 0.2, 0.3], [0.25, 0.25, 0.25]]}
+        truth = cli._truth_from_doc(doc)
+        assert (truth.r, truth.m, truth.n_columns) == (5.0, 3, 2)
+        assert [c.p.tolist() for c in truth.columns] == doc["columns"]
+
+    def test_dry_run_reports_the_truth_shape(self, tmp_path, capsys):
+        src = write(tmp_path / "truth.json", truth_json(5.0, np.full((3, 2), 0.1)))
         assert main(["risk-sim", "--truth", src, "--n", "2", "--dry-run"]) == 0
         assert json.loads(capsys.readouterr().out)["config"]["shape"] == [3, 2]
 
@@ -708,11 +728,11 @@ BAD_INPUT = [
     (["gibbs-diag", "--counts", "{counts}", "--header", "--prior", "{prior}", "--r", "3",
       "--out", "{out}"], "prior a needs m = 2 entries, got 3"),
     (["risk-sim", "--truth", "{null_r}", "--estimators", "umvu"],
-     "expected a JSON object {r, columns}"),
+     "r must be a number, got None"),
     (["risk-sim", "--truth", "{list_r}", "--estimators", "umvu"],
-     "expected a JSON object {r, columns}"),
+     "r must be a number, got [5]"),
     (["risk-sim", "--truth", "{scalar_columns}", "--estimators", "umvu"],
-     "expected a JSON object {r, columns}"),
+     "columns must be a 2-d list of numbers, got 5"),
     # alpha > 0 and beta >= 0 is one rule, checked before any condition
     # (r = 8 > m = 3 here) on every path.
     (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "-1", "--in", "{counts}"],
@@ -785,10 +805,8 @@ class TestBadInput:
                              ids=[" ".join(argv) for argv, _ in BAD_INPUT])
     def test_exit_2_with_or_without_dry_run(self, counts_csv, tmp_path, capsys,
                                             dry_run, template, message):
-        from nmshrink.model import ModelParams
-
         truth = write(tmp_path / "truth.json",
-                      ModelParams.from_matrix(5.0, np.full((2, 2), 0.2)).to_json())
+                      truth_json(5.0, np.full((2, 2), 0.2)))
         prior = write(tmp_path / "prior.json", json.dumps(
             {"alpha": 6, "beta": 1, "g": "g1", "a0": 0.5, "a": [1, 1, 1]}))
         out = tmp_path / "out"
@@ -906,6 +924,37 @@ class TestDocumentNumbers:
             assert self.run(tmp_path, counts_csv, kind, text, dry_run) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and "nested too deeply" in captured.err
+
+
+class TestJsonNumbers:
+    @pytest.mark.parametrize("value, ndim, want", [
+        (3, 0, 3.0),
+        (7.0, 0, 7.0),
+        (-0.5, 0, -0.5),
+        ([1, 2.5], 1, [1.0, 2.5]),
+        ([], 1, []),
+        ([[0.2, 0.3], [0.1, 0.4]], 2, [[0.2, 0.3], [0.1, 0.4]]),
+    ])
+    def test_numbers_are_read_exactly(self, value, ndim, want):
+        got = json_numbers({"k": value}, "k", ndim)
+        if ndim == 0:
+            assert type(got) is float and got == want
+        else:
+            assert got.dtype == float and got.ndim == ndim and got.tolist() == want
+
+    @pytest.mark.parametrize("value, ndim", [
+        (True, 0), ("5", 0), (None, 0), ({"v": 1}, 0), ([3], 0), (3, 1), ([[1]], 1),
+        ([1, False], 1), ([1, "2"], 1), ([[1, 2], [3]], 2), ([[1, 2], 3], 2),
+        ([], 2), ([1, 2], 2), (10**400, 0), ([1, 10**400], 1), (math.inf, 0),
+        (math.nan, 0), ([[0.1, -math.inf]], 2),
+    ])
+    def test_anything_else_is_a_value_error(self, value, ndim):
+        with pytest.raises(ValueError, match="^k must be"):
+            json_numbers({"k": value}, "k", ndim)
+
+    def test_missing_key_is_a_key_error(self):
+        with pytest.raises(KeyError):
+            json_numbers({}, "k")
 
 
 def _nested(depth: int):
@@ -1163,14 +1212,12 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
 
     def test_interleaved_calls_repeat_exactly(self, counts_csv, tmp_path, capsys):
-        from nmshrink.model import ModelParams
-
         bad = write(tmp_path / "bad.csv", "1,2\n3\n")
         sharp = write(tmp_path / "k.json", json.dumps(
             {"alpha": 20000, "beta": 1, "g": "g1", "xi0": 1, "xi": [10, 12, 9]}
         ))
         truth = write(tmp_path / "truth.json",
-                      ModelParams.from_matrix(1.5, np.full((2, 3), 0.2)).to_json())
+                      truth_json(1.5, np.full((2, 3), 0.2)))
         sequence = [
             (["estimate", "--estimator", "umvu", "--r", "8", "--in", bad], 2),
             (["estimate", "--estimator", "eb", "--r", "8", "--in", counts_csv], 0),
@@ -1233,12 +1280,10 @@ CONTRACT_ERRORS = [
 
 @pytest.fixture(scope="module")
 def contract_paths(tmp_path_factory):
-    from nmshrink.model import ModelParams
-
     d = tmp_path_factory.mktemp("contract")
     docs = {
         "counts": "3,0\n2,1\n0,4\n",
-        "truth": ModelParams.from_matrix(5.0, np.full((2, 2), 0.2)).to_json(),
+        "truth": truth_json(5.0, np.full((2, 2), 0.2)),
         "scenario": json.dumps({"kind": "eb", "m": 7, "r": 4}),
         "prior": json.dumps({"alpha": 6, "beta": 1, "a0": 0.5, "a": [1, 1, 1]}),
         "kernel": json.dumps({"alpha": 6, "beta": 1, "xi0": 1, "xi": [3, 2, 4]}),

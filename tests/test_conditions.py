@@ -1,8 +1,9 @@
 """One finiteness predicate behind every propriety and validity condition,
 checked against the hand-written copies it replaced (condition_oracle), and
-one rule each for the hyperparameters alpha, beta and the size r."""
+one rule each for the hyperparameters alpha, beta, the size r and the counts."""
 
 import math
+import warnings
 
 import condition_oracle as oracle
 import numpy as np
@@ -28,6 +29,7 @@ from nmshrink.model import (
     nm_log_pmf,
     nm_moments,
     nm_sample,
+    require_counts,
 )
 from nmshrink.risklab import make_estimator
 
@@ -248,3 +250,64 @@ class TestOneRRule:
         with pytest.raises(ValueError) as refused:
             ALPHA_BETA_R_CALLS[name](-1.0, 1.0, r)
         assert str(refused.value) == RULE_SIGN
+
+
+# Every entry point that takes counts, on a vector z of two entries, and the
+# block its 2^53 message names.
+COUNT_CALLS = {
+    "CountMatrix": (lambda z: CountMatrix(np.array([z])), "matrix"),
+    "nm_log_pmf": (lambda z: nm_log_pmf(np.array(z), 2.0, COLUMN), "vector"),
+    "delta_hb": (lambda z: kernel.delta_hb(14.0, 1.0, G1, 8.0, 7, np.array(z)), "vector"),
+    "delta_nu": (lambda z: kernel.delta_nu(6.0, 1.0, G1, 8.0, -3.0, 3.0, np.array(z), 0),
+                 "vector"),
+}
+# Counts the rule refuses, with its message ({} is the block).
+BAD_COUNTS = {
+    "2.5": ([2.5, 3], "counts must be integers"),
+    "-1": ([-1, 3], "counts must be nonnegative"),
+    "nan": ([math.nan, 3], "counts must be integers"),
+    "inf": ([math.inf, 3], "the counts of a {} must total below 2^53"),
+    "-inf": ([-math.inf, 3], "counts must be nonnegative"),
+    "string": (["1", "2"], "counts must be integers"),
+    "total 2^53": ([2**52, 2**52], "the counts of a {} must total below 2^53"),
+}
+
+
+class TestOneCountRule:
+    """Counts that are not nonnegative whole numbers totalling below 2^53 are
+    bad input (ValueError, never NumPy's TypeError) on every entry point,
+    refused by `model.require_counts` with its message and no warning."""
+
+    @pytest.mark.parametrize("bad", BAD_COUNTS)
+    @pytest.mark.parametrize("name", COUNT_CALLS)
+    def test_refused_by_the_rule(self, name, bad):
+        call, block = COUNT_CALLS[name]
+        call([2, 3])  # the call's other arguments are valid
+        z, message = BAD_COUNTS[bad]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refused:
+                call(z)
+        assert str(refused.value) == message.format(block)
+
+    def test_whole_numbers_come_back_as_c_ordered_int64(self):
+        x = np.asfortranarray([[2.0, 0.0], [1.0, 3.0]])
+        for given in (x, x.astype(np.uint8), x > 0):
+            got = require_counts(given, 2)
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, given)
+
+    def test_each_trailing_block_totals_below_2_to_53(self):
+        # Two vectors of 2^53 - 1 each: as vectors they pass, as one matrix not.
+        stack = np.array([[2**52, 2**52 - 1], [2**52, 2**52 - 1]])
+        np.testing.assert_array_equal(require_counts(stack, 1), stack)
+        with pytest.raises(ValueError, match="counts of a matrix must total below 2\\^53"):
+            require_counts(stack, 2)
+
+    @pytest.mark.parametrize("x, ndim, what", [
+        (3, 1, "1-d vector"), ([], 1, "1-d vector"), ([1, 2], 2, "2-d matrix"),
+        ([[]], 2, "2-d matrix"),
+    ])
+    def test_too_few_dimensions_or_empty(self, x, ndim, what):
+        with pytest.raises(ValueError, match=f"^counts must form a nonempty {what}$"):
+            require_counts(x, ndim)

@@ -614,20 +614,23 @@ NOT_PROPER = ("delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
 NOT_VALID = ("the hierarchical Bayes shrinkage ratio requires r > m with a finite "
              "tail integral, or r = m with additionally alpha + (g exponent at 0) > N")
 NOT_SCALAR = "alpha must be a scalar or a nonempty 1-d sequence"
+NOT_INTEGERS = "counts must be integers"
+NOT_BELOW_2_53 = "the counts of a vector must total below 2^53"
 X3 = CountMatrix(np.array([[3, 0, 1], [2, 1, 0], [0, 4, 2]]))
 PRIOR3 = PriorSpec(6.0, 1.0, G1, -2.0, np.ones(3))
 # Each public ratio and HB estimator on bad input, with the exception and
 # message it gave before the kernel's argument checks were made cheaper; an
-# infinite r is refused by `model.require_r`, before the kernel is reached.
+# infinite r is refused by `model.require_r`, and a z that is not counts by
+# `model.require_counts`, before the kernel is reached.
 REFUSALS = {
     "delta_nu a_dot inf": (lambda: delta_nu(6, 1, G1, 8, -3, math.inf, [1, 2, 3], 0),
                            ValueError, NONE_FINITE),
     "delta_nu r inf": (lambda: delta_nu(6, 1, G1, math.inf, -3, 3.0, [1, 2, 3], 0),
                        ValueError, R_INF),
     "delta_nu z nan": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, np.array([1, math.nan, 3]), 0),
-                       ValueError, NONE_FINITE),
+                       ValueError, NOT_INTEGERS),
     "delta_nu z inf": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, np.array([1, math.inf, 3]), 0),
-                       ValueError, NONE_FINITE),
+                       ValueError, NOT_BELOW_2_53),
     "delta_nu shapes": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, np.ones((3, 3), int), [0, 1]),
                         ValueError, "shape mismatch"),
     "delta_nu alpha (1,)": (lambda: delta_nu(np.array([6.0]), 1, G1, 8, -3, 3.0, [1, 2, 3], 0),
@@ -639,7 +642,7 @@ REFUSALS = {
     "delta_nu a_dot 0": (lambda: delta_nu(6, 1, G1, 8, -3, 0.0, [1, 2, 3], 0),
                          ValueError, "a_dot must be positive"),
     "delta_nu z negative": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, [1, -2, 3], 0),
-                            ValueError, "z must be a vector of nonnegative counts"),
+                            ValueError, "counts must be nonnegative"),
     "delta_hb r inf": (lambda: delta_hb(6, 1, G1, math.inf, 3, [1, 2]),
                        ValueError, R_INF),
     "delta_hb m negative": (lambda: delta_hb(6, 1, G1, 8, -2, [1, 2]),
@@ -647,9 +650,9 @@ REFUSALS = {
     "delta_hb m -inf": (lambda: delta_hb(6, 1, G1, 8, -math.inf, [1, 2]),
                         ValueError, "xi entries must be nonnegative"),
     "delta_hb z nan": (lambda: delta_hb(6, 1, G1, 8, 3, np.array([1, math.nan])),
-                       ValueError, NONE_FINITE),
+                       ValueError, NOT_INTEGERS),
     "delta_hb z inf": (lambda: delta_hb(6, 1, G1, 8, 3, np.array([1, math.inf])),
-                       ValueError, NONE_FINITE),
+                       ValueError, NOT_BELOW_2_53),
     "delta_hb alpha (1,)": (lambda: delta_hb(np.array([6.0]), 1, G1, 8, 3, [1, 2]),
                             ValueError, NOT_SCALAR),
     "delta_hb r < m": (lambda: delta_hb(6, 1, G1, 2, 3, [1, 2]), ConditionError, NOT_VALID),

@@ -1,7 +1,8 @@
-"""The "same bits" promises as checks: SHA-256 pins of the risk tables and of
-the stdout of a set of valid CLI calls, recorded before a change to the code
-and kept by every change that does not mean to move bits.  A change that
-moves bits on purpose updates the pin it moves in the same commit.
+"""The "same bits" promises as checks: SHA-256 pins of the risk tables, of the
+sampled count stacks and of the stdout of a set of valid CLI calls, recorded
+before a change to the code and kept by every change that does not mean to
+move bits.  A change that moves bits on purpose updates the pin it moves in
+the same commit.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import io
 import pytest
 
 from nmshrink.cli import main
+from nmshrink.risklab import CASES, _sample_stack, benchmark_scenarios
 
 # `repro tables --reps 1000 --seed 42`: table1.csv to table4.csv, serial and
 # with --jobs 2 alike.
@@ -19,6 +21,19 @@ TABLES = {
     "table2.csv": "bdba78d8eacb7f591512bf24bf4c7087b3e3948a6ee20e52bcdd64e1e32c9178",
     "table3.csv": "1c24c9ba66e88c39792b9eece75c9e1612dcf84d52bd730f25f0527e9a054a64",
     "table4.csv": "97d6f6d2a343da8fab4ead0d6384be3dafa66dcfbf09f5cd96f37495d7cfe436",
+}
+
+# `_sample_stack(sc.params, 42, range(1000)).tobytes()` of each preset sc.
+STACKS = {
+    "i-1": "aa060bdd69b49ba9d017d4590585c183d0c1f3cb46b726652c89c9b029147a71",
+    "i-2": "18d6967c9fe7b32aa4f16f782bee8a84ccebcbb80a717e53ff5d7b6d330e4f23",
+    "i-3": "bdad179e179635304735ec8edec85cb3b64ec9208dd60a3c3782b29fe7e7129f",
+    "ii-1": "3c94195a2dc0afc28fa5a3189e13a22dadf47fb5db0c0d378825bc295dc90e3e",
+    "ii-2": "35a9f657600ca4fb86b020bbf32324ee982b75a57e255861f905a2054673ca8e",
+    "ii-3": "d099e5a98781b8b76f6fe25c19af508a8f8bd07c9c5a7283ff95a9248a2508dc",
+    "iii-1": "30019be032c044bf1ffc8ab61c7abf38faf85e9afaaa995a0e4efd9008dc0b3b",
+    "iii-2": "92d35714546f80f2625d4d8c9f53554afa7d8704235fc799fb8d123bf548d0ce",
+    "iii-3": "4223d6cdb11900259f7a53b8f70e6ae71610905d10c984174538ddfe8ef9006a",
 }
 
 # One fixed 7 x 3 count matrix (column sums 9, 8, 8, zeros in every column),
@@ -89,6 +104,13 @@ class TestTablePins:
                    "--jobs", jobs, "--out", str(out)])
         got = {name: sha256((out / name).read_bytes()) for name in TABLES}
         assert got == TABLES
+
+
+class TestStackPins:
+    def test_stacks_keep_their_bits(self):
+        got = {sc.name: sha256(_sample_stack(sc.params, 42, range(1000)).tobytes())
+               for case in CASES for sc in benchmark_scenarios(case)}
+        assert got == STACKS
 
 
 class TestCliPins:

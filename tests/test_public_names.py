@@ -1,12 +1,14 @@
 """Every public name in `src/` has a caller outside the tests.
 
-A name in a module's `__all__` must be re-exported by the package or used
-by the code of another name in `src/nmshrink` or `demos/`, so that each job
-has one path and no function survives only for its tests.  Uses are found in
-the syntax tree, so a mention in a docstring or comment does not count.
+A name in a module's or the package's `__all__`, and a public method or
+property of a class in `src/`, must be used by the code of another name in
+`src/nmshrink` or `demos/`, so that each job has one path and no function
+survives only for its tests.  Uses are found in the syntax tree, so a
+mention in a docstring or comment does not count.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import nmshrink
@@ -54,21 +56,48 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
-def uncalled_public_names() -> list[str]:
-    used = set()
-    for path in CALLERS:
-        used |= used_names(ast.parse(path.read_text(), str(path)))
-    exported = set(nmshrink.__all__)
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), str(path))
+
+
+@functools.cache
+def used_in_callers() -> frozenset[str]:
+    return frozenset().union(*(used_names(parse(path)) for path in CALLERS))
+
+
+def public_members(tree: ast.Module) -> list[tuple[str, str]]:
+    """(class, member) for each public method or property of a top-level class."""
     return [
-        f"{path.stem}.{name}"
-        for path in MODULES
-        for name in module_all(ast.parse(path.read_text(), str(path)))
-        if name not in exported and name not in used
+        (cls.name, node.name)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
     ]
 
 
 def test_every_public_name_has_a_caller():
-    assert uncalled_public_names() == []
+    uncalled = [
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in module_all(parse(path))
+        if name not in used_in_callers()
+    ]
+    assert uncalled == []
+
+
+def test_every_export_has_a_caller():
+    assert [name for name in nmshrink.__all__ if name not in used_in_callers()] == []
+
+
+def test_every_public_member_has_a_caller():
+    uncalled = [
+        f"{path.stem}.{cls}.{member}"
+        for path in MODULES
+        for cls, member in public_members(parse(path))
+        if member not in used_in_callers()
+    ]
+    assert uncalled == []
 
 
 def test_only_another_name_s_code_is_a_use():
