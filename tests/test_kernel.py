@@ -440,8 +440,9 @@ def _mixed_rows(seed: int, n_rows: int, n_cols: int) -> np.ndarray:
 
 # The one-pass regimes plus a row alone, stacks whose rows share most of
 # their values, rows with zero entries, large arguments (xi >= 1e5 or
-# t + xi0 > 1e6), and rows whose K(alpha + 1) diverges next to rows that
-# halve h.
+# t + xi0 > 1e6), rows whose K(alpha + 1) diverges next to rows that halve
+# h, and divergent pairs on every row, on a whole row, at xi0 = 0 and in
+# several row blocks.
 TABLE_REGIMES = ORACLE_REGIMES + [
     _regime("one row", 14.0, 1.0, G1, 1.0, [[17, 2.5, 31, 0, 4.37]]),
     _tables_regime("ii", reps=300),
@@ -457,6 +458,14 @@ TABLE_REGIMES = ORACLE_REGIMES + [
             [[7.0, 0.0], [30.0, 0.0], [3.0, 4.0], [9.0, 0.0], [1.0, 7.0]]),
     _regime("sharp peaks halve h", 400.0, 1.0, G1, 1.0,
             [[10.0, 12.0, 9.0], [3.0, 2.0, 1.0], [10.0, 12.0, 9.0]]),
+    _regime("beta = 0, K(alpha + 1) diverges on every row", 6.5, 0.0, G1, 1.0,
+            [[7.0, 0.0], [3.0, 4.0], [2.0, 5.0]]),
+    _regime("xi0 = 0, a dead row next to live rows", 1.5, 1.0, G1, 0.0,
+            [[1, 1, 1], [0, 0, 3], [0, 2, 2], [0, 0, 0.5]]),
+    _regime("xi0 = 0, komaki weight", 1.2, 1.0, GChoice.komaki(0.5, 1.0), 0.0,
+            [[1, 1, 1], [0, 0, 3], [0, 2, 2]]),
+    _regime("beta = xi0 = 0, divergent pairs in three row blocks", 5.5, 0.0, G1, 0.0,
+            np.random.default_rng(5).integers(0, 9, size=(300, 2))),
 ]
 
 

@@ -1,5 +1,6 @@
 """The "same bits" promises as checks: SHA-256 pins of the risk tables, of the
-sampled count stacks and of the stdout of a set of valid CLI calls, recorded
+sampled count stacks, of kernel batches that hold divergent pairs and of the
+stdout of a set of valid CLI calls, recorded
 before a change to the code and kept by every change that does not mean to
 move bits.  A change that moves bits on purpose updates the pin it moves in
 the same commit.
@@ -9,9 +10,11 @@ import contextlib
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from nmshrink.cli import main
+from nmshrink.kernel import GChoice, delta_hb, log_kernel
 from nmshrink.risklab import CASES, _sample_stack, benchmark_scenarios
 
 # `repro tables --reps 1000 --seed 42`: table1.csv to table4.csv, serial and
@@ -36,12 +39,42 @@ STACKS = {
     "iii-3": "4223d6cdb11900259f7a53b8f70e6ae71610905d10c984174538ddfe8ef9006a",
 }
 
+G1 = GChoice.constant_one()
+# `log_kernel(alphas, beta, g, xi0, xi).tobytes()` of batches whose kernels
+# diverge at some (row, exponent) pairs, by the shape of that divergence.
+KERNELS = {
+    "K(alpha + 1) diverges on some rows": (
+        [6.5, 7.5], 0.0, G1, 1.0, [[7, 0], [30, 0], [3, 4], [9, 0], [1, 7]],
+        "9e026f8741633cb67918fc295b944e263aa3ff80ef04efe4524d241e1a976c2c"),
+    "K(alpha + 1) diverges on every row": (
+        [6.5, 7.5], 0.0, G1, 1.0, [[7, 0], [3, 4], [2, 5]],
+        "520d0b7657a11c4752f1037a89dea1223444a5b95ba3169ab1d236ca0cf8d136"),
+    "a dead row next to live rows": (
+        [1.5, 2.5], 1.0, G1, 0.0, [[1, 1, 1], [0, 0, 3], [0, 2, 2], [0, 0, 0.5]],
+        "b3375e6d102cd532b8c6dac38b3e964747650f10890639459791e60c339d8eb2"),
+    "komaki weight, xi0 = 0": (
+        [1.2, 2.2], 1.0, GChoice.komaki(0.5, 1.0), 0.0, [[1, 1, 1], [0, 0, 3], [0, 2, 2]],
+        "0ab03b19954ef453fb3cf69347a4872d717cf171b945edff28d5e39ae582198d"),
+    "an exponent that converges at no row": (
+        [0.5, 1e307], 0.0, G1, 1.0, [[1], [2]],
+        "ce02dc15b01f52b1d067f9d9b8a2e415b68d10d55db291bea32ed38e72092e90"),
+    "divergent pairs in three row blocks": (
+        [5.5, 6.5], 0.0, G1, 0.0, np.random.default_rng(5).integers(0, 9, size=(300, 2)),
+        "8621be1719a6e46ae1481c0c989e131a5b6f3d499952559b7ccbedd696dfe465"),
+}
+# `delta_hb(6.5, 0.0, G1, 8.0, 7, z).tobytes()`: [inf, 55.78, inf, 9.81].
+DELTA_Z = [[0], [1], [0], [4]]
+DELTA = "89aeeca4ab42b32d841201edd90370d4217ed2ce0caf4c302fcce93d146a4430"
+
 # One fixed 7 x 3 count matrix (column sums 9, 8, 8, zeros in every column),
-# a prior on it, and a kernel document; {name} is the file's path.
+# a prior on it, and kernel documents: a finite one, one whose K(alpha + 1)
+# alone diverges and one whose two kernels diverge; {name} is the file's path.
 FILES = {
     "counts": "3,0,1\n2,1,0\n0,4,2\n1,1,1\n0,0,3\n2,2,0\n1,0,1\n",
     "prior": '{"alpha": 14, "beta": 1, "a0": -3, "a": [0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}',
     "kernel": '{"alpha": 6, "beta": 1, "xi0": 1, "xi": [3, 2, 4]}',
+    "kernel_tail": '{"alpha": 6.5, "beta": 0, "xi0": 1, "xi": [3, 2, 2]}',
+    "kernel_both": '{"alpha": 1.5, "beta": 1, "xi0": 0, "xi": [1, 1, 1]}',
 }
 HALVES = ",".join(["0.5"] * 7)
 # Each valid call, by name, and the SHA-256 of the bytes it prints.
@@ -56,6 +89,8 @@ CALLS = {
     "estimate hb-pm": ["estimate", "--estimator", "hb-pm", "--r", "8", "--alpha", "14",
                        "--a0", "-3", "--a", HALVES, "--in", "{counts}"],
     "kernel-eval": ["kernel-eval", "--in", "{kernel}"],
+    "kernel-eval, K(alpha + 1) diverges": ["kernel-eval", "--in", "{kernel_tail}"],
+    "kernel-eval, both diverge": ["kernel-eval", "--in", "{kernel_both}"],
     "audit --table1": ["audit", "--table1"],
     "risk-sim": ["risk-sim", "--scenario", "i", "--reps", "10", "--seed", "3"],
     "gibbs-diag": ["gibbs-diag", "--counts", "{counts}", "--prior", "{prior}", "--r", "8",
@@ -69,6 +104,10 @@ STDOUT = {
     "estimate dir-pm": "bf1f24266c03a7552ffc49ea7fd698a73899cd9134f2d16ae68c22066d995fd1",
     "estimate hb-pm": "5eaa329fd4b43e6824d6f679bb23e818ba74c7c478f5bfa933c5150b0f1ff6ee",
     "kernel-eval": "2b1c26ca69eacbc791e01cba320cd1292fd7e86631ddf0028834a48774c20a5b",
+    "kernel-eval, K(alpha + 1) diverges":
+        "2dbe58712f6a1a522c51241bf42790e86424d9c3c1911a84180527ff960fe4c1",
+    "kernel-eval, both diverge":
+        "b4d65d29c52c629b53a155063269eb5c567d0c98b15995e3d3f667b749e7779b",
     "audit --table1": "85dca118f646296423fc3b797b040b1a515e2efce5fec6af4553bf7bc4a0f62c",
     "risk-sim": "257d655151aa6b7edaab0d6387ebccbff180510c2d8f6d2e76866005fbcb3249",
     "gibbs-diag": "00d684dbc628c440db7d241ff32fbe9ec12d92ca20dc7946779065e03ffd8725",
@@ -111,6 +150,18 @@ class TestStackPins:
         got = {sc.name: sha256(_sample_stack(sc.params, 42, range(1000)).tobytes())
                for case in CASES for sc in benchmark_scenarios(case)}
         assert got == STACKS
+
+
+class TestKernelPins:
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_kernels_keep_their_bits(self, name):
+        alphas, beta, g, xi0, xi, want = KERNELS[name]
+        got = log_kernel(alphas, beta, g, xi0, np.array(xi, dtype=float))
+        assert sha256(np.asarray(got).tobytes()) == want
+
+    def test_delta_hb_keeps_its_bits(self):
+        got = delta_hb(6.5, 0.0, G1, 8.0, 7, np.array(DELTA_Z))
+        assert sha256(np.asarray(got).tobytes()) == DELTA, got
 
 
 class TestCliPins:
