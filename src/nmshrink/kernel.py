@@ -37,9 +37,10 @@ small bounded memo; so a call on one count matrix pays for little but its
 xi terms and its node sums.  The first step sums every (row, alpha) pair of
 a block at once; only the pairs that go on to halve h are tracked one by
 one, and finer steps compute their node terms per call.
-Divergence is decided analytically per exponent and reported as +inf; the
-quadrature never runs on a divergent integral.  That analytic test,
-`kernel_finite`, is also every propriety and validity condition of the
+Divergence is decided analytically per (row, alpha) pair, by `kernel_finite`,
+before any sum: a divergent pair is +inf and is never summed, and a block
+that holds one evaluates each exponent on the rows it converges at.  That
+analytic test is also every propriety and validity condition of the
 package, each at its smallest admissible xi.
 
 The h sum is compared with its 2h subset, every other node.  With e their
@@ -360,16 +361,23 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
 
     Each (row, alpha) pair starts at step h = DE_STEP and halves it until its
     error estimate is within ERROR_TOL; its value is its own node sum at the
-    step it stops at, whatever the other rows and exponents need.  The first
-    step takes every pair of the block's rows with a finite pair at once,
-    divergent ones included (and discarded), on the node terms `_first_step`
-    keeps; `_finer_steps` takes the pairs left.
+    step it stops at, whatever the other rows and exponents need.  A pair
+    `kernel_finite` rejects is +inf and is never summed: when a block holds
+    one, each exponent runs alone on the rows it converges at.  Otherwise the
+    first step takes every pair of the block at once, on the node terms
+    `_first_step` keeps, and `_finer_steps` takes the pairs left.
     """
     # The number of positive xi matters only at xi0 = 0.
     n_positive = (xi > 0).sum(axis=1)[:, None] if xi0 == 0 else 0
     total = xi.sum(axis=1)[:, None]
-    shape = (xi.shape[0], alphas.size)
     finite = kernel_finite(alphas, beta, g, xi0, n_positive, total)
+    if not finite.all():
+        finite = np.broadcast_to(finite, (xi.shape[0], alphas.size))
+        out = np.full(finite.shape, math.inf)
+        for k in np.flatnonzero(finite.any(axis=0)):
+            rows = finite[:, k]
+            out[rows, k] = _log_kernel_rows(alphas[k : k + 1], beta, g, xi0, xi[rows])[:, 0]
+        return out
     # Near either end the integrand in t is a power t^(p - 1), with the
     # exponent p that kernel_finite tests for positivity, so the mass beyond
     # the last node is F(end) / (p t'(s)/t) in s.  Above it is added only for
@@ -377,37 +385,14 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
     # node's share of the sum bounds the error there.
     p_low = alphas + g.small_t_exponent - n_positive
     p_high = total - alphas if beta == 0 else math.inf
-    used = alphas
-    all_finite = finite.all()
-    if not all_finite:
-        finite = np.broadcast_to(finite, shape)
-        divergent = ~finite
-        live = finite.any(axis=1)
-        if not live.all():
-            # Rows whose every pair diverges take no step at all.
-            out = np.full(shape, math.inf)
-            if live.any():
-                out[live] = _log_kernel_rows(alphas, beta, g, xi0, xi[live])
-            return out
-        # A divergent pair takes p = 1, and an exponent no row converges at
-        # takes t^0, so the sums discarded below raise no warning.
-        p_low = np.where(finite, p_low, 1.0)
-        p_high = np.where(finite, p_high, 1.0)
-        used = np.where(finite.any(axis=0), alphas, 0.0)
-
     lf = _shared_log_integrand(*_first_step(xi0, beta, g), xi)[:, None, :]
-    lf = lf + used[:, None] * _LOG_T[_FIRST]
+    lf = lf + alphas[:, None] * _LOG_T[_FIRST]
     out, estimate = _node_sums(lf, p_low, p_high, beta, 0)
     pending = ~(estimate <= ERROR_TOL)
-    if not all_finite:
-        out[divergent] = 0.0
-        pending[divergent] = False
     if not np.isfinite(out).all():
         raise QuadratureError("kernel quadrature produced a non-finite value")
     if pending.any():
         _finer_steps(out, pending, alphas, beta, g, xi0, xi, p_low, p_high)
-    if not all_finite:
-        out[divergent] = math.inf
     return out
 
 

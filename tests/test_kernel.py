@@ -563,9 +563,9 @@ class TestEndTerm:
             assert isinstance(got, float) and abs(got - want) <= 1e-10
 
     def test_divergent_exponents_raise_no_warning(self):
-        # The first step sums every pair of a block's live rows, divergent
-        # ones too: an exponent whose t^alpha overflows, and a row whose
-        # every pair diverges and whose Gamma ratios would overflow.
+        # Divergent pairs are +inf and are never summed, so neither an
+        # exponent whose t^alpha would overflow nor a row whose every pair
+        # diverges and whose Gamma ratios would overflow raises a warning.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tail = log_kernel([0.5, 1.5], 0.0, G1, 1.0, np.array([1.0]))
