@@ -11,7 +11,12 @@ library's own conditions wait for a run.  NMSHRINK_OUTDIR is `repro`'s default -
 `main` parses with one parser, built by its first call and reused by every
 later call in the same process (parsing does not change a parser, and
 argparse looks up sys.stdout/sys.stderr when it prints).  `build_parser`
-still returns a fresh parser on each call.
+still returns a fresh parser on each call.  An argv whose first word is a
+subcommand is parsed by that subcommand's parser, the one argparse's own
+dispatch reaches after a scan of the whole argv; what it leaves over is
+refused by the top-level parser, as argparse refuses it.  The top-level
+parser parses only an argv that names no subcommand: --help, --version,
+an empty argv or an unknown command.
 
 Cases and estimator kinds come from `risklab`.  Every JSON document (the
 truth, prior, `audit`, `kernel-eval` and `--config` documents) is read by
@@ -226,9 +231,9 @@ def _estimators(names: list[str], args, m: int) -> dict:
 
 def _matrix_to_csv(result: np.ndarray) -> str:
     """The bytes `np.savetxt(f, result, fmt=_FLOAT_FMT, delimiter=",")`
-    writes for a 2-d array, from one format string per row."""
-    line = ",".join([_FLOAT_FMT] * result.shape[1]) + "\n"
-    return "".join(line % tuple(row) for row in result.tolist())
+    writes for a 2-d array, from one format string for the whole array."""
+    m, n = result.shape
+    return ((",".join([_FLOAT_FMT] * n) + "\n") * m) % tuple(result.flat)
 
 
 def _cmd_estimate(args):
@@ -275,7 +280,7 @@ def _cmd_risk_sim(args):
     if (args.scenario is None) == (args.truth is None):
         raise ValueError("give exactly one of --scenario or --truth")
     if args.scenario is not None:
-        defaults = vars(_parser().parse_args(["risk-sim"]))
+        defaults = vars(_parse_args(["risk-sim"]))
         ignored = [
             "--" + dest.replace("_", "-")
             for dest, value in vars(args).items()
@@ -603,7 +608,17 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
         if not isinstance(argv, list):
             raise ValueError(f"--config needs an argv list, got {reprlib.repr(argv)}")
         argv = [str(a) for a in argv]
-    return _parser().parse_args(argv)
+    parser = _parser()
+    commands = next(a.choices for a in parser._actions if a.dest == "command")
+    if not (argv and argv[0] in commands):
+        return parser.parse_args(argv)
+    # What argparse's dispatch does, without its scan of the whole argv.
+    args, extras = commands[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:

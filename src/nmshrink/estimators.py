@@ -115,14 +115,18 @@ def hb(
     needs none and maps to the zero matrix.
     """
     z = x.col_sums
-    d = np.full(z.shape[:-1], math.inf)
-    nonzero = np.asarray(x.grand_sum) > 0
-    if nonzero.any():
-        # delta_hb checks alpha, beta, r and the assumptions before its kernel.
+    nonzero = x.grand_sum > 0
+    # delta_hb checks alpha, beta, r and the assumptions before its kernel.
+    if z.ndim == 1 and nonzero:
+        d = delta_hb(alpha, beta, g, r, x.m, z)  # one matrix: a float
+    elif np.any(nonzero):
+        d = np.full(z.shape[:-1], math.inf)
         d[nonzero] = delta_hb(alpha, beta, g, r, x.m, z[nonzero])
+        d = d[..., None]
     else:
         require_hb_assumptions(alpha, beta, g, r, x.m, x.n_columns)
-    return _shrunk(x, r + z - 1.0 + d[..., None])
+        d = math.inf
+    return _shrunk(x, r + z - 1.0 + d)
 
 
 def dirichlet_posterior_mean(

@@ -121,9 +121,10 @@ _END_DS = 0.5 * math.pi * math.cosh(DE_SPAN)
 _END_TANH = math.tanh(DE_SPAN)
 # Safety factor on the end terms of the error estimate.
 _END_SAFETY = 2.0
-# The nodes of the first step, and how many (xi0, beta, g) keys keep their
-# node terms (`_first_step`).
+# The nodes of the first step, their log t, and how many (xi0, beta, g) keys
+# keep their node terms (`_first_step`).
 _FIRST = slice(None, None, 2**_MAX_LEVEL)
+_LOG_T_FIRST = _LOG_T[_FIRST]
 _FIRST_STEP_KEYS = 16
 
 
@@ -198,7 +199,7 @@ class PriorSpec:
         object.__setattr__(self, "a0", weights.a0)
         object.__setattr__(self, "a", weights.a)
 
-    @property
+    @functools.cached_property
     def a_dot(self) -> float:
         return float(self.a.sum())
 
@@ -239,7 +240,7 @@ def kernel_finite(alpha, beta: float, g: GChoice, xi0: float, n_positive, total)
     n_positive and total.
     """
     small = small_t_finite(alpha, g, n_positive if xi0 == 0 else 0)
-    return (xi0 >= 0) & small & tail_finite(alpha, beta, g, total)
+    return small & ((xi0 >= 0) & tail_finite(alpha, beta, g, total))
 
 
 def prior_proper(prior: PriorSpec, n_columns: int) -> bool:
@@ -317,7 +318,14 @@ def _shared_log_integrand(base: np.ndarray, gamma: tuple, xi: np.ndarray) -> np.
     The Gamma ratios are computed once per distinct xi value, and each row
     adds its columns in ascending order of xi, so a row's bits depend neither
     on the rows it shares the table with nor on the order of its columns.
+    One row needs no table of distinct values: its own sorted columns are one.
     """
+    if xi.shape[0] == 1:
+        ratio = _log_gamma_ratio_from(gamma, np.sort(xi[0]))
+        out = ratio[0] + base
+        for row in ratio[1:]:
+            out += row
+        return out[None]
     flat = np.sort(xi, axis=None)
     values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
     index = np.searchsorted(values, np.sort(xi, axis=1))
@@ -346,13 +354,18 @@ def _node_sums(lf, p_low, p_high, beta: float, level: int):
     f = np.exp(lf, out=lf)
     full = f.sum(axis=-1)
     low, high = f[..., 0], f[..., -1]
-    # Trapezoid sum on [-DE_SPAN, DE_SPAN] plus the two remainders.
+    # Trapezoid sum on [-DE_SPAN, DE_SPAN] plus the two remainders; above,
+    # for beta > 0, p_high is inf and its remainder is 0.
     sums = DE_STEP / 2**level * (full - 0.5 * (low + high))
-    value = peak + np.log(sums + (low / p_low + high / p_high) / _END_DS)
-    gap = (full - 2.0 * f[..., ::2].sum(axis=-1)) / full
+    rest = low / p_low
     ends = low * _end_weight(p_low, level)
-    # Above, for beta > 0, no power holds: the end node's share is the term.
-    ends += high * _end_weight(p_high, level) if beta == 0 else high
+    if beta == 0:
+        rest += high / p_high
+        ends += high * _end_weight(p_high, level)
+    else:  # no power holds above: the end node's share is the term
+        ends += high
+    value = peak + np.log(sums + rest / _END_DS)
+    gap = (full - 2.0 * f[..., ::2].sum(axis=-1)) / full
     return value, gap**2 + ends / full
 
 
@@ -367,9 +380,10 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
     first step takes every pair of the block at once, on the node terms
     `_first_step` keeps, and `_finer_steps` takes the pairs left.
     """
-    # The number of positive xi matters only at xi0 = 0.
+    # The number of positive xi matters only at xi0 = 0, their total only at
+    # beta = 0.
     n_positive = (xi > 0).sum(axis=1)[:, None] if xi0 == 0 else 0
-    total = xi.sum(axis=1)[:, None]
+    total = xi.sum(axis=1)[:, None] if beta == 0 else 0
     finite = kernel_finite(alphas, beta, g, xi0, n_positive, total)
     if not finite.all():
         finite = np.broadcast_to(finite, (xi.shape[0], alphas.size))
@@ -386,13 +400,13 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
     p_low = alphas + g.small_t_exponent - n_positive
     p_high = total - alphas if beta == 0 else math.inf
     lf = _shared_log_integrand(*_first_step(xi0, beta, g), xi)[:, None, :]
-    lf = lf + alphas[:, None] * _LOG_T[_FIRST]
+    lf = lf + alphas[:, None] * _LOG_T_FIRST
     out, estimate = _node_sums(lf, p_low, p_high, beta, 0)
-    pending = ~(estimate <= ERROR_TOL)
     if not np.isfinite(out).all():
         raise QuadratureError("kernel quadrature produced a non-finite value")
-    if pending.any():
-        _finer_steps(out, pending, alphas, beta, g, xi0, xi, p_low, p_high)
+    done = estimate <= ERROR_TOL
+    if not done.all():
+        _finer_steps(out, ~done, alphas, beta, g, xi0, xi, p_low, p_high)
     return out
 
 
@@ -415,8 +429,9 @@ def _finer_steps(out, pending, alphas, beta, g, xi0, xi, p_low, p_high) -> None:
         rows, ks, p_low, p_high = rows[~ok], ks[~ok], p_low[~ok], p_high[~ok]
         if not rows.size:
             return
+    # The shortest repr of the estimate, so it never reads as the tolerance.
     raise QuadratureError(
-        f"estimated relative error {estimate.max():.1e} exceeds {ERROR_TOL:g} "
+        f"estimated relative error {float(estimate.max())!r} exceeds {ERROR_TOL:g} "
         f"within the node budget {MAX_TOTAL_NODES}; the integrand is too "
         "sharply peaked or too close to divergence"
     )
@@ -451,11 +466,11 @@ def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
 
     exponents, beta, xi0 = alphas.ravel(), float(beta), float(xi0)
     rows = xi.reshape(-1, xi.shape[-1])
-    out = np.empty((rows.shape[0], alphas.size))
-    for i in range(0, rows.shape[0], _ROW_BLOCK):
-        block = rows[i : i + _ROW_BLOCK]
-        out[i : i + _ROW_BLOCK] = _log_kernel_rows(exponents, beta, g, xi0, block)
-    out = out.reshape(xi.shape[:-1] + alphas.shape)
+    blocks = [
+        _log_kernel_rows(exponents, beta, g, xi0, rows[i : i + _ROW_BLOCK])
+        for i in range(0, rows.shape[0], _ROW_BLOCK)
+    ]
+    out = np.concatenate(blocks).reshape(xi.shape[:-1] + alphas.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -463,8 +478,10 @@ def _ratio(logk: np.ndarray):
     """exp(log K(alpha+1) - log K(alpha)) with math.exp, so a row gives the
     same bits alone as in a stack."""
     diff = logk[..., 1] - logk[..., 0]
+    if diff.ndim == 0:
+        return math.exp(diff)
     out = np.fromiter(map(math.exp, diff.ravel().tolist()), float, diff.size)
-    return float(out[0]) if diff.ndim == 0 else out.reshape(diff.shape)
+    return out.reshape(diff.shape)
 
 
 def delta_hb(alpha: float, beta: float, g: GChoice, r: float, m: int, z: np.ndarray):
@@ -478,7 +495,7 @@ def delta_hb(alpha: float, beta: float, g: GChoice, r: float, m: int, z: np.ndar
     """
     z = require_counts(z, 1)
     require_hb_assumptions(alpha, beta, g, r, m, z.shape[-1])
-    logk = log_kernel([alpha, alpha + 1.0], beta, g, r - m, z.astype(float) + float(m))
+    logk = log_kernel([alpha, alpha + 1.0], beta, g, r - m, z + float(m))
     if not np.isfinite(logk[..., 0]).all():
         raise QuadratureError("denominator kernel did not evaluate finitely")
     return _ratio(logk)
@@ -508,7 +525,7 @@ def delta_nu(
     z = require_counts(z, 1)
     n_cols = z.shape[-1]
     nu = np.asarray(nu)
-    if nu.dtype.kind not in "iu" or np.any((nu < 0) | (nu >= n_cols)):
+    if nu.dtype.kind not in "iu" or nu.min(initial=0) < 0 or nu.max(initial=0) >= n_cols:
         raise ValueError("nu out of range")
     if not a_dot > 0:
         raise ValueError("a_dot must be positive")
@@ -518,8 +535,8 @@ def delta_nu(
             "delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
             "alpha + (g exponent at 0) > N) and a finite tail integral"
         )
-    np.broadcast_shapes(z.shape[:-1], nu.shape)  # NumPy's refusal of bad shapes
-    xi = z.astype(float) + float(a_dot) + (np.arange(n_cols) == nu[..., None])
+    np.broadcast(z[..., 0], nu)  # NumPy's refusal of bad shapes
+    xi = z + float(a_dot) + (np.arange(n_cols) == nu[..., None])
     logk = log_kernel([alpha, alpha + 1.0], beta, g, ra0, xi)
     if not np.isfinite(logk).all():
         raise QuadratureError("kernel did not evaluate finitely under propriety")

@@ -19,6 +19,8 @@ from nmshrink import audit, estimators, risklab
 from nmshrink.cli import _audit_check, _g_from_doc, build_parser, json_numbers, main
 from nmshrink.kernel import ConditionError, GChoice, QuadratureError
 from nmshrink.model import read_counts_csv
+from test_pins import CALLS as PIN_CALLS
+from test_pins import FILES as PIN_FILES
 
 
 def _savetxt_bytes(values) -> str:
@@ -1247,6 +1249,66 @@ class TestParserReuse:
         assert first == second
         assert first[4][1].startswith("nmshrink ")
         assert "unrecognized arguments: --no-such-option" in first[5][2]
+
+
+# `_parse_args` parses a subcommand's argv with that subcommand's parser;
+# argparse's own dispatch, `_parser().parse_args`, is the oracle.  The corpus:
+# every valid call of tests/test_pins.py, calls argparse refuses, and the
+# forms the top-level parser handles.
+ROUTED_ESTIMATE = ["estimate", "--estimator", "hb", "--r", "8", "--in", "c.csv"]
+ROUTED_CORPUS = {
+    **{f"pinned {name}": [a.format(**{k: f"{k}.in" for k in PIN_FILES}) for a in argv]
+       for name, argv in PIN_CALLS.items()},
+    "unknown option": ROUTED_ESTIMATE + ["--no-such-option"],
+    "unknown option with a value": ROUTED_ESTIMATE + ["--no-such-option=3", "x"],
+    "stray positional": ROUTED_ESTIMATE + ["stray"],
+    "-- x": ROUTED_ESTIMATE + ["--", "x"],
+    "bad type": ["estimate", "--estimator", "hb", "--r", "abc"],
+    "bad choice": ["estimate", "--estimator", "nope", "--r", "8"],
+    "missing required flag": ["estimate", "--estimator", "hb"],
+    "abbreviation --est": ["estimate", "--est", "umvu", "--r", "8"],
+    "estimate -h": ["estimate", "-h"],
+    "estimate --version": ["estimate", "--version"],
+    "repro without a target": ["repro"],
+    "--version": ["--version"],
+    "--help": ["--help"],
+    "empty argv": [],
+    "unknown command": ["no-such-command", "--r", "8"],
+    "option before the command": ["--r", "8", "estimate"],
+}
+
+
+def parse_outcome(parse, argv, capsys):
+    """The namespace's items in order, or the exit code with what was printed."""
+    try:
+        outcome = list(vars(parse(argv)).items())
+    except SystemExit as exc:
+        outcome = exc.code
+    out = capsys.readouterr()
+    return outcome, out.out, out.err
+
+
+class TestRoutedParse:
+    @pytest.mark.parametrize("name", ROUTED_CORPUS)
+    def test_same_as_argparse_dispatch(self, name, capsys):
+        argv = ROUTED_CORPUS[name]
+        want = parse_outcome(cli._parser().parse_args, argv, capsys)
+        assert parse_outcome(cli._parse_args, argv, capsys) == want
+
+    def test_config_replay(self, tmp_path, capsys):
+        for argv in (PIN_CALLS["estimate hb-pm"], ROUTED_CORPUS["unknown option"]):
+            cfg = write(tmp_path / "run.json", json.dumps({"argv": argv}))
+            want = parse_outcome(cli._parser().parse_args, argv, capsys)
+            assert parse_outcome(cli._parse_args, ["--config", cfg], capsys) == want
+
+    def test_subcommand_parser_is_the_top_level_ones(self, monkeypatch):
+        sub = next(a for a in cli._parser()._actions if a.dest == "command")
+        seen = []
+        parse = sub.choices["estimate"].parse_known_args
+        monkeypatch.setattr(sub.choices["estimate"], "parse_known_args",
+                            lambda *a: seen.append(a) or parse(*a))
+        cli._parse_args(ROUTED_ESTIMATE)
+        assert len(seen) == 1
 
 
 # Each subcommand's argv, the library call it makes (module, attribute) and

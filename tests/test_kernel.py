@@ -1,6 +1,7 @@
 """Kernel integral: accuracy, divergence detection, and ratio properties."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -416,6 +417,22 @@ class TestOnePassEvaluator:
         want = adaptive_log_kernel(400.0, 1.0, G1, 1.0, np.array([10.0, 12.0, 9.0]))
         got = log_kernel(400.0, 1.0, G1, 1.0, np.array([10.0, 12.0, 9.0]))
         assert got == pytest.approx(want, rel=1e-13)
+
+    def test_budget_message_never_reads_as_the_tolerance(self, monkeypatch):
+        # Every finer step reports an estimate one ulp above the tolerance,
+        # so the pair runs out of nodes with that estimate.
+        just_above = np.nextafter(kernel.ERROR_TOL, 1.0)
+        node_sums = kernel._node_sums
+
+        def above(lf, p_low, p_high, beta, level):
+            value, estimate = node_sums(lf, p_low, p_high, beta, level)
+            return value, np.full_like(estimate, just_above)
+
+        monkeypatch.setattr(kernel, "_node_sums", above)
+        with pytest.raises(QuadratureError) as refused:
+            log_kernel(6.0, 1.0, G1, 1.0, np.array([3.0, 2.0, 4.0]))
+        quoted = re.search(r"estimated relative error (\S+) exceeds", str(refused.value))
+        assert float(quoted[1]) == just_above > kernel.ERROR_TOL
 
     def test_delta_shapes_and_bits_follow_the_rows(self):
         z = np.array([[3, 1, 5], [0, 2, 2], [7, 7, 1]])
