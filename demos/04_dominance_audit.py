@@ -59,4 +59,4 @@ print("reasons:", verdict.text)
 # Positive-loss dominance with the information-based default weights.
 jp = jeffreys_prior(9)
 print("\nposterior-mean dominance at m=9, n=N=3, r=5, alpha=5:",
-      kl_dominance_conditions(5.0, 1.0, g1, jp.a0, jp.a, 5.0, 3, 3).holds)
+      kl_dominance_conditions(PriorSpec(5.0, 1.0, g1, jp.a0, jp.a), 5.0, 3, 3).holds)

@@ -12,7 +12,7 @@ Run:  python demos/05_gibbs_diagnostics.py
 import numpy as np
 
 from nmshrink import CountMatrix, GChoice, PriorSpec, delta_hb, delta_nu
-from nmshrink.gibbs import ChainConfig, mcmc_delta_estimates, run_posterior
+from nmshrink.gibbs import ChainConfig, run_posterior
 
 g1 = GChoice.constant_one()
 r = 8.0
@@ -41,7 +41,7 @@ prior2 = PriorSpec(5.0, 1.0, g1, -3.0, np.full(7, 0.5))
 chain2 = run_posterior(x, r, prior2, cfg)
 print("\nper-column ratios, chain vs quadrature:")
 for nu in range(x.n_columns):
-    mc = mcmc_delta_estimates(chain2, "kl", nu)
+    mc = chain2.delta_kl(nu)
     quad = delta_nu(5.0, 1.0, g1, r, -3.0, 3.5, x.col_sums, nu)
     print(f"  column {nu}: {mc:.5f} vs {quad:.5f}")
 

@@ -115,9 +115,9 @@ def check_shrinkage_conditions(
         raise ValueError("the shrinkage-rule conditions assume r >= 5/2")
     if z_max < 1:
         raise ValueError("z_max must be at least 1")
+    dz1 = float(delta(1))
     for z in range(1, z_max + 1):
-        dz = float(delta(z))
-        dz1 = float(delta(z + 1))
+        dz, dz1 = dz1, float(delta(z + 1))
         if z * dz > (z + 1) * dz1 + _EPS:
             return ShrinkageRuleReport(False, z)
         if z >= 2:
@@ -172,24 +172,17 @@ def hb_dominance_conditions(
 
 
 def kl_dominance_conditions(
-    alpha: float,
-    beta: float,
-    g: GChoice,
-    a0: float,
-    a: np.ndarray,
-    r: float,
-    n: int,
-    n_columns: int,
+    prior: PriorSpec, r: float, n: int, n_columns: int
 ) -> Verdict:
     """Named conditions for the hierarchical posterior mean to beat the
     Dirichlet posterior mean (KL loss): posterior propriety, nonincreasing g,
     a0 + a_dot + 1 >= 0 and alpha + 1 <= n(-a0 - 2)."""
-    prior = PriorSpec(alpha, beta, g, a0, np.asarray(a, dtype=float))
     require_r(r)
+    alpha, a0 = prior.alpha, prior.a0
     bound = n * (-a0 - 2)
     conditions = {
         "posterior proper": posterior_proper(prior, n_columns, r),
-        "g nonincreasing": g.nonincreasing,
+        "g nonincreasing": prior.g.nonincreasing,
         "a0 + a_dot + 1 >= 0": a0 + prior.a_dot + 1 >= -_EPS,
         "alpha + 1 <= n(-a0 - 2)": alpha + 1 <= bound + _EPS,
     }

@@ -18,10 +18,11 @@ refused by the top-level parser, as argparse refuses it.  The top-level
 parser parses only an argv that names no subcommand: --help, --version,
 an empty argv or an unknown command.
 
-Cases and estimator kinds come from `risklab`.  Every JSON document (the
-truth, prior, `audit`, `kernel-eval` and `--config` documents) is read by
-`_read_json`, from a file or from stdin for `-`, and every number in one by
-`json_numbers`; `_rows_to_csv` writes every table, +/- verdicts too.
+Cases and estimator kinds come from `risklab`.  Every input, counts CSV or
+JSON document, is read from stdin for `-` (`_input`).  Every JSON document
+(the truth, prior, `audit`, `kernel-eval` and `--config` documents) is read
+by `_read_json`, and every number in one by `json_numbers`; `_rows_to_csv`
+writes every table, +/- verdicts too.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from . import audit as audit_mod
-from .gibbs import ChainConfig, mcmc_delta_estimates, run_posterior
+from .gibbs import ChainConfig, run_posterior
 from .kernel import (
     ConditionError,
     GChoice,
@@ -142,12 +143,18 @@ def _to_json(obj, **kwargs) -> str:
     return json.dumps(_finite_or_null(obj), allow_nan=False, indent=2, **kwargs)
 
 
+def _input(path: str | None):
+    """What an input option names: stdin for None or '-', else the path."""
+    return sys.stdin if path is None or path == "-" else path
+
+
 def _read_json(path: str | None) -> dict:
+    source = _input(path)
     try:
-        if path is None or path == "-":
-            doc = json.load(sys.stdin)
+        if source is sys.stdin:
+            doc = json.load(source)
         else:
-            with open(path) as f:
+            with open(source) as f:
                 doc = json.load(f)
     except RecursionError:
         raise ValueError("JSON document nested too deeply") from None
@@ -238,7 +245,7 @@ def _matrix_to_csv(result: np.ndarray) -> str:
 
 def _cmd_estimate(args):
     require_r(args.r)
-    counts = read_counts_csv(args.infile or sys.stdin, header=args.header)
+    counts = read_counts_csv(_input(args.infile), header=args.header)
     fn = _estimators([args.estimator], args, counts.m)[args.estimator]
 
     def run() -> int:
@@ -342,8 +349,8 @@ def _cmd_risk_sim(args):
 
 
 def _audit_check(doc: dict):
-    """An audit document's verdict as a function of no arguments: the
-    document's numbers are read now, its closed-form check runs when called."""
+    """An audit document's verdict document as a function of no arguments: the
+    numbers are read now, the check its kind names runs when it is called."""
     kind, num = doc.get("kind"), functools.partial(json_numbers, doc)
 
     def size() -> float:
@@ -354,38 +361,43 @@ def _audit_check(doc: dict):
     if kind == "prior":
         prior, n_cols = _prior_from_doc(doc), _count(doc, "n_columns")
         r = size() if "r" in doc else None
-        return functools.partial(_verdict, kind, prior, n_cols, r)
-    if kind == "eb":
-        return functools.partial(_verdict, kind, _count(doc, "m"), size())
-    if kind == "hb":
+
+        def propriety() -> dict:
+            verdict = audit_mod.check_prior_propriety(prior, n_cols)
+            out = {"kind": kind, "prior_proper": verdict.holds, "reasons": verdict.text}
+            if r is not None:
+                out["posterior_proper"] = posterior_proper(prior, n_cols, r)
+            return out
+
+        return propriety
+    elif kind == "eb":
+        m, r = _count(doc, "m"), size()
+        check = functools.partial(audit_mod.eb_dominance_conditions, m, r)
+    elif kind == "hb":
         alpha, beta = num("alpha"), num("beta")
         require_alpha_beta(alpha, beta)
         g, r, m, n = _g_from_doc(doc.get("g")), size(), _count(doc, "m"), _count(doc, "n")
         n_cols = _count(doc, "n_columns") if "n_columns" in doc else None
-        return functools.partial(_verdict, kind, alpha, beta, g, r, m, n, n_cols)
-    if kind == "kl":
-        prior = _prior_from_doc(doc)
-        spec = (prior.alpha, prior.beta, prior.g, prior.a0, prior.a, size())
-        return functools.partial(
-            _verdict, kind, *spec, _count(doc, "n"), _count(doc, "n_columns")
+        check = functools.partial(
+            audit_mod.hb_dominance_conditions, alpha, beta, g, r, m, n, n_cols
         )
-    raise ValueError(f"unknown audit kind {reprlib.repr(kind)}; use prior|eb|hb|kl")
+    elif kind == "kl":
+        prior, r = _prior_from_doc(doc), size()
+        n, n_cols = _count(doc, "n"), _count(doc, "n_columns")
+        check = functools.partial(audit_mod.kl_dominance_conditions, prior, r, n, n_cols)
+    else:
+        raise ValueError(f"unknown audit kind {reprlib.repr(kind)}; use prior|eb|hb|kl")
 
+    def dominance() -> dict:
+        verdict = check()
+        return {"kind": kind, "holds": verdict.holds, **vars(verdict)}
 
-def _verdict(kind: str, *numbers) -> dict:
-    """The verdict document of an audit kind's closed-form check."""
-    if kind == "prior":
-        prior, n_cols, r = numbers
-        verdict = audit_mod.check_prior_propriety(prior, n_cols)
-        out = {"kind": kind, "prior_proper": verdict.holds, "reasons": verdict.text}
-        if r is not None:
-            out["posterior_proper"] = posterior_proper(prior, n_cols, r)
-        return out
-    verdict = getattr(audit_mod, f"{kind}_dominance_conditions")(*numbers)
-    return {"kind": kind, "holds": verdict.holds, **vars(verdict)}
+    return dominance
 
 
 def _cmd_audit(args):
+    if args.table1 and args.infile is not None:
+        raise ValueError("--table1 audits the benchmark cases; it does not take --in")
     doc = None if args.table1 else _read_json(args.infile)
     verdicts = audit_mod.dominance_table if doc is None else _audit_check(doc)
 
@@ -408,7 +420,7 @@ def _cmd_audit(args):
 
 def _cmd_gibbs_diag(args):
     require_r(args.r)
-    counts = read_counts_csv(args.counts, header=args.header)
+    counts = read_counts_csv(_input(args.counts), header=args.header)
     prior = _prior_from_doc(_read_json(args.prior))
     if prior.m != counts.m:
         raise ValueError(f"prior a needs m = {counts.m} entries, got {prior.m}")
@@ -422,10 +434,8 @@ def _cmd_gibbs_diag(args):
             "posterior_mean_p": chain.posterior_mean_p().tolist(),
             "posterior_mean_t": float(chain.t.mean()),
             "ess_t": chain.ess_t(),
-            "delta_ss": mcmc_delta_estimates(chain, "ss"),
-            "delta_kl": [
-                mcmc_delta_estimates(chain, "kl", nu) for nu in range(counts.n_columns)
-            ],
+            "delta_ss": chain.delta_ss(),
+            "delta_kl": [chain.delta_kl(nu) for nu in range(counts.n_columns)],
         }
         _write_text(args.out, _to_json(report) + "\n")
         return EXIT_OK

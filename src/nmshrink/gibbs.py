@@ -32,7 +32,9 @@ a_nu -> x_nu + a_nu), so `run_posterior` is the one entry point: on
 all-zero counts it samples the prior whose leftover exponent is r + a0.  The
 sampler is restricted to the constant mixing weight g = 1 (any GChoice with
 c = -1); other weights break conjugacy and are covered by the deterministic
-kernel quadrature.
+kernel quadrature.  The kept t cross-check the kernel ratios: `Chain.delta_ss()`
+estimates the column-sum ratio `kernel.delta_hb` and `Chain.delta_kl(nu)` the
+per-column ratio `kernel.delta_nu`.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ __all__ = [
     "Chain",
     "run_posterior",
     "ess",
-    "mcmc_delta_estimates",
 ]
 
 
@@ -72,7 +73,7 @@ class ChainConfig:
 
 @dataclass(frozen=True)
 class Chain:
-    """Kept draws in array form, plus the bookkeeping delta estimates need."""
+    """Kept draws in array form, plus the bookkeeping `delta_kl` needs."""
 
     t: np.ndarray
     p: np.ndarray  # (n_kept, m, N)
@@ -86,6 +87,26 @@ class Chain:
 
     def posterior_mean_p(self) -> np.ndarray:
         return self.p.mean(axis=0)
+
+    def delta_ss(self) -> float:
+        """The posterior mean of t: the column-sum shrinkage amount for the
+        constant mixing weight, where the kernel ratio equals E[t | X]."""
+        return float(self._draws().mean())
+
+    def delta_kl(self, nu: int) -> float:
+        """The ratio E[t w]/E[w] with w = 1/(t + r + a0 + z_nu + a_dot): the
+        per-column kernel ratio for column `nu`."""
+        t = self._draws()
+        if not 0 <= nu < self.col_sums.size:
+            raise ValueError("nu out of range for this chain")
+        w = 1.0 / (t + self.r + self.a0 + float(self.col_sums[nu]) + self.a_dot)
+        return float((t * w).mean() / w.mean())
+
+    def _draws(self) -> np.ndarray:
+        t = np.asarray(self.t, dtype=float)
+        if t.size == 0:
+            raise ValueError("empty chain")
+        return t
 
 
 # Iterations whose t-independent randomness is drawn at once; it bounds the
@@ -150,7 +171,7 @@ def run_posterior(
     x: CountMatrix, r: float, prior: PriorSpec, cfg: ChainConfig
 ) -> Chain:
     """Chain targeting the posterior given the count matrix, with the
-    metadata needed by mcmc_delta_estimates.
+    metadata its `delta_ss` and `delta_kl` need.
 
     The conditionals use a0_eff = r + a0 and per-column weights x_nu + a.
     """
@@ -198,29 +219,3 @@ def ess(x: np.ndarray) -> float:
     tau = 2.0 * pair.sum() - 1.0
     tau = max(tau, 1.0 / n)
     return float(n / tau)
-
-
-def mcmc_delta_estimates(
-    chain: Chain, mode: str = "ss", nu: int | None = None
-) -> float:
-    """Monte Carlo estimate of a shrinkage amount from posterior draws of t.
-
-    mode "ss": the posterior mean of t (valid for the constant mixing
-    weight, where the column-sum shrinkage ratio equals E[t | X]).
-
-    mode "kl": the ratio E[t w]/E[w] with w = 1/(t + r + a0 + z_nu + a_dot),
-    matching the per-column kernel ratio for column `nu`.
-    """
-    t = np.asarray(chain.t, dtype=float)
-    if t.size == 0:
-        raise ValueError("empty chain")
-    if mode == "ss":
-        return float(t.mean())
-    if mode == "kl":
-        if nu is None:
-            raise ValueError("mode 'kl' needs a column index nu")
-        if not 0 <= nu < chain.col_sums.size:
-            raise ValueError("nu out of range for this chain")
-        w = 1.0 / (t + chain.r + chain.a0 + float(chain.col_sums[nu]) + chain.a_dot)
-        return float((t * w).mean() / w.mean())
-    raise ValueError(f"unknown mode: {mode!r}")

@@ -148,7 +148,7 @@ def collect(states: Iterator[GibbsState], **meta) -> Chain:
 def run_posterior(
     x: CountMatrix, r: float, prior: PriorSpec, cfg: ChainConfig
 ) -> Chain:
-    """Posterior chain with the metadata needed by mcmc_delta_estimates."""
+    """Posterior chain with the metadata its `delta_ss` and `delta_kl` need."""
     return collect(
         posterior_chain(x, r, prior, cfg),
         r=float(r),

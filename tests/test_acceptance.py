@@ -16,7 +16,7 @@ from nmshrink.audit import (
     dominance_table,
     jeffreys_prior,
 )
-from nmshrink.gibbs import ChainConfig, mcmc_delta_estimates, run_posterior
+from nmshrink.gibbs import ChainConfig, run_posterior
 from nmshrink.kernel import GChoice, PriorSpec, delta_hb, delta_nu
 from nmshrink.model import CountMatrix, ModelParams, ProbColumn, nm_log_pmf
 from nmshrink.risklab import (
@@ -128,7 +128,7 @@ def test_criterion_5_kernel_vs_gibbs():
             x, r, prior_ss, ChainConfig(n_iter=45_000, burn_in=5_000, seed=200 + k)
         )
         ess_t = chain.ess_t()
-        d_mc = mcmc_delta_estimates(chain, "ss")
+        d_mc = chain.delta_ss()
         d_quad = delta_hb(alpha, 1.0, G1, r, m, x.col_sums)
         rel = abs(d_mc / d_quad - 1.0)
 
@@ -140,7 +140,7 @@ def test_criterion_5_kernel_vs_gibbs():
             x, r, prior_kl, ChainConfig(n_iter=45_000, burn_in=5_000, seed=300 + k)
         )
         nu = int(rng.integers(n_cols))
-        d_mc2 = mcmc_delta_estimates(chain2, "kl", nu)
+        d_mc2 = chain2.delta_kl(nu)
         d_quad2 = delta_nu(alpha, 1.0, G1, r, a0, float(a.sum()), x.col_sums, nu)
         rel2 = abs(d_mc2 / d_quad2 - 1.0)
 

@@ -52,6 +52,33 @@ class TestShrinkageConditions:
         with pytest.raises(ValueError):
             check_shrinkage_conditions(lambda z: 1.0, 2.0, 7, 1, 10)
 
+    def test_requires_z_max_at_least_1(self):
+        with pytest.raises(ValueError, match="z_max must be at least 1"):
+            check_shrinkage_conditions(lambda z: 1.0, 2.5, 7, 1, 0)
+
+    def test_rule_called_once_per_z(self):
+        # delta(z + 1) of one z is delta(z) of the next: z_max + 1 calls.
+        rule, calls = eb_delta_rule(7, 3, 2.5), []
+
+        def counted(z):
+            calls.append(z)
+            return rule(z)
+
+        rep = check_shrinkage_conditions(counted, 2.5, 7, 3, 1000)
+        assert rep.holds_up_to_z_max
+        assert calls == list(range(1, 1002))
+
+    def test_product_decrease_fails_condition_i(self):
+        # z * delta(z) = 1/z decreases, so condition (i) fails at z = 1.
+        rep = check_shrinkage_conditions(lambda z: 1.0 / z**2, 3.0, 7, 3, 100)
+        assert (rep.holds_up_to_z_max, rep.first_violation) == (False, 1)
+
+    def test_negative_core_fails_the_first_branch(self):
+        # delta = -60/z keeps z * delta constant, so (i) holds; at z = 2,
+        # delta = -30 <= 2(m-3) = 8 and (m-6) delta + 2(m-3) r = -30 + 20 < 0.
+        rep = check_shrinkage_conditions(lambda z: -60.0 / z, 2.5, 7, 3, 100)
+        assert (rep.holds_up_to_z_max, rep.first_violation) == (False, 2)
+
     def test_small_constant_holds(self):
         # delta = c0 <= 2(m-3) works when m >= 6(r + c0)/(2r + c0)
         m, r, c0 = 7, 3.0, 2.0
@@ -134,7 +161,7 @@ class TestHbDominance:
 
 class TestKlDominance:
     def test_nonnegative_a0_fails(self):
-        verdict = kl_dominance_conditions(1.0, 1.0, G1, 0.0, np.ones(3), 4.0, 3, 3)
+        verdict = kl_dominance_conditions(spec(1.0, 1.0, 0.0, np.ones(3)), 4.0, 3, 3)
         assert not verdict.holds
 
     def test_jeffreys_reduction(self):
@@ -146,7 +173,7 @@ class TestKlDominance:
             r = m / 2.0 + 1.0
             for n in (2, 3):
                 for alpha in (0.5, 1.0, 2.0, 5.0, 8.0):
-                    lhs = kl_dominance_conditions(alpha, 1.0, G1, jp.a0, jp.a, r, n, n)
+                    lhs = kl_dominance_conditions(spec(alpha, 1.0, jp.a0, jp.a), r, n, n)
                     assert lhs.holds == (alpha + 1 <= n * (m - 5) / 2)
 
     def test_boundary_propriety_alternative(self):
@@ -155,12 +182,12 @@ class TestKlDominance:
         jp = jeffreys_prior(m)
         r = (m - 1) / 2.0
         assert jp.a0 + r == 0
-        assert kl_dominance_conditions(4.0, 1.0, G1, jp.a0, jp.a, r, 3, 3).holds
-        assert not kl_dominance_conditions(2.0, 1.0, G1, jp.a0, jp.a, r, 3, 3).holds
+        assert kl_dominance_conditions(spec(4.0, 1.0, jp.a0, jp.a), r, 3, 3).holds
+        assert not kl_dominance_conditions(spec(2.0, 1.0, jp.a0, jp.a), r, 3, 3).holds
 
     def test_acceptance_configuration(self):
         jp = jeffreys_prior(9)
-        assert kl_dominance_conditions(5.0, 1.0, G1, jp.a0, jp.a, 5.0, 3, 3).holds
+        assert kl_dominance_conditions(spec(5.0, 1.0, jp.a0, jp.a), 5.0, 3, 3).holds
 
 
 class TestJeffreys:
@@ -170,6 +197,10 @@ class TestJeffreys:
         np.testing.assert_allclose(jp1.a, [0.5])
         assert jeffreys_prior(3).a0 == -1.0
         assert jeffreys_prior(9).a0 == -4.0
+
+    def test_needs_a_column(self):
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            jeffreys_prior(0)
 
 
 class TestDominanceTable:

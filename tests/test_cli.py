@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import nmshrink.cli as cli
 from nmshrink import audit, estimators, risklab
 from nmshrink.cli import _audit_check, _g_from_doc, build_parser, json_numbers, main
-from nmshrink.kernel import ConditionError, GChoice, QuadratureError
+from nmshrink.kernel import ConditionError, GChoice, PriorSpec, QuadratureError
 from nmshrink.model import read_counts_csv
 from test_pins import CALLS as PIN_CALLS
 from test_pins import FILES as PIN_FILES
@@ -61,6 +61,16 @@ class TestEstimate:
         np.testing.assert_allclose(
             got, [[3 / 12, 0], [2 / 12, 1 / 12], [0, 4 / 12]]
         )
+
+    def test_counts_from_stdin(self, counts_csv, capsys, monkeypatch):
+        # `--in -` reads the counts from stdin, as no --in (`< counts.csv`) does.
+        argv = ["estimate", "--estimator", "umvu", "--r", "8"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(counts_csv).read_text()))
+        assert main(argv) == 0
+        redirected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(counts_csv).read_text()))
+        assert main(argv + ["--in", "-"]) == 0
+        assert capsys.readouterr().out == redirected != ""
 
     def test_all_zero_matrix(self, tmp_path, capsys):
         src = write(tmp_path / "z.csv", "0,0\n0,0\n")
@@ -305,6 +315,19 @@ class TestAudit:
         rows = json.loads(capsys.readouterr().out)
         assert rows == audit.dominance_table()
 
+    @pytest.mark.parametrize("flags", [[], ["--enforce"], ["--dry-run"],
+                                       ["--enforce", "--dry-run"]])
+    def test_table1_refuses_a_document(self, tmp_path, capsys, flags):
+        # --table1 never reads --in, so giving both is bad input.
+        for doc in (str(tmp_path / "missing.json"),
+                    write(tmp_path / "s.json", json.dumps({"kind": "eb", "m": 3, "r": 4}))):
+            assert main(["audit", "--table1", "--in", doc] + flags) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--table1 audits the benchmark cases; it does not take --in" in (
+                captured.err
+            )
+
     def test_table1_dry_run_computes_nothing(self, capsys, monkeypatch):
         def no_table():
             raise AssertionError("computed the table on a dry run")
@@ -404,9 +427,10 @@ class TestAuditConditions:
               "a": [1, 1, 1], "r": 4, "n": 8, "n_columns": 1})
     def test_kl_holds_is_all_conditions(self, doc):
         verdict = _audit_check(doc)()
+        prior = PriorSpec(doc["alpha"], doc["beta"], _g_from_doc(doc["g"]), doc["a0"],
+                          np.array(doc["a"]))
         expected = audit.kl_dominance_conditions(
-            doc["alpha"], doc["beta"], _g_from_doc(doc["g"]), doc["a0"],
-            np.array(doc["a"]), doc["r"], doc["n"], doc["n_columns"],
+            prior, doc["r"], doc["n"], doc["n_columns"]
         ).holds
         assert verdict["holds"] == all(verdict["conditions"].values()) == expected
 
@@ -438,6 +462,18 @@ class TestGibbsDiag:
         assert doc["ess_t"] > 100
         assert len(doc["delta_kl"]) == 2
         assert np.asarray(doc["posterior_mean_p"]).shape == (3, 2)
+
+    def test_counts_from_stdin(self, counts_csv, tmp_path, capsys, monkeypatch):
+        # `--counts -` reads the counts from stdin, the prior from its file.
+        prior = {"alpha": 6, "beta": 1, "g": "g1", "a0": 0.5, "a": [1, 1, 1]}
+        src = write(tmp_path / "prior.json", json.dumps(prior))
+        argv = ["gibbs-diag", "--prior", src, "--r", "4", "--iters", "500",
+                "--burn-in", "100", "--counts"]
+        assert main(argv + [counts_csv]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(Path(counts_csv).read_text()))
+        assert main(argv + ["-"]) == 0
+        assert capsys.readouterr().out == from_file != ""
 
     def test_improper_posterior_exit_4(self, counts_csv, tmp_path):
         prior = {"alpha": 6, "beta": 1, "g": "g1", "a0": -9.0, "a": [1, 1, 1]}
@@ -702,6 +738,10 @@ BAD_INPUT = [
       "--jobs", "0"], "argument --jobs: must be a positive integer, got '0'"),
     (["repro", "tables", "--reps", "3", "--jobs", "0"],
      "argument --jobs: must be a positive integer, got '0'"),
+    (["repro", "tables", "--reps", "3", "--jobs", "abc"],
+     "argument --jobs: must be a positive integer, got 'abc'"),
+    (["estimate", "--estimator", "dir-pm", "--r", "3", "--a0", "1", "--a", "1,x,1",
+      "--in", "{counts}"], "bad vector '1,x,1'"),
     (["risk-sim", "--truth", "{truth}", "--estimators", "umvu,eb,umvu", "--reps", "3"],
      "estimator 'umvu' named more than once"),
     (["risk-sim", "--truth", "{truth}", "--estimators", "umvu,eb", "--reps", "1",

@@ -150,7 +150,7 @@ ALPHA_BETA_CALLS = {
         a, b, g, 8, 7, 3
     ),
     "kl_dominance_conditions": lambda a, b, g: kl_dominance_conditions(
-        a, b, g, 1.0, np.ones(3), 8, 3, 3
+        PriorSpec(a, b, g, 1.0, np.ones(3)), 8, 3, 3
     ),
 }
 RULE_SIGN = "alpha must be positive and beta nonnegative"
@@ -212,7 +212,7 @@ R_CALLS = {
     "eb_dominance_conditions": lambda r: eb_dominance_conditions(7, r),
     "hb_dominance_conditions": lambda r: hb_dominance_conditions(14.0, 1.0, G1, r, 7, 3),
     "kl_dominance_conditions": lambda r: kl_dominance_conditions(
-        6.0, 1.0, G1, -5.0, np.ones(3), r, 3, 3
+        IMPROPER_BELOW_5, r, 3, 3
     ),
 }
 BAD_R = [0.0, -0.5, math.inf, -math.inf, math.nan]
@@ -224,7 +224,7 @@ ALPHA_BETA_R_CALLS = {
     "delta_nu": lambda a, b, r: kernel.delta_nu(a, b, G1, r, -5.0, 3.0, [5, 5], 0),
     "hb_dominance_conditions": lambda a, b, r: hb_dominance_conditions(a, b, G1, r, 7, 3),
     "kl_dominance_conditions": lambda a, b, r: kl_dominance_conditions(
-        a, b, G1, -5.0, np.ones(3), r, 3, 3
+        PriorSpec(a, b, G1, -5.0, np.ones(3)), r, 3, 3
     ),
 }
 

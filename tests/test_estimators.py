@@ -231,6 +231,10 @@ class TestDirichletPosteriorMean:
         with pytest.raises(ValueError, match="r must be positive"):
             dirichlet_posterior_mean(counts([[1]]), r, 3.0, np.array([0.5]))
 
+    def test_rejects_weights_of_another_length(self):
+        with pytest.raises(ValueError, match="a must have length m"):
+            dirichlet_posterior_mean(counts([[1], [2]]), 4.0, 3.0, np.ones(3))
+
 
 class TestHbPosteriorMean:
     def _prior(self, m):

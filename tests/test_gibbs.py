@@ -11,13 +11,7 @@ from scipy.stats import gamma as gamma_dist
 
 import gibbs_oracle
 from nmshrink import gibbs
-from nmshrink.gibbs import (
-    Chain,
-    ChainConfig,
-    ess,
-    mcmc_delta_estimates,
-    run_posterior,
-)
+from nmshrink.gibbs import Chain, ChainConfig, ess, run_posterior
 from nmshrink.kernel import (
     ConditionError,
     GChoice,
@@ -131,6 +125,12 @@ class TestStepMechanics:
         prior = PriorSpec(3.0, 1.0, G1, 5.0, np.ones(2))
         with pytest.raises(ValueError, match="r must be positive"):
             run_posterior(x, r, prior, ChainConfig(n_iter=10))
+
+    def test_posterior_chain_refuses_a_prior_of_another_m(self):
+        x = CountMatrix(np.array([[3, 1], [2, 4]]))
+        prior = PriorSpec(3.0, 1.0, G1, 5.0, np.ones(3))
+        with pytest.raises(ValueError, match="prior dimension does not match"):
+            run_posterior(x, 2.5, prior, ChainConfig(n_iter=10))
 
     def test_posterior_chain_requires_constant_weight(self):
         x = CountMatrix(np.array([[3, 1], [2, 4]]))
@@ -369,7 +369,7 @@ def kl_ratio_se(chain: Chain, nu: int) -> float:
     """Standard error of E[t w]/E[w] by linearising the ratio estimator."""
     t = chain.t
     w = 1.0 / (t + chain.r + chain.a0 + float(chain.col_sums[nu]) + chain.a_dot)
-    delta = mcmc_delta_estimates(chain, "kl", nu)
+    delta = chain.delta_kl(nu)
     return mc_mean_and_se((t - delta) * w / w.mean())[1]
 
 
@@ -403,9 +403,7 @@ class TestOracleAgreement:
     def test_kl_delta_estimates(self, chains):
         _, new, old = chains
         for nu in range(new.col_sums.size):
-            gap = mcmc_delta_estimates(new, "kl", nu) - mcmc_delta_estimates(
-                old, "kl", nu
-            )
+            gap = new.delta_kl(nu) - old.delta_kl(nu)
             se = math.hypot(kl_ratio_se(new, nu), kl_ratio_se(old, nu))
             assert abs(gap) < 4 * se
 
@@ -424,22 +422,18 @@ class TestDeltaEstimates:
             a_dot=1.0,
             col_sums=np.array([3, 4]),
         )
-        assert mcmc_delta_estimates(chain, "ss") == pytest.approx(1.7)
+        assert chain.delta_ss() == pytest.approx(1.7)
         # With constant t, the weighted ratio collapses to t as well
-        assert mcmc_delta_estimates(chain, "kl", 0) == pytest.approx(1.7)
+        assert chain.delta_kl(0) == pytest.approx(1.7)
 
-    def test_mode_validation(self):
+    def test_refusals(self):
         meta = dict(r=2.0, a0=0.0, a_dot=1.0, col_sums=np.array([3]))
         chain = Chain(t=np.array([1.0, 2.0]), p=np.zeros((2, 1, 1)) + 0.2, **meta)
         with pytest.raises(ValueError):
-            mcmc_delta_estimates(chain, "kl")  # nu missing
-        with pytest.raises(ValueError):
-            mcmc_delta_estimates(chain, "kl", 1)  # nu out of range
-        with pytest.raises(ValueError):
-            mcmc_delta_estimates(chain, "bogus")
+            chain.delta_kl(1)  # nu out of range
         empty = Chain(t=np.array([]), p=np.empty((0, 1, 1)), **meta)
         with pytest.raises(ValueError):
-            mcmc_delta_estimates(empty, "ss")
+            empty.delta_ss()
 
 
 class TestEss:
@@ -459,3 +453,12 @@ class TestEss:
 
     def test_degenerate_series(self):
         assert ess(np.full(50, 2.0)) == 50.0
+
+    def test_fewer_than_four_draws(self):
+        assert ess(np.array([1.0, 5.0, 2.0])) == 3.0
+
+    def test_nonpositive_first_pair(self):
+        # rho_0 + rho_1 > 0 in exact arithmetic, but at this subnormal scale
+        # the autocovariances round to +-1e-323, so the first pair is 0 and
+        # no pair is summed.
+        assert ess(np.array([1.0, -1.0, 1.0, -1.0]) * 3e-162) == 4.0

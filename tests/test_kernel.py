@@ -693,6 +693,11 @@ REFUSALS = {
         ValueError, NONE_FINITE),
     "hb_posterior_mean improper": (lambda: hb_posterior_mean(X3, 1, PRIOR3),
                                    ConditionError, NOT_PROPER),
+    "hb_posterior_mean m": (
+        lambda: hb_posterior_mean(X3, 8, PriorSpec(6.0, 1.0, G1, -2.0, np.ones(2))),
+        ValueError, "prior dimension does not match the count matrix"),
+    "log_kernel xi empty": (lambda: log_kernel(6, 1, G1, 1.0, []), ValueError,
+                            "xi must be a nonempty vector"),
 }
 
 

@@ -30,6 +30,33 @@ from nmshrink.model import (
 LOG_PMF_ORACLE = -2.7702675558999838
 
 
+# Each domain type and reader on input of the wrong shape, with its message.
+SHAPE_REFUSALS = {
+    "ProbColumn 2-d": (lambda: ProbColumn(np.full((2, 1), 0.2)),
+                       "p must be a nonempty 1-d vector"),
+    "ProbColumn empty": (lambda: ProbColumn(np.array([])),
+                         "p must be a nonempty 1-d vector"),
+    "ModelParams no columns": (lambda: ModelParams(2.0, ()),
+                               "at least one probability column is required"),
+    "ModelParams.from_matrix 1-d": (lambda: ModelParams.from_matrix(2.0, [0.2, 0.3]),
+                                    "probability matrix must be 2-d (m x N)"),
+    "GeneralizedDirichlet 2-d": (lambda: GeneralizedDirichlet(1.0, np.ones((2, 2))),
+                                 "a must be a nonempty 1-d vector"),
+    "GeneralizedDirichlet empty": (lambda: GeneralizedDirichlet(1.0, np.array([])),
+                                   "a must be a nonempty 1-d vector"),
+    "read_counts_csv blank": (lambda: read_counts_csv(io.StringIO("\n \n")),
+                              "empty counts file"),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_REFUSALS)
+def test_wrong_shape_is_refused(name):
+    call, message = SHAPE_REFUSALS[name]
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 class TestProbColumn:
     def test_p0_derived(self):
         col = ProbColumn(np.array([0.2, 0.3]))

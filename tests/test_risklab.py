@@ -254,6 +254,15 @@ class TestEstimatorKinds:
         assert d.shape == (3, 3) and np.all(np.isfinite(d))
         assert np.all(d > 0) == (kind in risklab.POSITIVE_KINDS)
 
+    @pytest.mark.parametrize("kind, message", [
+        ("hb", "hb needs alpha"),
+        ("dir-pm", "dir-pm needs a0 and a"),
+        ("hb-pm", "hb-pm needs alpha, a0 and a"),
+    ])
+    def test_refuses_missing_hyperparameters(self, kind, message):
+        with pytest.raises(ValueError, match=message):
+            make_estimator(kind)
+
     def test_positive_kinds_are_kinds(self):
         assert set(risklab.POSITIVE_KINDS) < set(risklab.ESTIMATOR_KINDS)
 
@@ -435,6 +444,16 @@ class TestHudson:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             hudson_check("nope", truth_1x1(), 0, 0)
+
+    @pytest.mark.parametrize("i, nu", [(1, 0), (0, 1), (-1, 0)])
+    def test_index_out_of_range(self, i, nu):
+        with pytest.raises(ValueError, match="index out of range"):
+            hudson_check("indicator", truth_1x1(), i, nu)
+
+    def test_unattainable_tolerance(self):
+        # No tail is below tol / 10 = 0, whatever the cap.
+        with pytest.raises(RuntimeError, match="truncation bound unattainable"):
+            hudson_check("indicator", truth_1x1(), 0, 0, tol=0.0)
 
     def test_peak_memory_is_bounded(self):
         # p0 = 0.02 puts the column-sum cap at 2048; the whole (x_i, rest)
