@@ -1,7 +1,9 @@
-"""Monte Carlo risk comparison on the benchmark scenarios.
+"""Monte Carlo risk comparison on the benchmark cases.
 
 Every estimator sees the same replication stream (common random numbers),
 so improvement percentages are comparable and reruns are bit-identical.
+Each case of `CASES` is one record: the r of its three named truths and the
+HB prior of its table, which Table 1's dominance verdict reads as well.
 
 Run:  python demos/06_risk_tables.py
 """
@@ -11,17 +13,20 @@ import numpy as np
 from nmshrink.audit import jeffreys_prior
 from nmshrink.model import ModelParams
 from nmshrink.risklab import (
+    CASES,
     case_table,
     compare,
     hudson_check,
     make_estimator,
-    scenario_presets,
 )
 
 REPS, SEED = 400, 42
 
-for case in ("i", "ii", "iii"):
-    print(f"\ncase ({case}), {REPS} replications, squared-error loss:")
+for case, bench in CASES.items():
+    print(
+        f"\ncase ({case}), r={bench.r:g}, HB alpha={bench.alpha:g} beta={bench.beta:g},"
+        f" {REPS} replications, squared-error loss:"
+    )
     print(f"  {'truth':>6} {'U':>7} {'EB0':>7} {'EB':>7} {'HB':>7}   (improvement % vs U)")
     for row in case_table(case, reps=REPS, seed=SEED):
         print(
@@ -60,7 +65,7 @@ for name, rep in reports.items():
 p = ModelParams.from_matrix(2.0, np.array([[0.4]]))
 rep = hudson_check("indicator", p, 0, 0, tol=1e-8)
 print(f"\nsummation-by-parts identity: lhs={rep.lhs:.10f} rhs={rep.rhs:.10f}")
-case_i1 = scenario_presets()[0].params
+case_i1 = CASES["i"].truths["i-1"]
 for kind in ("indicator", "linear-in-one-count"):
     rep = hudson_check(kind, case_i1, 6, 2, tol=1e-8)
     print(f"  i-1, {kind}: lhs={rep.lhs:.10f} rhs={rep.rhs:.10f} passed={rep.passed}")

@@ -7,7 +7,7 @@ Subpackages by responsibility:
 * ``estimators`` -- unbiased, empirical Bayes, and hierarchical Bayes rules
 * ``audit``      -- analytic propriety and dominance condition checkers
 * ``gibbs``      -- the fully conjugate Gibbs sampler and chain diagnostics
-* ``risklab``    -- losses, Monte Carlo risk comparisons, benchmark scenarios
+* ``risklab``    -- losses, Monte Carlo risk comparisons, benchmark cases
 * ``cli``        -- the ``nmshrink`` command-line harness
 """
 
@@ -46,13 +46,11 @@ from .model import (
 )
 from .risklab import (
     RiskReport,
-    Scenario,
     compare,
     hudson_check,
     loss_kl,
     loss_ss,
     prial,
-    scenario_presets,
 )
 
 __all__ = [
@@ -65,7 +63,6 @@ __all__ = [
     "ProbColumn",
     "QuadratureError",
     "RiskReport",
-    "Scenario",
     "compare",
     "delta_hb",
     "delta_nu",
@@ -84,7 +81,6 @@ __all__ = [
     "nm_moments",
     "nm_sample",
     "prial",
-    "scenario_presets",
     "shrink_general",
     "umvu",
 ]

@@ -8,7 +8,8 @@ one test `kernel.kernel_finite`.  Every closed-form check
 with both sides of each bound, that the command line prints.
 `check_shrinkage_conditions` sweeps a rule over z instead and reports where
 it first fails.  `dominance_table` applies the estimator-level conditions to
-the three benchmark cases of the risk laboratory.
+the three benchmark cases of the risk laboratory, each with the HB prior of
+its risk table (`risklab.CASES`).  The dominance conditions take n in 1..N.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .kernel import (
     tail_finite,
 )
 from .model import GeneralizedDirichlet, require_r
-from .risklab import CASES, benchmark_scenarios
+from .risklab import CASES, loss_columns
 
 __all__ = [
     "ShrinkageRuleReport",
@@ -154,10 +155,12 @@ def hb_dominance_conditions(
     The delta_hb validity assumptions, a nonincreasing g, and
     alpha + 1 <= min(n(m-2), nm/2 + beta*r).  The tail integrability part of
     the assumptions involves the total number of columns N; pass `n_columns`
-    when it differs from n (it only matters when beta = 0).
+    when it differs from n (it only matters when beta = 0); n is in 1..N.
     """
     require_alpha_beta(alpha, beta)
     require_r(r)
+    if n_columns is not None:
+        loss_columns(n_columns, n)
     n_cols = n if n_columns is None else n_columns
     bound = min(n * (m - 2), n * m / 2 + beta * r)
     conditions = {
@@ -176,8 +179,9 @@ def kl_dominance_conditions(
 ) -> Verdict:
     """Named conditions for the hierarchical posterior mean to beat the
     Dirichlet posterior mean (KL loss): posterior propriety, nonincreasing g,
-    a0 + a_dot + 1 >= 0 and alpha + 1 <= n(-a0 - 2)."""
+    a0 + a_dot + 1 >= 0 and alpha + 1 <= n(-a0 - 2), for n in 1..N."""
     require_r(r)
+    loss_columns(n_columns, n)
     alpha, a0 = prior.alpha, prior.a0
     bound = n * (-a0 - 2)
     conditions = {
@@ -202,17 +206,15 @@ def dominance_table() -> list[dict]:
 
     Returns one row per case with boolean verdicts for the columnwise
     empirical Bayes (EB0), pooled empirical Bayes (EB), and hierarchical
-    Bayes (HB, g = 1 and beta = 1 as in the risk tables) estimators, each
-    evaluated at n = N.  EB0 and EB share the one empirical Bayes condition.
-    Rows follow `risklab.CASES`; the (r, m, N, alpha) of a case are those
-    of its truths in `risklab.benchmark_scenarios`.
+    Bayes (HB) estimators, each evaluated at n = N.  EB0 and EB share the
+    one empirical Bayes condition.  Rows follow `risklab.CASES`: a case's
+    record gives r and the HB prior of its risk table, its truths m and N.
     """
-    g1 = GChoice.constant_one()
     rows = []
-    for name in CASES:
-        sc = benchmark_scenarios(name)[0]
-        r, m, n = sc.params.r, sc.params.m, sc.params.n_columns
+    for case in CASES.values():
+        truth = next(iter(case.truths.values()))
+        r, m, n = case.r, truth.m, truth.n_columns
         eb = eb_dominance_conditions(m, r).holds
-        hb = hb_dominance_conditions(sc.alpha_hb, 1.0, g1, r, m, n).holds
-        rows.append({"case": name, "EB0": eb, "EB": eb, "HB": hb})
+        hb = hb_dominance_conditions(case.alpha, case.beta, case.g, r, m, n).holds
+        rows.append({"case": case.name, "EB0": eb, "EB": eb, "HB": hb})
     return rows

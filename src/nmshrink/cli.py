@@ -314,7 +314,7 @@ def _cmd_risk_sim(args):
             f"--loss kl needs {' or '.join(POSITIVE_KINDS)}, not {', '.join(zeros)}"
         )
     truth = _truth_from_doc(_read_json(args.truth))
-    loss_columns(truth, args.n)
+    loss_columns(truth.n_columns, args.n)
     fns = _estimators(names, args, truth.m)
 
     def run() -> int:
@@ -378,12 +378,15 @@ def _audit_check(doc: dict):
         require_alpha_beta(alpha, beta)
         g, r, m, n = _g_from_doc(doc.get("g")), size(), _count(doc, "m"), _count(doc, "n")
         n_cols = _count(doc, "n_columns") if "n_columns" in doc else None
+        if n_cols is not None:
+            loss_columns(n_cols, n)
         check = functools.partial(
             audit_mod.hb_dominance_conditions, alpha, beta, g, r, m, n, n_cols
         )
     elif kind == "kl":
         prior, r = _prior_from_doc(doc), size()
         n, n_cols = _count(doc, "n"), _count(doc, "n_columns")
+        loss_columns(n_cols, n)
         check = functools.partial(audit_mod.kl_dominance_conditions, prior, r, n, n_cols)
     else:
         raise ValueError(f"unknown audit kind {reprlib.repr(kind)}; use prior|eb|hb|kl")
@@ -430,11 +433,12 @@ def _cmd_gibbs_diag(args):
 
     def run() -> int:
         chain = run_posterior(counts, args.r, prior, cfg)
+        mean_t = chain.delta_ss()  # the column-sum ratio is the posterior mean of t
         report = {
             "posterior_mean_p": chain.posterior_mean_p().tolist(),
-            "posterior_mean_t": float(chain.t.mean()),
+            "posterior_mean_t": mean_t,
             "ess_t": chain.ess_t(),
-            "delta_ss": chain.delta_ss(),
+            "delta_ss": mean_t,
             "delta_kl": [chain.delta_kl(nu) for nu in range(counts.n_columns)],
         }
         _write_text(args.out, _to_json(report) + "\n")

@@ -1,4 +1,4 @@
-"""Loss functions, Monte Carlo risk estimation, and the benchmark scenarios.
+"""Loss functions, Monte Carlo risk estimation, and the benchmark cases.
 
 Risk comparisons use common random numbers: every estimator sees the same
 replication stream of count matrices, keyed by (seed, replication index)
@@ -9,7 +9,10 @@ replications of a case's three truths, which share r, m and N, into one
 loss and risks come from its own slice.  `compare` is the one-truth batch.
 
 The benchmark cases (`CASES`) and the estimator kinds (`ESTIMATOR_KINDS`,
-`POSITIVE_KINDS`) are stated here once; the CLI and `audit` read them.
+`POSITIVE_KINDS`) are stated here once; the CLI and `audit` read them.  Each
+case is one `BenchmarkCase` record: the r of its three named truths and the
+HB prior of its tables, so Table 1's verdict (`audit.dominance_table`) and
+its risk table (`case_table`, Tables 2-4) read the same alpha, beta and g.
 
 The summation-by-parts identity check is exact for every shape: its test
 functions depend on column nu only through (X_{i,nu}, colsum_nu), so both
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial
-from typing import Callable, Mapping
+from typing import Callable, ClassVar, Mapping
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .model import CountMatrix, GeneralizedDirichlet, ModelParams, ProbColumn, m
 from .model import nm_log_pmf, nm_sample
 
 __all__ = [
-    "Scenario",
+    "BenchmarkCase",
     "RiskReport",
     "HudsonReport",
     "loss_ss",
@@ -40,8 +43,6 @@ __all__ = [
     "loss_columns",
     "compare",
     "hudson_check",
-    "scenario_presets",
-    "benchmark_scenarios",
     "case_table",
     "make_estimator",
     "CASES",
@@ -52,15 +53,6 @@ __all__ = [
 # An estimator maps counts (an m x N CountMatrix or a (..., m, N) stack) and
 # r to an estimate of the same shape.
 Estimator = Callable[[CountMatrix, float], np.ndarray]
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A named truth matrix with its sampling size and HB hyperparameter."""
-
-    name: str
-    params: ModelParams
-    alpha_hb: float
 
 
 @dataclass(frozen=True)
@@ -89,7 +81,7 @@ def _estimate_blocks(d: np.ndarray, p: ModelParams, n: int):
     mat = p.matrix
     if d.shape[-2:] != mat.shape:
         raise ValueError("estimate and truth shapes differ")
-    loss_columns(p, n)
+    loss_columns(p.n_columns, n)
     return d[..., :n], mat[:, :n]
 
 
@@ -178,13 +170,14 @@ def _failed_replication(name, fn, x, truths, loss_fn, n, rep_indices) -> Runtime
     )
 
 
-def loss_columns(truth: ModelParams, n: int | None) -> int:
-    """The number of leading columns a loss counts: `n`, or all N when None.
-    ValueError outside 1..N."""
+def loss_columns(n_columns: int, n: int | None) -> int:
+    """The number of leading columns a loss, or a dominance condition on it,
+    counts out of N = `n_columns`: `n`, or all N when None.  ValueError
+    outside 1..N."""
     if n is None:
-        return truth.n_columns
-    if not 1 <= n <= truth.n_columns:
-        raise ValueError(f"n must be in 1..{truth.n_columns}, got {n}")
+        return n_columns
+    if not 1 <= n <= n_columns:
+        raise ValueError(f"n must be in 1..{n_columns}, got {n}")
     return n
 
 
@@ -206,7 +199,7 @@ def _batch_risks(
         raise ValueError(f"unknown loss {loss!r}")
     if reference is not None and reference not in estimator_fns:
         raise ValueError(f"reference {reference!r} not among the estimators")
-    n = loss_columns(next(iter(truths.values())), n)
+    n = loss_columns(next(iter(truths.values())).n_columns, n)
     named = list(estimator_fns.items())
     if jobs <= 1:
         losses = _replication_losses(named, truths, loss, n, seed, range(reps))
@@ -305,28 +298,38 @@ def make_estimator(
 
 
 # ---------------------------------------------------------------------------
-# Benchmark scenarios
+# Benchmark cases
 # ---------------------------------------------------------------------------
 
 
-def _cols(*columns) -> np.ndarray:
-    return np.column_stack([np.asarray(c, dtype=float) for c in columns])
+@dataclass(frozen=True)
+class BenchmarkCase:
+    """One benchmark case: the r of its three truths and the HB prior of its
+    tables, the case's alpha with the beta and g of every case."""
+
+    name: str
+    r: float
+    alpha: float
+    beta: ClassVar[float] = 1.0
+    g: ClassVar[GChoice] = GChoice.constant_one()
+
+    @property
+    def truths(self) -> dict[str, ModelParams]:
+        """The three truths at this r by name, "i-1" to "i-3" for case "i"."""
+        return dict(_truths(self.name, self.r))
 
 
-# The benchmark cases by name: the r of the case's three truths (built in
-# `_presets`) and the HB alpha of its risk table.
-CASES = {"i": (8.0, 14.0), "ii": (4.0, 6.0), "iii": (2.0, 6.0)}
-
-
-def scenario_presets() -> list[Scenario]:
-    """The nine benchmark truths, three per case of `CASES`, in its order."""
-    return [sc for truths in _presets().values() for sc in truths]
+# The benchmark cases by name, in the order of the tables.
+CASES = {
+    name: BenchmarkCase(name, r, alpha)
+    for name, r, alpha in (("i", 8.0, 14.0), ("ii", 4.0, 6.0), ("iii", 2.0, 6.0))
+}
 
 
 @cache
-def _presets() -> dict[str, tuple[Scenario, ...]]:
-    # Built once per process: the truths are validated on construction and
-    # are immutable, so every caller shares them.
+def _truths(name: str, r: float) -> dict[str, ModelParams]:
+    # Built once per process and case: the truths are validated on
+    # construction and are immutable, so every caller shares them.
     A = np.ones(7) / 8.0
     B = np.array([1, 1, 1, 1, 2, 2, 2]) / 12.0
     C = np.array([2, 2, 2, 2, 1, 1, 1]) / 12.0
@@ -346,20 +349,12 @@ def _presets() -> dict[str, tuple[Scenario, ...]]:
             (third, third, half, half, half, two_thirds, two_thirds),
         ],
     }
+    if name not in columns:
+        raise ValueError(f"unknown case {name!r}")
     return {
-        case: tuple(
-            Scenario(f"{case}-{k}", ModelParams.from_matrix(r, _cols(*cols)), alpha)
-            for k, cols in enumerate(columns[case], start=1)
-        )
-        for case, (r, alpha) in CASES.items()
+        f"{name}-{k}": ModelParams.from_matrix(r, np.column_stack(cols))
+        for k, cols in enumerate(columns[name], start=1)
     }
-
-
-def benchmark_scenarios(case: str) -> list[Scenario]:
-    """The three truths of one case, a key of `CASES`."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
-    return list(_presets()[case])
 
 
 def case_table(
@@ -369,18 +364,19 @@ def case_table(
 
     One row per truth, with the unbiased estimator as reference for the
     improvement percentages.  The case's truths share r, m, N and the HB
-    alpha, so they form one batch: each estimator runs once on the stacked
+    prior, so they form one batch: each estimator runs once on the stacked
     replications of all three, and each row comes from its truth's own.
     """
-    scenarios = benchmark_scenarios(case)
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}")
+    bench = CASES[case]
     fns = {
         "U": make_estimator("umvu"),
         "EB0": make_estimator("eb0"),
         "EB": make_estimator("eb"),
-        "HB": make_estimator("hb", alpha=scenarios[0].alpha_hb, beta=1.0),
+        "HB": make_estimator("hb", alpha=bench.alpha, beta=bench.beta, g=bench.g),
     }
-    truths = {sc.name: sc.params for sc in scenarios}
-    batch = _batch_risks(fns, truths, "ss", None, reps, seed, "U", jobs)
+    batch = _batch_risks(fns, bench.truths, "ss", None, reps, seed, "U", jobs)
     rows = []
     for name, reports in batch.items():
         row = {"truth": name}

@@ -20,8 +20,8 @@ from nmshrink.gibbs import ChainConfig, run_posterior
 from nmshrink.kernel import GChoice, PriorSpec, delta_hb, delta_nu
 from nmshrink.model import CountMatrix, ModelParams, ProbColumn, nm_log_pmf
 from nmshrink.risklab import (
+    CASES,
     _sample_stack,
-    benchmark_scenarios,
     case_table,
     compare,
     hudson_check,
@@ -115,10 +115,9 @@ def test_criterion_5_kernel_vs_gibbs():
     worst_rel = 0.0
     min_ess = math.inf
     for k in range(10):
-        case = "i" if k % 2 == 0 else "ii"
-        scenarios = benchmark_scenarios(case)
-        sc = scenarios[int(rng.integers(len(scenarios)))]
-        truth, alpha = sc.params, sc.alpha_hb
+        case = CASES["i" if k % 2 == 0 else "ii"]
+        truths = list(case.truths.values())
+        truth, alpha = truths[int(rng.integers(len(truths)))], case.alpha
         r, m, n_cols = truth.r, truth.m, truth.n_columns
         x = CountMatrix(_sample_stack(truth, SEED, range(100 + k, 101 + k))[0])
 

@@ -159,6 +159,20 @@ class TestHbDominance:
         assert not hb_dominance_conditions(2.5, 1.0, G1, 7.0, 7, 3, n_columns=3).holds
 
 
+class TestColumnCount:
+    """n counts the first n of the N columns: beyond N it is bad input."""
+
+    def test_hb_refuses_n_beyond_n_columns(self):
+        with pytest.raises(ValueError, match=r"n must be in 1\.\.3, got 5"):
+            hb_dominance_conditions(5.0, 1.0, G1, 8.0, 7, 5, n_columns=3)
+        # Without n_columns, N is n.
+        assert hb_dominance_conditions(5.0, 1.0, G1, 8.0, 7, 5).holds
+
+    def test_kl_refuses_n_beyond_n_columns(self):
+        with pytest.raises(ValueError, match=r"n must be in 1\.\.2, got 9"):
+            kl_dominance_conditions(spec(5.0, 1.0, -4.0, np.full(3, 0.5)), 5.0, 9, 2)
+
+
 class TestKlDominance:
     def test_nonnegative_a0_fails(self):
         verdict = kl_dominance_conditions(spec(1.0, 1.0, 0.0, np.ones(3)), 4.0, 3, 3)

@@ -299,6 +299,11 @@ class TestAudit:
              R_RULE.format(-5.0)),
             ({"kind": "kl", "alpha": 5, "beta": 1, "a0": -4, "a": [0.5, 0.5, 0.5],
               "r": -5, "n": 3, "n_columns": 3}, R_RULE.format(-5.0)),
+            # n counts the first n of the N columns, so it cannot exceed N.
+            ({"kind": "hb", "alpha": 5, "beta": 1, "r": 8, "m": 7, "n": 5,
+              "n_columns": 3}, "n must be in 1..3, got 5"),
+            ({"kind": "kl", "alpha": 5, "beta": 1, "a0": -4, "a": [0.5, 0.5, 0.5],
+              "r": 5, "n": 9, "n_columns": 2}, "n must be in 1..2, got 9"),
         ],
     )
     @pytest.mark.parametrize("dry_run", [False, True])
@@ -385,18 +390,19 @@ def hb_scenarios(draw):
         "m": m, "n": n,
     }
     if draw(st.booleans()):
-        doc["n_columns"] = draw(st.integers(1, 8))
+        doc["n_columns"] = draw(st.integers(n, 8))
     return doc
 
 
 @st.composite
 def kl_scenarios(draw):
     m, r = draw(st.integers(1, 5)), draw(st.sampled_from([2.5, 4, 6]))
+    n_cols = draw(st.integers(1, 4))
     return {
         "kind": "kl", "alpha": draw(HALVES), "beta": draw(st.sampled_from([0, 1])),
         "g": draw(G_DOCS), "a0": -r + draw(st.sampled_from([-0.5, 0, 0.5, 1.5])),
         "a": draw(st.lists(st.sampled_from([0.5, 1, 2]), min_size=m, max_size=m)),
-        "r": r, "n": draw(st.integers(1, 8)), "n_columns": draw(st.integers(1, 4)),
+        "r": r, "n": draw(st.integers(1, n_cols)), "n_columns": n_cols,
     }
 
 
@@ -422,9 +428,15 @@ class TestAuditConditions:
 
     @settings(max_examples=300, deadline=None)
     @given(kl_scenarios())
-    # beta = 0 with alpha >= N a_dot: only the tail part of propriety fails
+    # beta = 0 with alpha >= N a_dot: the tail part of propriety fails, and
+    # with it alpha + 1 <= n(-a0 - 2): with a0 + a_dot + 1 >= 0 and n <= N,
+    # n(-a0 - 2) < 0 or n(-a0 - 2) <= N(a_dot - 1) <= alpha - N, so the tail
+    # part never fails alone.
     @example({"kind": "kl", "alpha": 3, "beta": 0, "g": "g1", "a0": -3.5,
-              "a": [1, 1, 1], "r": 4, "n": 8, "n_columns": 1})
+              "a": [1, 1, 1], "r": 4, "n": 1, "n_columns": 1})
+    # a0 + r < 0 with a small alpha: only the small-t part of propriety fails
+    @example({"kind": "kl", "alpha": 0.5, "beta": 1, "g": "g1", "a0": -3,
+              "a": [2], "r": 2.5, "n": 2, "n_columns": 2})
     def test_kl_holds_is_all_conditions(self, doc):
         verdict = _audit_check(doc)()
         prior = PriorSpec(doc["alpha"], doc["beta"], _g_from_doc(doc["g"]), doc["a0"],
@@ -1067,7 +1079,7 @@ class TestRepro:
         for idx, case in enumerate(risklab.CASES, start=2):
             with open(out / f"table{idx}.csv", newline="") as f:
                 truths = [row["truth"] for row in csv.DictReader(f)]
-            assert truths == [sc.name for sc in risklab.benchmark_scenarios(case)]
+            assert truths == list(risklab.CASES[case].truths)
 
     def test_idempotent_tables(self, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -1,5 +1,6 @@
 """Estimator formulas, nesting relations, and the MCMC cross-check."""
 
+import functools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from nmshrink.estimators import (
 )
 from nmshrink.kernel import ConditionError, GChoice, PriorSpec, delta_hb, delta_nu
 from nmshrink.model import CountMatrix, ProbColumn, make_rng, nm_sample
-from nmshrink.risklab import CASES, _sample_stack, benchmark_scenarios
+from nmshrink.risklab import CASES, _sample_stack
 
 G1 = GChoice.constant_one()
 
@@ -148,6 +149,18 @@ class TestHb:
             hb(x, 8.0, 14.0, 1.0, G1), np.zeros((7, 3))
         )
 
+    def test_all_zero_matrix_is_kept_out_of_the_kernel(self):
+        # beta = 0, m = N = 2, r = 3 and alpha = 3.9 just below N m = 4: the
+        # kernel at the all-zero matrix (xi = m) is the one closest to tail
+        # divergence, and delta_hb fails there, so hb must not evaluate it.
+        zero, x = np.zeros((2, 2), dtype=int), np.array([[3, 1], [0, 2]])
+        fit = functools.partial(hb, r=3.0, alpha=3.9, beta=0.0, g=G1)
+        np.testing.assert_array_equal(fit(counts(zero)), np.zeros((2, 2)))
+        alone = fit(counts(x))
+        assert np.all(np.isfinite(alone)) and np.all((alone > 0) == (x > 0))
+        stacked = fit(CountMatrix(np.stack([zero, x, zero])))
+        assert np.array_equal(stacked, np.stack([zero, alone, zero]))
+
     def test_balanced_columns_share_shrinkage(self):
         col = [[2], [1], [3], [0], [1], [2], [1]]
         x = counts([row * 3 for row in col])
@@ -158,13 +171,14 @@ class TestHb:
     def test_column_permutation_equivariance(self):
         # Bitwise, on the three risk-table case batches: the 1000 seed-42
         # replications of each of a case's three truths.
-        for case, (r, alpha) in CASES.items():
-            x = np.concatenate([_sample_stack(sc.params, 42, range(1000))
-                                for sc in benchmark_scenarios(case)])
-            out = hb(CountMatrix(x), r, alpha, 1.0, G1)
+        for case in CASES.values():
+            x = np.concatenate([_sample_stack(truth, 42, range(1000))
+                                for truth in case.truths.values()])
+            prior = (case.alpha, case.beta, case.g)
+            out = hb(CountMatrix(x), case.r, *prior)
             n_cols = x.shape[-1]
             for perm in (np.roll(np.arange(n_cols), 1), np.arange(n_cols)[::-1]):
-                out_perm = hb(CountMatrix(x[..., perm]), r, alpha, 1.0, G1)
+                out_perm = hb(CountMatrix(x[..., perm]), case.r, *prior)
                 assert np.array_equal(out_perm, out[..., perm]), case
 
     def test_matches_delta_formula(self):

@@ -310,13 +310,14 @@ def _regime(label, alpha, beta, g, xi0, rows):
 
 def _tables_regime(case: str, reps: int = 10):
     """The HB kernels of one `repro tables` case at seed 42."""
-    from nmshrink.risklab import _sample_stack, benchmark_scenarios
+    from nmshrink.risklab import CASES, _sample_stack
 
-    sc = benchmark_scenarios(case)[0]
-    r, m = sc.params.r, sc.params.m
-    z = _sample_stack(sc.params, 42, range(reps)).sum(axis=1)
+    bench = CASES[case]
+    truth = bench.truths[f"{case}-1"]
+    r, m = truth.r, truth.m
+    z = _sample_stack(truth, 42, range(reps)).sum(axis=1)
     rows = z[z.sum(axis=1) > 0] + float(m)
-    return _regime(f"tables case {case}", sc.alpha_hb, 1.0, G1, r - m, rows)
+    return _regime(f"tables case {case}", bench.alpha, bench.beta, bench.g, r - m, rows)
 
 
 # Kernels across the count regimes the estimators meet, each row checked

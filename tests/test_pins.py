@@ -15,7 +15,7 @@ import pytest
 
 from nmshrink.cli import main
 from nmshrink.kernel import GChoice, delta_hb, log_kernel
-from nmshrink.risklab import CASES, _sample_stack, benchmark_scenarios
+from nmshrink.risklab import CASES, _sample_stack
 
 # `repro tables --reps 1000 --seed 42`: table1.csv to table4.csv, serial and
 # with --jobs 2 alike.
@@ -147,8 +147,8 @@ class TestTablePins:
 
 class TestStackPins:
     def test_stacks_keep_their_bits(self):
-        got = {sc.name: sha256(_sample_stack(sc.params, 42, range(1000)).tobytes())
-               for case in CASES for sc in benchmark_scenarios(case)}
+        got = {name: sha256(_sample_stack(truth, 42, range(1000)).tobytes())
+               for case in CASES.values() for name, truth in case.truths.items()}
         assert got == STACKS
 
 

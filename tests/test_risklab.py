@@ -1,5 +1,6 @@
-"""Losses, Monte Carlo risk machinery, identity checks, and scenarios."""
+"""Losses, Monte Carlo risk machinery, identity checks, and benchmark cases."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -14,8 +15,9 @@ from nmshrink.audit import jeffreys_prior
 from nmshrink.kernel import ConditionError, GChoice, QuadratureError
 from nmshrink.model import CountMatrix, ModelParams, ProbColumn, make_rng, nm_sample
 from nmshrink.risklab import (
+    CASES,
+    BenchmarkCase,
     _sample_stack,
-    benchmark_scenarios,
     case_table,
     compare,
     hudson_check,
@@ -23,10 +25,12 @@ from nmshrink.risklab import (
     loss_ss,
     make_estimator,
     prial,
-    scenario_presets,
 )
 
 G1 = GChoice.constant_one()
+# The nine benchmark truths, named "i-1" to "iii-3".
+TRUTHS = [pytest.param(truth, id=name)
+          for case in CASES.values() for name, truth in case.truths.items()]
 
 
 def truth_1x1(p=0.5, r=2.0):
@@ -123,7 +127,7 @@ class TestRiskMc:
 
     def test_bit_identical_reruns(self):
         fns = {"U": make_estimator("umvu"), "EB": make_estimator("eb")}
-        truth = benchmark_scenarios("iii")[0].params
+        truth = CASES["iii"].truths["iii-1"]
         a = compare(fns, truth, reps=50, seed=3, reference="U")
         b = compare(fns, truth, reps=50, seed=3, reference="U")
         assert a == b
@@ -180,7 +184,7 @@ class TestRiskMc:
             compare({"U": make_estimator("umvu")}, truth, n=n, reps=5)
 
     def test_parallel_jobs_match_serial(self):
-        truth = benchmark_scenarios("iii")[0].params
+        truth = CASES["iii"].truths["iii-1"]
         fns = {"U": make_estimator("umvu"), "EB0": make_estimator("eb0")}
         serial = compare(fns, truth, reps=60, seed=5, reference="U")
         parallel = compare(fns, truth, reps=60, seed=5, reference="U", jobs=2)
@@ -188,7 +192,7 @@ class TestRiskMc:
 
     def test_more_jobs_than_replications_match_serial(self):
         # Two replications over three jobs: one process per replication.
-        truth = benchmark_scenarios("iii")[0].params
+        truth = CASES["iii"].truths["iii-1"]
         fns = {"U": make_estimator("umvu"), "EB0": make_estimator("eb0")}
         serial = compare(fns, truth, reps=2, seed=5, reference="U")
         assert compare(fns, truth, reps=2, seed=5, reference="U", jobs=3) == serial
@@ -205,44 +209,70 @@ class TestRiskMc:
         assert reports["hb-pm"].risk <= reports["dir-pm"].risk + 2 * pooled
 
 
-class TestScenarios:
-    def test_nine_presets(self):
-        presets = scenario_presets()
-        assert [s.name for s in presets] == [
+class TestBenchmarkCases:
+    def test_nine_truths(self):
+        assert [name for case in CASES.values() for name in case.truths] == [
             "i-1", "i-2", "i-3", "ii-1", "ii-2", "ii-3", "iii-1", "iii-2", "iii-3",
         ]
 
     def test_case_i_values(self):
-        sc = {s.name: s for s in scenario_presets()}
-        np.testing.assert_allclose(sc["i-1"].params.matrix, np.full((7, 3), 1 / 8))
-        assert sc["i-1"].params.r == 8.0 and sc["i-1"].alpha_hb == 14.0
+        case = CASES["i"]
+        truths = case.truths
+        np.testing.assert_allclose(truths["i-1"].matrix, np.full((7, 3), 1 / 8))
+        assert truths["i-1"].r == 8.0 and case.alpha == 14.0
+        assert (case.beta, case.g) == (1.0, G1)
         b = np.array([1, 1, 1, 1, 2, 2, 2]) / 12
         c = np.array([2, 2, 2, 2, 1, 1, 1]) / 12
-        np.testing.assert_allclose(sc["i-3"].params.matrix[:, 0], b)
-        np.testing.assert_allclose(sc["i-3"].params.matrix[:, 2], c)
+        np.testing.assert_allclose(truths["i-3"].matrix[:, 0], b)
+        np.testing.assert_allclose(truths["i-3"].matrix[:, 2], c)
 
     def test_case_iii_values(self):
-        sc = {s.name: s for s in scenario_presets()}
+        truths = CASES["iii"].truths
         np.testing.assert_allclose(
-            sc["iii-2"].params.matrix[0],
+            truths["iii-2"].matrix[0],
             [1 / 3, 1 / 3, 1 / 2, 1 / 2, 1 / 2, 1 / 3, 1 / 3],
         )
-        assert sc["iii-3"].params.matrix[0, -1] == pytest.approx(2 / 3)
+        assert truths["iii-3"].matrix[0, -1] == pytest.approx(2 / 3)
 
     def test_columns_are_valid(self):
-        for s in scenario_presets():
-            for col in s.params.columns:
+        for p in TRUTHS:
+            for col in p.values[0].columns:
                 assert isinstance(col, ProbColumn)
 
     def test_unknown_case(self):
-        with pytest.raises(ValueError):
-            benchmark_scenarios("iv")
+        with pytest.raises(ValueError, match="unknown case 'iv'"):
+            case_table("iv", reps=2)
 
-    @pytest.mark.parametrize("case", risklab.CASES)
-    def test_truths_share_the_case_r_and_alpha(self, case):
-        truths = benchmark_scenarios(case)
-        assert [sc.name for sc in truths] == [f"{case}-{k}" for k in (1, 2, 3)]
-        assert {(sc.params.r, sc.alpha_hb) for sc in truths} == {risklab.CASES[case]}
+    @pytest.mark.parametrize("case", CASES)
+    def test_truths_share_the_case_r(self, case):
+        truths = CASES[case].truths
+        assert list(truths) == [f"{case}-{k}" for k in (1, 2, 3)]
+        assert {t.r for t in truths.values()} == {CASES[case].r}
+
+    def test_truths_are_built_once(self):
+        # Every access reads the same validated truths; a caller's edits to
+        # the mapping it gets do not reach the next caller.
+        first = CASES["ii"].truths
+        assert all(t is u for t, u in zip(first.values(), CASES["ii"].truths.values()))
+        first.clear()
+        assert list(CASES["ii"].truths) == ["ii-1", "ii-2", "ii-3"]
+
+    def test_the_record_sets_only_r_and_alpha(self):
+        # beta = 1 and g = 1 are the tables' prior for every case, not fields.
+        assert [f.name for f in dataclasses.fields(BenchmarkCase)] == [
+            "name", "r", "alpha",
+        ]
+        with pytest.raises(TypeError):
+            BenchmarkCase("i", 8.0, 14.0, 2.0)
+
+    def test_truths_follow_the_record(self):
+        truths = dataclasses.replace(CASES["i"], r=4.0).truths
+        assert {t.r for t in truths.values()} == {4.0}
+        np.testing.assert_array_equal(
+            truths["i-2"].matrix, CASES["i"].truths["i-2"].matrix
+        )
+        with pytest.raises(ValueError, match="unknown case 'iv'"):
+            BenchmarkCase("iv", 8.0, 14.0).truths
 
 
 class TestEstimatorKinds:
@@ -269,18 +299,18 @@ class TestEstimatorKinds:
 
 class TestSampling:
     def test_stack_shape(self):
-        x = _sample_stack(benchmark_scenarios("ii")[0].params, 0, range(2))
+        x = _sample_stack(CASES["ii"].truths["ii-1"], 0, range(2))
         assert x.shape == (2, 3, 7)
 
-    @pytest.mark.parametrize("sc", scenario_presets(), ids=lambda sc: sc.name)
-    def test_stack_matches_per_replication_draws(self, sc):
+    @pytest.mark.parametrize("truth", TRUTHS)
+    def test_stack_matches_per_replication_draws(self, truth):
         # compare's stack draws replication k from the (seed, k) stream alone,
         # column by column, whatever else its chunk holds.
         reps = range(3, 40, 4)
         want = np.concatenate(
-            [sampling_oracle.sample_stack(sc.params, 11, range(k, k + 1)) for k in reps]
+            [sampling_oracle.sample_stack(truth, 11, range(k, k + 1)) for k in reps]
         )
-        got = _sample_stack(sc.params, 11, reps)
+        got = _sample_stack(truth, 11, reps)
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 
@@ -306,14 +336,14 @@ class TestSamplingOracle:
     every table is unchanged."""
 
     @pytest.mark.parametrize("seed", [0, 42])
-    @pytest.mark.parametrize("sc", scenario_presets(), ids=lambda sc: sc.name)
-    def test_presets(self, sc, seed):
+    @pytest.mark.parametrize("truth", TRUTHS)
+    def test_presets(self, truth, seed):
         # The serial stack and the two chunks a --jobs 2 run draws.
         for reps in (range(0, 40), range(0, 40, 2), range(1, 40, 2)):
-            want = sampling_oracle.sample_stack(sc.params, seed, reps)
-            assert_same_draws(_sample_stack(sc.params, seed, reps), want)
+            want = sampling_oracle.sample_stack(truth, seed, reps)
+            assert_same_draws(_sample_stack(truth, seed, reps), want)
         for k in range(1, 40, 6):
-            got = _sample_stack(sc.params, seed, range(k, k + 1))[0]
+            got = _sample_stack(truth, seed, range(k, k + 1))[0]
             assert_same_draws(got, want[k // 2])
 
     @pytest.mark.parametrize("m", range(1, 8))
@@ -363,13 +393,13 @@ class TestDominanceSpotChecks:
     def test_case_i_orderings_at_scale(self):
         # 10,000 shared replications: the pooled and hierarchical rules must
         # beat the unbiased estimator on the balanced truth.
-        sc = benchmark_scenarios("i")[0]
+        case = CASES["i"]
         fns = {
             "U": make_estimator("umvu"),
             "EB": make_estimator("eb"),
-            "HB": make_estimator("hb", alpha=sc.alpha_hb),
+            "HB": make_estimator("hb", alpha=case.alpha),
         }
-        reports = compare(fns, sc.params, reps=10_000, seed=21, reference="U")
+        reports = compare(fns, case.truths["i-1"], reps=10_000, seed=21, reference="U")
         assert reports["EB"].risk < reports["U"].risk
         assert reports["HB"].risk < reports["U"].risk
 
@@ -427,11 +457,11 @@ class TestHudson:
                 assert rep.lhs == pytest.approx(side, abs=1e-12)
                 assert rep.rhs == pytest.approx(side, abs=1e-12)
 
-    @pytest.mark.parametrize("sc", scenario_presets(), ids=lambda sc: sc.name)
-    def test_closed_forms_on_benchmark_truths(self, sc):
+    @pytest.mark.parametrize("truth", TRUTHS)
+    def test_closed_forms_on_benchmark_truths(self, truth):
         # Indicator: E[1{X_inu >= 1}] / p_inu with X_inu ~ NB(r, p0/(p0 + p_inu)).
         # Unbiased-estimator entry: both sides are 1.
-        truth, r = sc.params, sc.params.r
+        r = truth.r
         for i, nu in ((0, 0), (truth.m - 1, truth.n_columns - 1)):
             col = truth.columns[nu]
             p_inu = col.p[i]
@@ -524,15 +554,16 @@ def per_truth_rows(case: str, reps: int, seed: int) -> list[dict]:
     """The oracle: a case table built from one compare call per truth, each
     with its own estimators, as case_table built it before batching."""
     rows = []
-    for sc in benchmark_scenarios(case):
+    bench = CASES[case]
+    for name, truth in bench.truths.items():
         fns = {
             "U": make_estimator("umvu"),
             "EB0": make_estimator("eb0"),
             "EB": make_estimator("eb"),
-            "HB": make_estimator("hb", alpha=sc.alpha_hb, beta=1.0),
+            "HB": make_estimator("hb", alpha=bench.alpha, beta=bench.beta, g=bench.g),
         }
-        reports = compare(fns, sc.params, loss="ss", reps=reps, seed=seed, reference="U")
-        row = {"truth": sc.name}
+        reports = compare(fns, truth, loss="ss", reps=reps, seed=seed, reference="U")
+        row = {"truth": name}
         for name in ("U", "EB0", "EB", "HB"):
             rep = reports[name]
             row[name] = rep.risk
@@ -567,17 +598,14 @@ class TestCaseBatch:
 
     @pytest.mark.parametrize("case", ["i", "ii", "iii"])
     def test_truths_of_a_case_share_the_batch_parameters(self, case):
-        shared = {
-            (sc.params.r, sc.params.m, sc.params.n_columns, sc.alpha_hb)
-            for sc in benchmark_scenarios(case)
-        }
+        shared = {(t.r, t.m, t.n_columns) for t in CASES[case].truths.values()}
         assert len(shared) == 1
 
     def test_failure_names_truth_and_replication(self, monkeypatch):
         import nmshrink.estimators as est
 
         # EB fails on one count matrix: replication 3 of the second truth.
-        bad = _sample_stack(benchmark_scenarios("i")[1].params, 0, range(3, 4))[0]
+        bad = _sample_stack(CASES["i"].truths["i-2"], 0, range(3, 4))[0]
         real_eb = est.eb
 
         def broken(x, r):
