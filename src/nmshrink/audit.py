@@ -161,6 +161,8 @@ def hb_dominance_conditions(
     require_r(r)
     if n_columns is not None:
         loss_columns(n_columns, n)
+    elif not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     n_cols = n if n_columns is None else n_columns
     bound = min(n * (m - 2), n * m / 2 + beta * r)
     conditions = {

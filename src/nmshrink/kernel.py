@@ -37,6 +37,13 @@ small bounded memo; so a call on one count matrix pays for little but its
 xi terms and its node sums.  The first step sums every (row, alpha) pair of
 a block at once; only the pairs that go on to halve h are tracked one by
 one, and finer steps compute their node terms per call.
+The rows of `delta_nu`, xi = z + a_dot + e_nu, are not rows of that table.
+Since Gamma(x + xi_nu + 1) = (x + xi_nu) Gamma(x + xi_nu), such a row is its
+count vector's row z + a_dot less log(t + xi0 + z_nu + a_dot) at every node,
+on the first step and on every finer one: the N rows of one vector take one
+log-gamma row and N logs.  A row so taken rounds differently from the
+explicit row by about one ulp of log K, 2.9e-11 relative in the ratio at
+log K near -2.5e5 (column sums near 1e4).
 Divergence is decided analytically per (row, alpha) pair, by `kernel_finite`,
 before any sum: a divergent pair is +inf and is never summed, and a block
 that holds one evaluates each exponent on the rows it converges at.  That
@@ -158,7 +165,9 @@ class GChoice:
             raise ValueError("komaki c and kappa must be finite")
 
     @classmethod
+    @functools.cache
     def constant_one(cls) -> "GChoice":
+        """g = 1, one instance per process (it is frozen)."""
         return cls(-1.0, 1.0)
 
     @classmethod
@@ -292,23 +301,24 @@ def quadrature_settings() -> dict:
     }
 
 
-def _level_terms(beta, g, xi0, nodes) -> tuple[np.ndarray, tuple]:
+def _level_terms(beta, g, xi0, nodes) -> tuple[np.ndarray, tuple, np.ndarray]:
     """The terms of one step's integrand that depend on the nodes alone:
-    the base row log(t'(s)/t) - beta t + log g(t), and the node part
-    `_gamma_nodes(t + xi0)` of the Gamma ratios."""
+    the base row log(t'(s)/t) - beta t + log g(t), the node part
+    `_gamma_nodes(x)` of the Gamma ratios, and x = t + xi0."""
     t = _T[nodes]
-    return _LOG_DS[nodes] - beta * t + g.log_g(t), _gamma_nodes(t + xi0)
+    x = t + xi0
+    return _LOG_DS[nodes] - beta * t + g.log_g(t), _gamma_nodes(x), x
 
 
 @functools.lru_cache(maxsize=_FIRST_STEP_KEYS)
-def _first_step(xi0: float, beta: float, g: GChoice) -> tuple[np.ndarray, tuple]:
+def _first_step(xi0: float, beta: float, g: GChoice) -> tuple[np.ndarray, tuple, np.ndarray]:
     """`_level_terms` at the first step, read-only, computed once per process
     for a key and kept for the `_FIRST_STEP_KEYS` keys used last (about
-    10 KB each)."""
-    base, gamma = _level_terms(beta, g, xi0, _FIRST)
-    for a in (base, *gamma):
+    12 KB each)."""
+    base, gamma, x = _level_terms(beta, g, xi0, _FIRST)
+    for a in (base, *gamma, x):
         a.flags.writeable = False
-    return base, gamma
+    return base, gamma, x
 
 
 def _shared_log_integrand(base: np.ndarray, gamma: tuple, xi: np.ndarray) -> np.ndarray:
@@ -335,6 +345,24 @@ def _shared_log_integrand(base: np.ndarray, gamma: tuple, xi: np.ndarray) -> np.
     for column in index[:, 1:].T:
         out += ratio[column]
     return out
+
+
+def _log_integrand(terms: tuple, xi: np.ndarray, col=None) -> np.ndarray:
+    """Log of the integrand in s without its t^alpha factor on one step's
+    nodes, from its `_level_terms`: (R, n) for rows xi (R, N), each raised by
+    one in column col[i] when `col` (R,) is given.
+
+    A raised row is not a row of `_shared_log_integrand`: since
+    Gamma(x + xi_nu + 1) = (x + xi_nu) Gamma(x + xi_nu), it is the line of the
+    row it raises less log(x + xi_nu) at each node x = t + xi0.  So the rows
+    of `delta_nu` share the log-gamma terms of their count vectors' values,
+    and the N rows of one vector take the line of that vector alone.
+    """
+    base, gamma, x = terms
+    if col is None:
+        return _shared_log_integrand(base, gamma, xi)
+    lines = _shared_log_integrand(base, gamma, xi[:1] if (xi == xi[0]).all() else xi)
+    return lines - np.log(x + xi[np.arange(col.size), col][:, None])
 
 
 def _end_weight(p, level: int):
@@ -369,8 +397,9 @@ def _node_sums(lf, p_low, p_high, beta: float, level: int):
     return value, gap**2 + ends / full
 
 
-def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
-    """log K for rows xi (R, N) and exponents alphas (K,): shape (R, K).
+def _log_kernel_rows(alphas, beta, g, xi0, xi, col=None) -> np.ndarray:
+    """log K for rows xi (R, N), each raised by one in column col[i] when
+    `col` is given (`_log_integrand`), and exponents alphas (K,): shape (R, K).
 
     Each (row, alpha) pair starts at step h = DE_STEP and halves it until its
     error estimate is within ERROR_TOL; its value is its own node sum at the
@@ -381,16 +410,20 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
     `_first_step` keeps, and `_finer_steps` takes the pairs left.
     """
     # The number of positive xi matters only at xi0 = 0, their total only at
-    # beta = 0.
-    n_positive = (xi > 0).sum(axis=1)[:, None] if xi0 == 0 else 0
-    total = xi.sum(axis=1)[:, None] if beta == 0 else 0
+    # beta = 0: then the raised rows are formed.
+    if xi0 == 0 or beta == 0:
+        explicit = xi if col is None else xi + (np.arange(xi.shape[1]) == col[:, None])
+    n_positive = (explicit > 0).sum(axis=1)[:, None] if xi0 == 0 else 0
+    total = explicit.sum(axis=1)[:, None] if beta == 0 else 0
     finite = kernel_finite(alphas, beta, g, xi0, n_positive, total)
     if not finite.all():
         finite = np.broadcast_to(finite, (xi.shape[0], alphas.size))
         out = np.full(finite.shape, math.inf)
         for k in np.flatnonzero(finite.any(axis=0)):
             rows = finite[:, k]
-            out[rows, k] = _log_kernel_rows(alphas[k : k + 1], beta, g, xi0, xi[rows])[:, 0]
+            out[rows, k] = _log_kernel_rows(
+                alphas[k : k + 1], beta, g, xi0, xi[rows], None if col is None else col[rows]
+            )[:, 0]
         return out
     # Near either end the integrand in t is a power t^(p - 1), with the
     # exponent p that kernel_finite tests for positivity, so the mass beyond
@@ -399,18 +432,18 @@ def _log_kernel_rows(alphas, beta, g, xi0, xi) -> np.ndarray:
     # node's share of the sum bounds the error there.
     p_low = alphas + g.small_t_exponent - n_positive
     p_high = total - alphas if beta == 0 else math.inf
-    lf = _shared_log_integrand(*_first_step(xi0, beta, g), xi)[:, None, :]
+    lf = _log_integrand(_first_step(xi0, beta, g), xi, col)[:, None, :]
     lf = lf + alphas[:, None] * _LOG_T_FIRST
     out, estimate = _node_sums(lf, p_low, p_high, beta, 0)
     if not np.isfinite(out).all():
         raise QuadratureError("kernel quadrature produced a non-finite value")
     done = estimate <= ERROR_TOL
     if not done.all():
-        _finer_steps(out, ~done, alphas, beta, g, xi0, xi, p_low, p_high)
+        _finer_steps(out, ~done, alphas, beta, g, xi0, xi, col, p_low, p_high)
     return out
 
 
-def _finer_steps(out, pending, alphas, beta, g, xi0, xi, p_low, p_high) -> None:
+def _finer_steps(out, pending, alphas, beta, g, xi0, xi, col, p_low, p_high) -> None:
     """Halve h for the pending (row, alpha) pairs of `_log_kernel_rows`, each
     until its own estimate is within ERROR_TOL, and write their values to out."""
     rows, ks = np.nonzero(pending)
@@ -418,8 +451,8 @@ def _finer_steps(out, pending, alphas, beta, g, xi0, xi, p_low, p_high) -> None:
     p_high = np.broadcast_to(p_high, out.shape)[rows, ks]
     for level in range(1, _MAX_LEVEL + 1):
         nodes = slice(None, None, 2 ** (_MAX_LEVEL - level))
-        held, at = np.unique(rows, return_inverse=True)
-        lf = _shared_log_integrand(*_level_terms(beta, g, xi0, nodes), xi[held])[at]
+        terms = _level_terms(beta, g, xi0, nodes)
+        lf = _log_integrand(terms, xi[rows], None if col is None else col[rows])
         lf += alphas[ks, None] * _LOG_T[nodes]
         value, estimate = _node_sums(lf, p_low, p_high, beta, level)
         if not np.isfinite(value).all():
@@ -449,6 +482,15 @@ def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
     exhausted node budget or an error estimate above tolerance raises
     QuadratureError rather than returning a silently wrong value.
     """
+    alphas, xi = _kernel_args(alpha, beta, xi0, xi)
+    rows = xi.reshape(-1, xi.shape[-1])
+    out = _log_kernels(alphas.ravel(), float(beta), g, float(xi0), rows)
+    out = out.reshape(xi.shape[:-1] + alphas.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _kernel_args(alpha, beta: float, xi0: float, xi) -> tuple[np.ndarray, np.ndarray]:
+    """The exponents and xi of a kernel call as float arrays, or ValueError."""
     alphas = np.asarray(alpha, dtype=float)
     if alphas.ndim > 1 or alphas.size == 0:
         raise ValueError("alpha must be a scalar or a nonempty 1-d sequence")
@@ -463,15 +505,17 @@ def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
         if (xi < 0).any():
             raise ValueError("xi entries must be nonnegative")
         raise ValueError("xi0 and xi must be finite")
+    return alphas, xi
 
-    exponents, beta, xi0 = alphas.ravel(), float(beta), float(xi0)
-    rows = xi.reshape(-1, xi.shape[-1])
-    blocks = [
-        _log_kernel_rows(exponents, beta, g, xi0, rows[i : i + _ROW_BLOCK])
-        for i in range(0, rows.shape[0], _ROW_BLOCK)
-    ]
-    out = np.concatenate(blocks).reshape(xi.shape[:-1] + alphas.shape)
-    return float(out) if out.ndim == 0 else out
+
+def _log_kernels(alphas, beta: float, g: GChoice, xi0: float, xi, col=None) -> np.ndarray:
+    """`_log_kernel_rows` on each block of _ROW_BLOCK rows xi (R, N): shape (R, K)."""
+    blocks = []
+    for i in range(0, xi.shape[0], _ROW_BLOCK):
+        block = slice(i, i + _ROW_BLOCK)
+        cols = None if col is None else col[block]
+        blocks.append(_log_kernel_rows(alphas, beta, g, xi0, xi[block], cols))
+    return np.concatenate(blocks)
 
 
 def _ratio(logk: np.ndarray):
@@ -519,6 +563,11 @@ def delta_nu(
     vector and one index.  Requires posterior propriety (xi0 = r + a0 with
     the tail and small-t integrability conditions); always finite and
     positive under it.
+
+    Each row's integrand is its vector's, at xi = z + a_dot, less
+    log(t + xi0 + z_nu + a_dot) at every node (module docstring), so it can
+    differ from `log_kernel` on the explicit row by about one ulp of each
+    log K; a row's bits do not depend on the other rows of the call.
     """
     require_alpha_beta(alpha, beta)
     require_r(r)
@@ -535,9 +584,13 @@ def delta_nu(
             "delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
             "alpha + (g exponent at 0) > N) and a finite tail integral"
         )
-    np.broadcast(z[..., 0], nu)  # NumPy's refusal of bad shapes
-    xi = z + float(a_dot) + (np.arange(n_cols) == nu[..., None])
-    logk = log_kernel([alpha, alpha + 1.0], beta, g, ra0, xi)
+    shape = np.broadcast(z[..., 0], nu).shape  # NumPy's refusal of bad shapes
+    alphas, xi = _kernel_args([alpha, alpha + 1.0], beta, ra0, z + float(a_dot))
+    # One row per (vector, column) pair: the vector's xi, raised in column nu.
+    rows, col = np.empty(shape + (n_cols,)), np.empty(shape, np.intp)
+    rows[...], col[...] = xi, nu
+    rows, col = rows.reshape(-1, n_cols), col.ravel()
+    logk = _log_kernels(alphas, float(beta), g, float(ra0), rows, col)
     if not np.isfinite(logk).all():
         raise QuadratureError("kernel did not evaluate finitely under propriety")
-    return _ratio(logk)
+    return _ratio(logk.reshape(shape + (2,)))

@@ -168,6 +168,11 @@ class TestColumnCount:
         # Without n_columns, N is n.
         assert hb_dominance_conditions(5.0, 1.0, G1, 8.0, 7, 5).holds
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_hb_refuses_n_below_1_without_n_columns(self, n):
+        with pytest.raises(ValueError, match=rf"^n must be at least 1, got {n}$"):
+            hb_dominance_conditions(14.0, 1.0, G1, 8.0, 7, n)
+
     def test_kl_refuses_n_beyond_n_columns(self):
         with pytest.raises(ValueError, match=r"n must be in 1\.\.2, got 9"):
             kl_dominance_conditions(spec(5.0, 1.0, -4.0, np.full(3, 0.5)), 5.0, 9, 2)

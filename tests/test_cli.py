@@ -737,7 +737,9 @@ BAD_INPUT = [
     (["estimate", "--estimator", "umvu", "--r", "inf", "--in", "{counts}"],
      "argument --r: must be a finite number"),
     (["estimate", "--estimator", "dir-pm", "--r", "3", "--a0", "1", "--a", "1,nan,1",
-      "--in", "{counts}"], "entries must be finite"),
+      "--in", "{counts}"], "all a_i must be positive and finite"),
+    (["estimate", "--estimator", "hb-pm", "--r", "8", "--alpha", "14", "--a0", "-3",
+      "--a", "1,inf,1", "--in", "{counts}"], "all a_i must be positive and finite"),
     (["estimate", "--estimator", "dir-pm", "--r", "3", "--a0", "1", "--a", "1,-1,1",
       "--in", "{counts}"], "all a_i must be positive"),
     (["estimate", "--estimator", "hb", "--r", "8", "--alpha", "6", "--beta", "inf",

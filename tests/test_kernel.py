@@ -41,6 +41,7 @@ ORACLE_BETA_ZERO = -1.3408466457338799
 
 class TestGChoice:
     def test_constant_one(self):
+        assert GChoice.constant_one() is G1  # one frozen instance, built once
         assert G1.nonincreasing
         assert np.all(G1.log_g(np.array([0.1, 5.0])) == 0.0)
 
@@ -276,6 +277,49 @@ class TestDeltaNu:
         with pytest.raises(ConditionError):
             # beta = 0 and alpha >= N a_dot breaks the tail integral
             delta_nu(9.0, 0.0, G1, 5.0, 0.5, 4.0, np.array([1, 2]), 0)
+
+
+# delta_nu takes each raised row xi = z + a_dot + e_nu from its vector's base
+# row less log(t + xi0 + z_nu + a_dot); log_kernel on the explicit rows is the
+# oracle.  (alpha, beta, g, r, a0, a_dot, z, nu, whether some pairs halve h)
+BASE_ROW_CASES = {
+    "scalar nu": (6.0, 1.0, G1, 4.0, 0.5, 3.0, [5, 2, 7], 1, False),
+    "array nu, large sums": (14.0, 1.0, G1, 8.0, -3.0, 3.5, [4000, 9000, 13000],
+                             [2, 0, 1, 0], False),
+    "broadcast stack": (5.0, 1.0, G1, 4.0, 0.5, 2.5, [[[3, 1, 5]], [[0, 2, 2]], [[7, 7, 1]]],
+                        [0, 1, 2], False),
+    "r + a0 = 0 with alpha + q0 > N": (3.2, 1.0, G1, 1.0, -1.0, 0.1,
+                                       [[[0, 0, 0]], [[2, 0, 1]]], [0, 1, 2], True),
+    "beta = 0, finite tail": (2.0, 0.0, G1, 3.0, 0.5, 1.0, [3, 1, 2], [0, 1, 2], False),
+    "komaki g": (6.0, 1.0, GChoice.komaki(0.5, 2.0), 4.0, 0.5, 3.0, [[5, 2, 7], [0, 1, 0]],
+                 [[0], [2]], False),
+    "small xi0": (0.3, 1.0, G1, 0.1, 0.0, 0.2, [0, 0, 1], [0, 1, 2], True),
+}
+
+
+class TestBaseRows:
+    @pytest.mark.parametrize("name", BASE_ROW_CASES)
+    def test_delta_nu_matches_the_explicit_rows(self, name, monkeypatch):
+        alpha, beta, g, r, a0, a_dot, z, nu, halves = BASE_ROW_CASES[name]
+        z, nu = np.array(z), np.array(nu)
+        raised = []
+        log_integrand = kernel._log_integrand
+
+        def spy(terms, xi, col=None):
+            raised.append(col is not None)
+            return log_integrand(terms, xi, col)
+
+        monkeypatch.setattr(kernel, "_log_integrand", spy)
+        got = delta_nu(alpha, beta, g, r, a0, a_dot, z, nu)
+        # One block of rows: a step after the first is a pair halving h, and
+        # every step takes the raised rows from their vectors' base rows.
+        assert (len(raised) > 1) == halves and all(raised)
+        monkeypatch.undo()
+        rows = z + a_dot + (np.arange(z.shape[-1]) == nu[..., None])
+        logk = log_kernel([alpha, alpha + 1.0], beta, g, r + a0, rows)
+        want = np.exp(logk[..., 1] - logk[..., 0])
+        assert np.shape(got) == want.shape == np.broadcast(z[..., 0], nu).shape
+        np.testing.assert_allclose(got, want, rtol=kernel.ERROR_TOL, atol=0)
 
 
 class TestPropriety:
@@ -627,8 +671,8 @@ class TestFirstStepMemo:
         assert kernel._first_step.cache_info().currsize == size
 
     def test_arrays_are_read_only(self):
-        base, gamma = kernel._first_step(1.0, 1.0, G1)
-        for a in (base, *gamma):
+        base, gamma, x = kernel._first_step(1.0, 1.0, G1)
+        for a in (base, *gamma, x):
             assert a.size and not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0

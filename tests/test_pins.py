@@ -102,7 +102,10 @@ STDOUT = {
     "estimate eb0": "a0c6db052776f7aa833e7d4cacf1ebd9acb00b3b5d55d972545ff89ff2a68a87",
     "estimate hb": "a3ba8661799a1f48df4fcef24f13af1fbe4c544a722c5318ff170204b3c45e78",
     "estimate dir-pm": "bf1f24266c03a7552ffc49ea7fd698a73899cd9134f2d16ae68c22066d995fd1",
-    "estimate hb-pm": "5eaa329fd4b43e6824d6f679bb23e818ba74c7c478f5bfa933c5150b0f1ff6ee",
+    # Recorded when `delta_nu` began to take each column's row from its count
+    # vector's base row: the first column moved by at most 2.6e-15 relative (it was
+    # 5eaa329fd4b43e6824d6f679bb23e818ba74c7c478f5bfa933c5150b0f1ff6ee).
+    "estimate hb-pm": "08d569fbe7076e4378f8070a72fbd2f0e9dca9eea3a8d553ddcd58535c0f875c",
     "kernel-eval": "2b1c26ca69eacbc791e01cba320cd1292fd7e86631ddf0028834a48774c20a5b",
     "kernel-eval, K(alpha + 1) diverges":
         "2dbe58712f6a1a522c51241bf42790e86424d9c3c1911a84180527ff960fe4c1",
