@@ -55,7 +55,7 @@ from .kernel import (
     require_alpha_beta,
 )
 from .model import ModelParams, read_counts_csv, require_r
-from .risklab import CASES, ESTIMATOR_KINDS, POSITIVE_KINDS, case_table, compare
+from .risklab import A_KINDS, CASES, ESTIMATOR_KINDS, POSITIVE_KINDS, case_table, compare
 from .risklab import loss_columns, make_estimator
 
 EXIT_OK = 0
@@ -215,16 +215,19 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _estimators(names: list[str], args, m: int) -> dict:
-    """The estimator each name runs, built from the prior flags; `--a`
-    defaults to ones(m) and must have m entries."""
+    """The estimator each name runs, built from the prior flags; `--a`, read
+    only when a kind of `A_KINDS` is named, defaults to ones(m) and must have
+    m entries."""
     if not names:
         raise ValueError("no estimator named")
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValueError(f"estimator {name!r} named more than once")
-    a = _parse_vector(args.a) if args.a else np.ones(m)
-    if a.shape != (m,):
-        raise ValueError(f"--a needs m = {m} entries, got {a.size}")
+    a = None
+    if set(A_KINDS) & set(names):
+        a = _parse_vector(args.a) if args.a else np.ones(m)
+        if a.shape != (m,):
+            raise ValueError(f"--a needs m = {m} entries, got {a.size}")
     g = _g_from_doc({"kind": args.g, "c": args.g_c, "kappa": args.g_kappa})
     prior = {"alpha": args.alpha, "beta": args.beta, "g": g, "a0": args.a0, "a": a}
     return {name: make_estimator(name, **prior) for name in names}

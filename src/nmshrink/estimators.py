@@ -116,7 +116,7 @@ def hb(
     """
     z = x.col_sums
     nonzero = x.grand_sum > 0
-    # delta_hb checks alpha, beta, r and the assumptions before its kernel.
+    # delta_hb checks alpha, beta, r, m and the assumptions before its kernel.
     if z.ndim == 1 and nonzero:
         d = delta_hb(alpha, beta, g, r, x.m, z)  # one matrix: a float
     elif np.any(nonzero):

@@ -25,11 +25,19 @@ from `model._log_gamma_ratio`, the package's one log-gamma: it gives each
 difference without forming either term, so no large argument cancels.
 
 One call evaluates a stack of xi rows for several exponents alpha on the
-same nodes.  The Gamma ratios are computed once for each distinct xi value
-of the call and shared by every row that holds that value; each row adds
-its columns in ascending order of xi, and each table entry is the same
-floating-point operation a row alone would make, so a row's bits depend
-neither on the rows it shares a table with nor on the order of its columns.
+same nodes, every row's integrand from `_log_integrand`.  The Gamma ratios
+are computed once for each distinct xi value of the call and shared by
+every row that holds that value, and one vector's own sorted columns are
+its table; each row adds its columns in ascending order of xi, and each
+table entry is the same floating-point operation a row alone would make,
+so a row's bits depend neither on the rows it shares a table with nor on
+the order of its columns.  A row raised by one in column nu, as `delta_nu`'s
+xi = z + a_dot + e_nu, is its vector's row less log(t + xi0 + xi_nu) at
+every node, since Gamma(x + xi_nu + 1) = (x + xi_nu) Gamma(x + xi_nu): the
+N rows of one vector take one log-gamma row and N logs, on the first step
+and on every finer one.  A row so taken rounds differently from the
+explicit row by about one ulp of log K, 2.9e-11 relative in the ratio at
+log K near -2.5e5 (column sums near 1e4).
 The first step's terms of the nodes alone, log(t'(s)/t) - beta t + log g(t)
 and the parts of the log-gamma differences that do not involve xi, are
 computed once per process for each (xi0, beta, g) and kept read-only in a
@@ -37,13 +45,6 @@ small bounded memo; so a call on one count matrix pays for little but its
 xi terms and its node sums.  The first step sums every (row, alpha) pair of
 a block at once; only the pairs that go on to halve h are tracked one by
 one, and finer steps compute their node terms per call.
-The rows of `delta_nu`, xi = z + a_dot + e_nu, are not rows of that table.
-Since Gamma(x + xi_nu + 1) = (x + xi_nu) Gamma(x + xi_nu), such a row is its
-count vector's row z + a_dot less log(t + xi0 + z_nu + a_dot) at every node,
-on the first step and on every finer one: the N rows of one vector take one
-log-gamma row and N logs.  A row so taken rounds differently from the
-explicit row by about one ulp of log K, 2.9e-11 relative in the ratio at
-log K near -2.5e5 (column sums near 1e4).
 Divergence is decided analytically per (row, alpha) pair, by `kernel_finite`,
 before any sum: a divergent pair is +inf and is never summed, and a block
 that holds one evaluates each exponent on the rows it converges at.  That
@@ -279,10 +280,15 @@ def hb_assumptions_hold(
 def require_hb_assumptions(
     alpha: float, beta: float, g: GChoice, r: float, m: int, n_columns: int
 ) -> None:
-    """Raise as `require_alpha_beta` and `model.require_r`, then ConditionError
+    """Raise ValueError unless alpha is a scalar and m a positive integer,
+    and as `require_alpha_beta` and `model.require_r`; then ConditionError
     unless `hb_assumptions_hold`."""
+    if np.ndim(alpha):
+        raise ValueError("alpha must be a scalar")
     require_alpha_beta(alpha, beta)
     require_r(r)
+    if not (m > 0 and float(m).is_integer()):
+        raise ValueError(f"m must be a positive integer, got {m!r}")
     if not hb_assumptions_hold(alpha, beta, g, r, m, n_columns):
         raise ConditionError(
             "the hierarchical Bayes shrinkage ratio requires r > m with a finite "
@@ -321,48 +327,29 @@ def _first_step(xi0: float, beta: float, g: GChoice) -> tuple[np.ndarray, tuple,
     return base, gamma, x
 
 
-def _shared_log_integrand(base: np.ndarray, gamma: tuple, xi: np.ndarray) -> np.ndarray:
+def _log_integrand(terms: tuple, xi: np.ndarray, col=None) -> np.ndarray:
     """Log of the integrand in s without its t^alpha factor on one step's
-    nodes, from its `_level_terms`: (R, n) for rows xi (R, N).
-
-    The Gamma ratios are computed once per distinct xi value, and each row
-    adds its columns in ascending order of xi, so a row's bits depend neither
-    on the rows it shares the table with nor on the order of its columns.
-    One row needs no table of distinct values: its own sorted columns are one.
+    nodes, from its `_level_terms`: (R, n) for rows xi (R, N), each raised by
+    one in column col[i] when `col` (R,) is given (module docstring).  One
+    row, or rows of `col` that all raise one vector, take no table.
     """
-    if xi.shape[0] == 1:
+    base, gamma, x = terms
+    if xi.shape[0] == 1 or (col is not None and (xi == xi[0]).all()):
         ratio = _log_gamma_ratio_from(gamma, np.sort(xi[0]))
         out = ratio[0] + base
         for row in ratio[1:]:
             out += row
-        return out[None]
-    flat = np.sort(xi, axis=None)
-    values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
-    index = np.searchsorted(values, np.sort(xi, axis=1))
-    # base + ratio[first column], then the other columns in turn.
-    ratio = _log_gamma_ratio_from(gamma, values)
-    out = (ratio + base)[index[:, 0]]
-    for column in index[:, 1:].T:
-        out += ratio[column]
-    return out
-
-
-def _log_integrand(terms: tuple, xi: np.ndarray, col=None) -> np.ndarray:
-    """Log of the integrand in s without its t^alpha factor on one step's
-    nodes, from its `_level_terms`: (R, n) for rows xi (R, N), each raised by
-    one in column col[i] when `col` (R,) is given.
-
-    A raised row is not a row of `_shared_log_integrand`: since
-    Gamma(x + xi_nu + 1) = (x + xi_nu) Gamma(x + xi_nu), it is the line of the
-    row it raises less log(x + xi_nu) at each node x = t + xi0.  So the rows
-    of `delta_nu` share the log-gamma terms of their count vectors' values,
-    and the N rows of one vector take the line of that vector alone.
-    """
-    base, gamma, x = terms
-    if col is None:
-        return _shared_log_integrand(base, gamma, xi)
-    lines = _shared_log_integrand(base, gamma, xi[:1] if (xi == xi[0]).all() else xi)
-    return lines - np.log(x + xi[np.arange(col.size), col][:, None])
+        out = out[None]
+    else:
+        flat = np.sort(xi, axis=None)
+        values = flat[np.concatenate(([True], flat[1:] != flat[:-1]))]
+        index = np.searchsorted(values, np.sort(xi, axis=1))
+        # base + ratio[first column], then the other columns in turn.
+        ratio = _log_gamma_ratio_from(gamma, values)
+        out = (ratio + base)[index[:, 0]]
+        for column in index[:, 1:].T:
+            out += ratio[column]
+    return out if col is None else out - np.log(x + xi[np.arange(col.size), col][:, None])
 
 
 def _end_weight(p, level: int):
@@ -399,7 +386,8 @@ def _node_sums(lf, p_low, p_high, beta: float, level: int):
 
 def _log_kernel_rows(alphas, beta, g, xi0, xi, col=None) -> np.ndarray:
     """log K for rows xi (R, N), each raised by one in column col[i] when
-    `col` is given (`_log_integrand`), and exponents alphas (K,): shape (R, K).
+    `col` is given, and exponents alphas (K,): shape (R, K), every row's
+    integrand from `_log_integrand`.
 
     Each (row, alpha) pair starts at step h = DE_STEP and halves it until its
     error estimate is within ERROR_TOL; its value is its own node sum at the
@@ -480,17 +468,10 @@ def log_kernel(alpha, beta: float, g: GChoice, xi0: float, xi: np.ndarray):
 
     Divergence is detected analytically before any quadrature runs.  An
     exhausted node budget or an error estimate above tolerance raises
-    QuadratureError rather than returning a silently wrong value.
+    QuadratureError rather than returning a silently wrong value.  This is
+    the one check of a raw xi0 and xi; `delta_nu`, whose rows are raised in
+    one column, builds them from checked counts and calls `_log_kernels`.
     """
-    alphas, xi = _kernel_args(alpha, beta, xi0, xi)
-    rows = xi.reshape(-1, xi.shape[-1])
-    out = _log_kernels(alphas.ravel(), float(beta), g, float(xi0), rows)
-    out = out.reshape(xi.shape[:-1] + alphas.shape)
-    return float(out) if out.ndim == 0 else out
-
-
-def _kernel_args(alpha, beta: float, xi0: float, xi) -> tuple[np.ndarray, np.ndarray]:
-    """The exponents and xi of a kernel call as float arrays, or ValueError."""
     alphas = np.asarray(alpha, dtype=float)
     if alphas.ndim > 1 or alphas.size == 0:
         raise ValueError("alpha must be a scalar or a nonempty 1-d sequence")
@@ -505,7 +486,10 @@ def _kernel_args(alpha, beta: float, xi0: float, xi) -> tuple[np.ndarray, np.nda
         if (xi < 0).any():
             raise ValueError("xi entries must be nonnegative")
         raise ValueError("xi0 and xi must be finite")
-    return alphas, xi
+    rows = xi.reshape(-1, xi.shape[-1])
+    out = _log_kernels(alphas.ravel(), float(beta), g, float(xi0), rows)
+    out = out.reshape(xi.shape[:-1] + alphas.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _log_kernels(alphas, beta: float, g: GChoice, xi0: float, xi, col=None) -> np.ndarray:
@@ -569,6 +553,8 @@ def delta_nu(
     differ from `log_kernel` on the explicit row by about one ulp of each
     log K; a row's bits do not depend on the other rows of the call.
     """
+    if np.ndim(alpha):
+        raise ValueError("alpha must be a scalar")
     require_alpha_beta(alpha, beta)
     require_r(r)
     z = require_counts(z, 1)
@@ -576,21 +562,22 @@ def delta_nu(
     nu = np.asarray(nu)
     if nu.dtype.kind not in "iu" or nu.min(initial=0) < 0 or nu.max(initial=0) >= n_cols:
         raise ValueError("nu out of range")
-    if not a_dot > 0:
-        raise ValueError("a_dot must be positive")
+    shape = np.broadcast(z[..., 0], nu).shape  # NumPy's refusal of bad shapes
+    if not 0 < a_dot < math.inf:
+        raise ValueError(f"a_dot must be positive and finite, got {a_dot!r}")
     ra0 = r + a0
+    if not math.isfinite(ra0):
+        raise ValueError(f"r + a0 must be finite, got {ra0!r}")
     if not kernel_finite(alpha, beta, g, ra0, n_cols, n_cols * a_dot):
         raise ConditionError(
             "delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
             "alpha + (g exponent at 0) > N) and a finite tail integral"
         )
-    shape = np.broadcast(z[..., 0], nu).shape  # NumPy's refusal of bad shapes
-    alphas, xi = _kernel_args([alpha, alpha + 1.0], beta, ra0, z + float(a_dot))
     # One row per (vector, column) pair: the vector's xi, raised in column nu.
     rows, col = np.empty(shape + (n_cols,)), np.empty(shape, np.intp)
-    rows[...], col[...] = xi, nu
+    rows[...], col[...] = z + float(a_dot), nu
     rows, col = rows.reshape(-1, n_cols), col.ravel()
-    logk = _log_kernels(alphas, float(beta), g, float(ra0), rows, col)
+    logk = _log_kernels(np.array([alpha, alpha + 1.0]), float(beta), g, float(ra0), rows, col)
     if not np.isfinite(logk).all():
         raise QuadratureError("kernel did not evaluate finitely under propriety")
     return _ratio(logk.reshape(shape + (2,)))

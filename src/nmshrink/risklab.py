@@ -9,7 +9,8 @@ replications of a case's three truths, which share r, m and N, into one
 loss and risks come from its own slice.  `compare` is the one-truth batch.
 
 The benchmark cases (`CASES`) and the estimator kinds (`ESTIMATOR_KINDS`,
-`POSITIVE_KINDS`) are stated here once; the CLI and `audit` read them.  Each
+`POSITIVE_KINDS`, `A_KINDS`) are stated here once; the CLI and `audit` read
+them.  Each
 case is one `BenchmarkCase` record: the r of its three named truths and the
 HB prior of its tables, so Table 1's verdict (`audit.dominance_table`) and
 its risk table (`case_table`, Tables 2-4) read the same alpha, beta and g.
@@ -48,6 +49,7 @@ __all__ = [
     "CASES",
     "ESTIMATOR_KINDS",
     "POSITIVE_KINDS",
+    "A_KINDS",
 ]
 
 # An estimator maps counts (an m x N CountMatrix or a (..., m, N) stack) and
@@ -259,11 +261,13 @@ def compare(
     )["truth"]
 
 
-# The kinds `make_estimator` builds, and the posterior means among them,
-# whose estimates are strictly positive; the others put exact zeros at zero
-# counts, where the KL-type loss is undefined.
+# The kinds `make_estimator` builds; the posterior means among them, whose
+# estimates are strictly positive (the others put exact zeros at zero counts,
+# where the KL-type loss is undefined); and the kinds that take the prior
+# weights `a`, which the others are built without.
 ESTIMATOR_KINDS = ("umvu", "eb0", "eb", "hb", "dir-pm", "hb-pm")
 POSITIVE_KINDS = ("dir-pm", "hb-pm")
+A_KINDS = ("dir-pm", "hb-pm")
 
 
 def make_estimator(

@@ -100,6 +100,16 @@ class TestEstimate:
                              GChoice.constant_one())
         assert capsys.readouterr().out == _savetxt_bytes(want)
 
+    def test_a_is_read_only_by_the_estimators_that_take_it(self, counts_csv, capsys):
+        # hb takes no a: an --a of the wrong length changes nothing, as
+        # --alpha given to umvu does.
+        argv = ["estimate", "--estimator", "hb", "--r", "8", "--alpha", "14",
+                "--in", counts_csv]
+        assert main(argv) == 0
+        want = capsys.readouterr().out
+        assert main(argv + ["--a", "1,1"]) == 0
+        assert capsys.readouterr().out == want != ""
+
     def test_ragged_csv_exit_2(self, tmp_path, capsys):
         src = write(tmp_path / "bad.csv", "1,2\n3\n")
         assert main(["estimate", "--estimator", "umvu", "--r", "8", "--in", src]) == 2

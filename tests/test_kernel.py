@@ -678,24 +678,31 @@ class TestFirstStepMemo:
                 a[0] = 0.0
 
 
-NONE_FINITE = "xi0 and xi must be finite"
 R_INF = "r must be positive and finite, got inf"
 NOT_PROPER = ("delta_nu requires a proper posterior: r + a0 > 0 (or = 0 with "
               "alpha + (g exponent at 0) > N) and a finite tail integral")
 NOT_VALID = ("the hierarchical Bayes shrinkage ratio requires r > m with a finite "
              "tail integral, or r = m with additionally alpha + (g exponent at 0) > N")
-NOT_SCALAR = "alpha must be a scalar or a nonempty 1-d sequence"
+NOT_SCALAR = "alpha must be a scalar"
 NOT_INTEGERS = "counts must be integers"
 NOT_BELOW_2_53 = "the counts of a vector must total below 2^53"
 X3 = CountMatrix(np.array([[3, 0, 1], [2, 1, 0], [0, 4, 2]]))
 PRIOR3 = PriorSpec(6.0, 1.0, G1, -2.0, np.ones(3))
-# Each public ratio and HB estimator on bad input, with the exception and
-# message it gave before the kernel's argument checks were made cheaper; an
-# infinite r is refused by `model.require_r`, and a z that is not counts by
-# `model.require_counts`, before the kernel is reached.
+# Each public ratio and HB estimator on bad input, with its exception and
+# message; a message names the argument at fault, and the entries that date
+# from before the kernel's argument checks were made cheaper keep the
+# exception class they gave then.  Every ValueError comes before any
+# ConditionError: an infinite r is refused by `model.require_r`, a z that is
+# not counts by `model.require_counts`, and a non-scalar alpha or an m that
+# is not a positive integer by `require_hb_assumptions` (and `delta_nu`'s
+# own checks), before any condition or kernel.
 REFUSALS = {
     "delta_nu a_dot inf": (lambda: delta_nu(6, 1, G1, 8, -3, math.inf, [1, 2, 3], 0),
-                           ValueError, NONE_FINITE),
+                           ValueError, "a_dot must be positive and finite, got inf"),
+    "delta_nu a0 nan": (lambda: delta_nu(6, 1, G1, 8, math.nan, 3.0, [1, 2, 3], 0),
+                        ValueError, "r + a0 must be finite, got nan"),
+    "delta_nu a0 -inf": (lambda: delta_nu(6, 1, G1, 8, -math.inf, 3.0, [1, 2, 3], 0),
+                         ValueError, "r + a0 must be finite, got -inf"),
     "delta_nu r inf": (lambda: delta_nu(6, 1, G1, math.inf, -3, 3.0, [1, 2, 3], 0),
                        ValueError, R_INF),
     "delta_nu z nan": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, np.array([1, math.nan, 3]), 0),
@@ -711,15 +718,23 @@ REFUSALS = {
     "delta_nu nu": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, [1, 2, 3], 3),
                     ValueError, "nu out of range"),
     "delta_nu a_dot 0": (lambda: delta_nu(6, 1, G1, 8, -3, 0.0, [1, 2, 3], 0),
-                         ValueError, "a_dot must be positive"),
+                         ValueError, "a_dot must be positive and finite, got 0.0"),
     "delta_nu z negative": (lambda: delta_nu(6, 1, G1, 8, -3, 3.0, [1, -2, 3], 0),
                             ValueError, "counts must be nonnegative"),
     "delta_hb r inf": (lambda: delta_hb(6, 1, G1, math.inf, 3, [1, 2]),
                        ValueError, R_INF),
     "delta_hb m negative": (lambda: delta_hb(6, 1, G1, 8, -2, [1, 2]),
-                            ValueError, "xi entries must be nonnegative"),
+                            ValueError, "m must be a positive integer, got -2"),
     "delta_hb m -inf": (lambda: delta_hb(6, 1, G1, 8, -math.inf, [1, 2]),
-                        ValueError, "xi entries must be nonnegative"),
+                        ValueError, "m must be a positive integer, got -inf"),
+    "delta_hb m 0": (lambda: delta_hb(6, 1, G1, 8, 0, [1, 2]),
+                     ValueError, "m must be a positive integer, got 0"),
+    "delta_hb m 2.5": (lambda: delta_hb(6, 1, G1, 8, 2.5, [1, 2]),
+                       ValueError, "m must be a positive integer, got 2.5"),
+    "delta_hb m inf": (lambda: delta_hb(6, 1, G1, 8, math.inf, [1, 2]),
+                       ValueError, "m must be a positive integer, got inf"),
+    "delta_hb m nan": (lambda: delta_hb(6, 1, G1, 8, math.nan, [1, 2]),
+                       ValueError, "m must be a positive integer, got nan"),
     "delta_hb z nan": (lambda: delta_hb(6, 1, G1, 8, 3, np.array([1, math.nan])),
                        ValueError, NOT_INTEGERS),
     "delta_hb z inf": (lambda: delta_hb(6, 1, G1, 8, 3, np.array([1, math.inf])),
@@ -731,11 +746,14 @@ REFUSALS = {
     "hb r < m": (lambda: hb(X3, 2, 6, 1, G1), ConditionError, NOT_VALID),
     "hb zero counts, r < m": (lambda: hb(CountMatrix(np.zeros((3, 3), int)), 2, 6, 1, G1),
                               ConditionError, NOT_VALID),
+    "hb zero counts, alpha (1,)": (
+        lambda: hb(CountMatrix(np.zeros((3, 3), int)), 8, np.array([6.0]), 1, G1),
+        ValueError, NOT_SCALAR),
     "hb_posterior_mean r inf": (lambda: hb_posterior_mean(X3, math.inf, PRIOR3),
                                 ValueError, R_INF),
     "hb_posterior_mean a_dot inf": (
         lambda: hb_posterior_mean(X3, 8, PriorSpec(6.0, 1.0, G1, -2.0, np.full(3, 1e308))),
-        ValueError, NONE_FINITE),
+        ValueError, "a_dot must be positive and finite, got inf"),
     "hb_posterior_mean improper": (lambda: hb_posterior_mean(X3, 1, PRIOR3),
                                    ConditionError, NOT_PROPER),
     "hb_posterior_mean m": (
@@ -747,7 +765,7 @@ REFUSALS = {
 
 
 class TestRefusals:
-    """Each refusal of the ratios and HB estimators stays as it was."""
+    """Each refusal of the ratios and HB estimators keeps its exception class."""
 
     @pytest.mark.parametrize("name", REFUSALS)
     def test_same_exception_and_message(self, name):

@@ -296,6 +296,17 @@ class TestEstimatorKinds:
     def test_positive_kinds_are_kinds(self):
         assert set(risklab.POSITIVE_KINDS) < set(risklab.ESTIMATOR_KINDS)
 
+    @pytest.mark.parametrize("kind", risklab.ESTIMATOR_KINDS)
+    def test_a_kinds_are_the_kinds_that_need_a(self, kind):
+        # The CLI parses --a only for A_KINDS, so every other kind builds
+        # without a, and every kind of A_KINDS refuses to.
+        build = lambda: make_estimator(kind, alpha=6.0, beta=1.0, g=G1, a0=1.0)
+        if kind in risklab.A_KINDS:
+            with pytest.raises(ValueError, match="needs"):
+                build()
+        else:
+            assert callable(build())
+
 
 class TestSampling:
     def test_stack_shape(self):
